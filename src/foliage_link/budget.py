@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BracketExceeded,
     DeltaOutOfRange,
@@ -20,7 +18,15 @@ from .errors import (
     NonPositiveHeight,
     NoSolution,
 )
-from .propagation import DEFAULT_FSPL_CONSTANT_DB, LinkGeometry, total_loss
+from .propagation import (
+    DEFAULT_FSPL_CONSTANT_DB,
+    LINEAR_BRANCH_MAX_M,
+    LinkGeometry,
+    total_loss,
+)
+
+#: Decibels per neper: the derivative of 20 log10(x) is this over x.
+_DB_PER_NEPER = 20.0 / math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,10 @@ class SolveResult:
     dimensionless for cover factor, meters for foliage height).
     ``converged`` is set only when the achieved loss matches the budget
     within the solver's loss tolerance. ``all_feasible`` marks a cover
-    solve where every scanned point fit the budget, so the cap itself was
-    returned.
+    solve where no cover factor up to the cap exceeds the budget, so the
+    cap itself was returned. Such a result has no crossing to converge to:
+    the cap is exact, so ``converged`` is ``True`` even though the achieved
+    loss may sit well below the budget.
     """
 
     value: float
@@ -181,7 +189,6 @@ def max_foliage_factor(
     f_mhz: float,
     delta_cap: float = 0.95,
     *,
-    grid_points: int = 10_000,
     loss_tol_db: float = 1e-6,
     delta_tol: float = 1e-9,
     max_iter: int = 200,
@@ -191,12 +198,15 @@ def max_foliage_factor(
 
     Total loss is not monotone in the cover factor over (0, 1): the
     free-space term diverges to -inf as the factor approaches 1, so the
-    curve eventually turns down. The solver therefore scans a uniform grid
-    upward from 0, stops at the first grid point whose loss exceeds the
-    budget (the first feasibility frontier, which is the physically
-    conservative answer), and refines the crossing by bisection inside
-    that cell. When no scanned point exceeds the budget the cap itself is
-    returned with ``all_feasible`` set.
+    curve eventually turns down. The solver answers with the *first*
+    feasibility frontier going up from 0, the physically conservative
+    answer. With distance and frequency fixed, the total is concave in the
+    cover factor on each branch of the foliage model (linear up to 14 m of
+    foliage, power law beyond), so each branch rises to one peak, found from
+    the analytic derivative, and falls after it. The first branch whose peak
+    loss exceeds the budget holds the frontier, which is refined by bisection
+    on that branch's rising side. When no branch peaks above the budget the
+    cap itself is returned with ``all_feasible`` set.
 
     Raises:
         NoSolution: the budget is exceeded already at cover factor 0.
@@ -210,22 +220,19 @@ def max_foliage_factor(
             LinkGeometry(d_km=d_km, delta=delta), f_mhz, fspl_constant
         ).l_total_db
 
-    lo = 0.0
-    lo_loss = loss_at(lo)
+    # evaluated first, so the inputs are validated before any use below
+    lo_loss = loss_at(0.0)
     if lo_loss > budget + loss_tol_db:
         raise NoSolution(
             f"even delta = 0 loses {lo_loss} dB against a budget of {budget} dB"
         )
-    hi = None
-    for x in np.linspace(0.0, delta_cap, grid_points)[1:]:
-        x = float(x)
-        x_loss = loss_at(x)
-        if x_loss > budget:
-            hi = x
+    for lo, hi in _rising_sides(d_km, f_mhz, delta_cap):
+        if loss_at(hi) > budget:
+            if lo > 0.0:
+                lo_loss = loss_at(lo)
             break
-        lo, lo_loss = x, x_loss
-    if hi is None:
-        return SolveResult(delta_cap, lo_loss, 0, True, all_feasible=True)
+    else:
+        return SolveResult(delta_cap, loss_at(delta_cap), 0, True, all_feasible=True)
 
     iterations = 0
     for _ in range(max_iter):
@@ -243,6 +250,47 @@ def max_foliage_factor(
         if hi - lo <= delta_tol:
             break
     return SolveResult(lo, lo_loss, iterations, abs(lo_loss - budget) <= loss_tol_db)
+
+
+def _rising_sides(
+    d_km: float, f_mhz: float, delta_cap: float
+) -> list[tuple[float, float]]:
+    """``(start, peak)`` of each foliage-model branch over ``[0, delta_cap]``.
+
+    On a branch the total loss is concave in the cover factor, so it rises
+    from the branch start to the peak and falls after it. The slope of the
+    free-space term ``20 log10(1 - delta)`` is ``-_DB_PER_NEPER / (1 - delta)``.
+    Computes no loss; the inputs must already have passed ``total_loss``.
+    """
+    d_m = d_km * 1000.0  # as foliage_split computes it
+    f_factor = (f_mhz / 1000.0) ** 0.284
+    # the end of the linear branch; 14 / d_m times d_m can round to just
+    # above 14 m, which would put the split on the power branch
+    edge = min(LINEAR_BRANCH_MAX_M / d_m, delta_cap)
+    while edge * d_m > LINEAR_BRANCH_MAX_M:
+        edge = math.nextafter(edge, 0.0)
+
+    slope = 0.45 * f_factor * d_m  # linear foliage term, dB per unit cover factor
+    peak = 1.0 - _DB_PER_NEPER / slope if slope > _DB_PER_NEPER else 0.0
+    sides = [(0.0, min(peak, edge))]
+    if edge < delta_cap:
+        start = math.nextafter(edge, 1.0)
+        scale = 0.588 * 1.33 * f_factor * d_m**0.588
+
+        def rising(delta: float) -> bool:
+            return scale * delta**-0.412 > _DB_PER_NEPER / (1.0 - delta)
+
+        # the derivative falls strictly, so bisect on its sign
+        lo, hi = start, delta_cap
+        if rising(hi):
+            lo = hi
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if rising(mid):
+                lo = mid
+            else:
+                hi = mid
+        sides.append((start, lo))
+    return sides
 
 
 def max_foliage_height(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -117,6 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(bounds)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _fspl_constant_from_env() -> float:
@@ -338,7 +345,7 @@ def _run_bounds(args: argparse.Namespace) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the process exit code."""
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help

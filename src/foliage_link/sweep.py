@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
 from .propagation import (
     DEFAULT_FSPL_CONSTANT_DB,
@@ -129,6 +127,8 @@ def run_sweep(
     Rows come back sorted by the swept value. Any propagation error is
     re-raised annotated with the offending x.
     """
+    import numpy as np  # imported here so the other subcommands start without it
+
     rows: list[SweepRow] = []
     for x in np.linspace(spec.start, spec.stop, spec.steps):
         x = float(x)

@@ -5,11 +5,16 @@ and expect the generating parameter back; grid oracles are rebuilt from
 the raw formulas in numpy, independent of the solver's search.
 """
 
+import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import foliage_link.budget
 from foliage_link import (
     BracketExceeded,
     DeltaOutOfRange,
@@ -233,3 +238,77 @@ class TestMaxFoliageHeight:
     def test_bad_height(self):
         with pytest.raises(NonPositiveHeight):
             max_foliage_height(radio_with_budget(150.0), 2.0, 0.0, 2400)
+
+
+class TestCoverSolverShape:
+    """The cover solver finds each branch's peak analytically; these cases sit
+    where a uniform scan or a rounded branch edge would go wrong."""
+
+    def test_narrow_peak_window_is_found(self):
+        # at 5 km and 868 MHz the loss peaks near delta = 0.92516; 5e-7 dB
+        # below the peak the infeasible window is only ~5e-5 wide
+        grid = np.linspace(0.92, 0.93, 100_001)
+        losses = oracle_total_grid(5.0, grid, 868.0)
+        peak_delta, peak_loss = grid[np.argmax(losses)], losses.max()
+        budget = peak_loss - 5e-7
+        result = max_foliage_factor(radio_with_budget(budget), 5.0, 868)
+        assert not result.all_feasible
+        assert result.converged
+        assert peak_delta - 1e-4 < result.value < peak_delta
+        assert forward_total(5.0, result.value, 868) == pytest.approx(budget, abs=1e-6)
+
+    def test_linear_branch_maximum_at_the_14_m_edge(self):
+        # on a 50 m path the linear branch still rises at its 14 m edge, and
+        # 14 / 50 * 50 rounds to just above 14 m, onto the power branch. A
+        # budget between the power-branch start and the linear edge value is
+        # first exceeded just below the edge.
+        d_km, f = 0.05, 2400
+        edge = 0.28
+        assert edge * 50.0 > 14.0
+        while edge * 50.0 > 14.0:
+            edge = math.nextafter(edge, 0.0)
+        linear_top = forward_total(d_km, edge, f)
+        power_start = forward_total(d_km, math.nextafter(edge, 1.0), f)
+        assert power_start < linear_top
+        budget = 0.5 * (power_start + linear_top)
+        result = max_foliage_factor(radio_with_budget(budget), d_km, f)
+        assert not result.all_feasible
+        assert result.converged
+        assert 0.27 < result.value <= edge
+        breakdown = total_loss(LinkGeometry(d_km=d_km, delta=result.value), f)
+        assert breakdown.foliage.regime.value == "linear"
+
+    @pytest.mark.parametrize(
+        "budget, d_km, f",
+        [
+            (TOTAL_D2_DELTA0, 2.0, 2400),  # frontier at delta = 0
+            (TOTAL_D2_DELTA05, 2.0, 2400),  # frontier on the power branch
+            (TOTAL_D2_DELTA095, 2.0, 2400),  # first of two frontiers
+            (227.0, 2.0, 2400),  # all feasible
+            (77.0, 0.05, 2400),  # frontier on the linear branch
+            (265.2910212, 5.0, 868),  # just under the peak
+        ],
+    )
+    def test_loss_evaluations_per_solve_are_bounded(self, monkeypatch, budget, d_km, f):
+        calls = []
+        real = foliage_link.budget.total_loss
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(foliage_link.budget, "total_loss", counting)
+        max_foliage_factor(radio_with_budget(budget), d_km, f)
+        assert len(calls) <= 100
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = str(Path(foliage_link.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import foliage_link.cli; "
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
