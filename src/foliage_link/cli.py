@@ -9,33 +9,31 @@ on stderr), 2 on usage errors. The environment variable
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
+import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError
 from .propagation import (
     DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
-    LossBreakdown,
     delta_bounds,
     delta_from_heights,
     total_loss,
 )
-from .scenario import (
-    REPORT_CSV_HEADER,
-    SWEEP_CSV_HEADER,
-    emit_csv,
-    emit_json,
-    evaluate_scenario,
-    parse_scenario,
-    sweep_rows_as_objects,
+from .render import (
+    BOUNDS_COLUMNS,
+    LOSS_COLUMNS,
+    REPORT_COLUMNS,
+    SOLVE_COLUMNS,
+    SWEEP_COLUMNS,
+    render,
 )
+from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario
 from .sweep import SweepSpec, SweepVariable, preset, run_sweep
 
 FSPL_CONST_ENV = "FOLIAGE_LINK_FSPL_CONST"
@@ -50,6 +48,17 @@ _SWEEP_VARS = {
 
 class _UsageError(Exception):
     """Bad flag combination; maps to exit code 2."""
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for every real-valued flag: a finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     def add_geometry_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d-km", type=float, help="total path length in km")
-        p.add_argument("--delta", type=float, help="foliage cover factor in [0,1]")
-        p.add_argument("--h-m", type=float, help="base antenna height above sensor, m")
-        p.add_argument("--h-f-m", type=float, help="foliage height above sensor, m")
+        p.add_argument("--d-km", type=_finite_float, help="total path length in km")
+        p.add_argument("--delta", type=_finite_float, help="foliage cover factor in [0,1]")
+        p.add_argument("--h-m", type=_finite_float, help="base antenna height above sensor, m")
+        p.add_argument("--h-f-m", type=_finite_float, help="foliage height above sensor, m")
 
     loss = sub.add_parser("loss", help="loss breakdown for one link")
     add_geometry_flags(loss)
-    loss.add_argument("--f-mhz", type=float, required=True, help="frequency in MHz")
+    loss.add_argument("--f-mhz", type=_finite_float, required=True, help="frequency in MHz")
     add_output_flags(loss)
 
     sweep = sub.add_parser("sweep", help="one-dimensional parameter sweep")
@@ -83,27 +92,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="bundled sweep (exclusive of --var/--start/--stop/--steps)",
     )
     sweep.add_argument("--var", choices=tuple(_SWEEP_VARS), help="variable to sweep")
-    sweep.add_argument("--start", type=float, help="first swept value")
-    sweep.add_argument("--stop", type=float, help="last swept value")
+    sweep.add_argument("--start", type=_finite_float, help="first swept value")
+    sweep.add_argument("--stop", type=_finite_float, help="last swept value")
     sweep.add_argument("--steps", type=int, help="number of points, endpoints included")
-    sweep.add_argument("--delta-cap", type=float, default=0.95,
+    sweep.add_argument("--delta-cap", type=_finite_float, default=0.95,
                        help="upper cap for cover-factor sweeps (default 0.95)")
     add_geometry_flags(sweep)
-    sweep.add_argument("--f-mhz", type=float, help="fixed frequency in MHz")
+    sweep.add_argument("--f-mhz", type=_finite_float, help="fixed frequency in MHz")
     add_output_flags(sweep)
 
     budget = sub.add_parser("budget", help="inverse solves against a radio budget")
     budget.add_argument("--solve", choices=("range", "delta", "height"), required=True)
-    budget.add_argument("--tx-dbm", type=float, required=True, help="transmit power, dBm")
-    budget.add_argument("--tx-gain", type=float, default=0.0, help="transmit gain, dBi")
-    budget.add_argument("--rx-gain", type=float, default=0.0, help="receive gain, dBi")
-    budget.add_argument("--sensitivity-dbm", type=float, required=True,
+    budget.add_argument("--tx-dbm", type=_finite_float, required=True, help="transmit power, dBm")
+    budget.add_argument("--tx-gain", type=_finite_float, default=0.0, help="transmit gain, dBi")
+    budget.add_argument("--rx-gain", type=_finite_float, default=0.0, help="receive gain, dBi")
+    budget.add_argument("--sensitivity-dbm", type=_finite_float, required=True,
                         help="receiver sensitivity, dBm (negative)")
-    budget.add_argument("--margin-db", type=float, default=0.0, help="required fade margin, dB")
-    budget.add_argument("--delta-cap", type=float, default=0.95,
+    budget.add_argument("--margin-db", type=_finite_float, default=0.0,
+                        help="required fade margin, dB")
+    budget.add_argument("--delta-cap", type=_finite_float, default=0.95,
                         help="cover-factor ceiling for delta/height solves")
     add_geometry_flags(budget)
-    budget.add_argument("--f-mhz", type=float, required=True, help="frequency in MHz")
+    budget.add_argument("--f-mhz", type=_finite_float, required=True, help="frequency in MHz")
     add_output_flags(budget)
 
     scenario = sub.add_parser("scenario", help="evaluate a scenario JSON file")
@@ -111,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_output_flags(scenario)
 
     bounds = sub.add_parser("bounds", help="admissible cover-factor band")
-    bounds.add_argument("--delta-min", type=float, required=True)
-    bounds.add_argument("--delta-max", type=float, required=True)
-    bounds.add_argument("--sigma", type=float, required=True,
+    bounds.add_argument("--delta-min", type=_finite_float, required=True)
+    bounds.add_argument("--delta-max", type=_finite_float, required=True)
+    bounds.add_argument("--sigma", type=_finite_float, required=True,
                         help="fractional perturbation, e.g. 0.5 for +/-50%%")
     add_output_flags(bounds)
 
@@ -131,47 +141,15 @@ def _fspl_constant_from_env() -> float:
     if raw is None:
         return DEFAULT_FSPL_CONSTANT_DB
     try:
-        return float(raw)
-    except ValueError:
-        raise _UsageError(f"{FSPL_CONST_ENV} must be a number, got {raw!r}") from None
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.7f}"
-    if value is None:
-        return "-"
-    return str(value)
-
-
-def _kv_table(pairs: list[tuple[str, object]]) -> str:
-    width = max(len(key) for key, _ in pairs)
-    return "\n".join(f"{key.ljust(width)}  {_fmt(value)}" for key, value in pairs) + "\n"
-
-
-def _single_row_csv(header: list[str], values: list[object]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(
-        [
-            repr(v) if isinstance(v, float) else ("true" if v is True else "false" if v is False else str(v))
-            for v in values
-        ]
-    )
-    return out.getvalue()
+        return _finite_float(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{FSPL_CONST_ENV}: {exc}") from None
 
 
 def _geometry_from_args(args: argparse.Namespace) -> LinkGeometry:
     if args.d_km is None:
         raise _UsageError("--d-km is required here")
-    if args.delta is not None and (args.h_m is not None or args.h_f_m is not None):
-        raise _UsageError("--delta and --h-m/--h-f-m are mutually exclusive")
-    if args.delta is None and (args.h_m is None or args.h_f_m is None):
-        raise _UsageError("supply --delta, or both --h-m and --h-f-m")
-    return LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.h_f_m, delta=args.delta)
+    return LinkGeometry(d_km=args.d_km, delta=_delta_from_args(args))
 
 
 def _delta_from_args(args: argparse.Namespace) -> float:
@@ -184,39 +162,9 @@ def _delta_from_args(args: argparse.Namespace) -> float:
     return delta_from_heights(args.h_f_m, args.h_m)
 
 
-def _breakdown_fields(breakdown: LossBreakdown) -> list[tuple[str, object]]:
-    return [
-        ("delta", breakdown.split.delta),
-        ("d_f_m", breakdown.split.d_f_m),
-        ("d_fsp_m", breakdown.split.d_fsp_m),
-        ("l_foliage_db", breakdown.l_foliage_db),
-        ("l_fsp_db", breakdown.l_fsp_db),
-        ("l_total_db", breakdown.l_total_db),
-        ("regime", breakdown.foliage.regime.value),
-        ("validity", breakdown.foliage.validity.value),
-    ]
-
-
 def _run_loss(args: argparse.Namespace, fspl_constant: float) -> str:
-    geometry = _geometry_from_args(args)
-    breakdown = total_loss(geometry, args.f_mhz, fspl_constant)
-    fields = _breakdown_fields(breakdown)
-    if args.format == "json":
-        return json.dumps(dict(fields), indent=2) + "\n"
-    if args.format == "csv":
-        return _single_row_csv([k for k, _ in fields], [v for _, v in fields])
-    return _kv_table(fields)
-
-
-def _sweep_table_text(table) -> str:
-    lines = ["  ".join(name.ljust(13) for name in SWEEP_CSV_HEADER)]
-    for row in table.rows:
-        cells = []
-        for name in SWEEP_CSV_HEADER:
-            value = getattr(row, name)
-            cells.append(_fmt(value if not hasattr(value, "value") else value.value).ljust(13))
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
+    breakdown = total_loss(_geometry_from_args(args), args.f_mhz, fspl_constant)
+    return render(breakdown, LOSS_COLUMNS, args.format)
 
 
 def _run_sweep_cmd(args: argparse.Namespace, fspl_constant: float) -> str:
@@ -238,8 +186,7 @@ def _run_sweep_cmd(args: argparse.Namespace, fspl_constant: float) -> str:
                 raise _UsageError("--d-km and --h-m are required for a foliage-height sweep")
             base = LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.start)
         elif variable is SweepVariable.DISTANCE:
-            delta = _delta_from_args(args)
-            base = LinkGeometry(d_km=args.start, delta=delta)
+            base = LinkGeometry(d_km=args.start, delta=_delta_from_args(args))
         else:  # frequency sweep
             base = _geometry_from_args(args)
         f_mhz = args.f_mhz
@@ -259,9 +206,7 @@ def _run_sweep_cmd(args: argparse.Namespace, fspl_constant: float) -> str:
     table = run_sweep(spec, fspl_constant)
     if args.format == "csv":
         return emit_csv(table)
-    if args.format == "json":
-        return json.dumps(sweep_rows_as_objects(table), indent=2) + "\n"
-    return _sweep_table_text(table)
+    return render(table.rows, SWEEP_COLUMNS, args.format)
 
 
 def _run_budget(args: argparse.Namespace, fspl_constant: float) -> str:
@@ -273,8 +218,7 @@ def _run_budget(args: argparse.Namespace, fspl_constant: float) -> str:
         required_margin_db=args.margin_db,
     )
     if args.solve == "range":
-        delta = _delta_from_args(args)
-        result = max_range(radio, delta, args.f_mhz, fspl_constant=fspl_constant)
+        result = max_range(radio, _delta_from_args(args), args.f_mhz, fspl_constant=fspl_constant)
     elif args.solve == "delta":
         if args.d_km is None:
             raise _UsageError("--d-km is required for --solve delta")
@@ -288,59 +232,22 @@ def _run_budget(args: argparse.Namespace, fspl_constant: float) -> str:
             radio, args.d_km, args.h_m, args.f_mhz, args.delta_cap,
             fspl_constant=fspl_constant,
         )
-    fields: list[tuple[str, object]] = [
-        ("solve", args.solve),
-        ("value", result.value),
-        ("achieved_loss_db", result.achieved_loss_db),
-        ("iterations", result.iterations),
-        ("converged", result.converged),
-        ("all_feasible", result.all_feasible),
-    ]
-    if args.format == "json":
-        return json.dumps(dict(fields), indent=2) + "\n"
-    if args.format == "csv":
-        return _single_row_csv([k for k, _ in fields], [v for _, v in fields])
-    return _kv_table(fields)
-
-
-def _report_table_text(reports) -> str:
-    lines = ["  ".join(name.ljust(13) for name in REPORT_CSV_HEADER)]
-    for report in reports:
-        cells = []
-        for name in REPORT_CSV_HEADER:
-            value = getattr(report, name)
-            if hasattr(value, "value"):
-                value = value.value
-            cells.append(_fmt(value).ljust(13))
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
+    return render(SimpleNamespace(solve=args.solve, **vars(result)), SOLVE_COLUMNS, args.format)
 
 
 def _run_scenario(args: argparse.Namespace, fspl_constant: float) -> str:
-    text = Path(args.file).read_text(encoding="utf-8")
-    scenario = parse_scenario(text)
+    scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"))
     reports = evaluate_scenario(scenario, fspl_constant)
     if args.format == "json":
         return emit_json(reports) + "\n"
     if args.format == "csv":
         return emit_csv(reports)
-    return _report_table_text(reports)
+    return render(reports, REPORT_COLUMNS, "table")
 
 
 def _run_bounds(args: argparse.Namespace) -> str:
     bounds = delta_bounds(args.delta_min, args.delta_max, args.sigma)
-    fields: list[tuple[str, object]] = [
-        ("delta_min", bounds.delta_min),
-        ("delta_max", bounds.delta_max),
-        ("sigma", bounds.sigma),
-        ("alpha_low_min", bounds.alpha_low_min),
-        ("alpha_high_max", bounds.alpha_high_max),
-    ]
-    if args.format == "json":
-        return json.dumps(dict(fields), indent=2) + "\n"
-    if args.format == "csv":
-        return _single_row_csv([k for k, _ in fields], [v for _, v in fields])
-    return _kv_table(fields)
+    return render(bounds, BOUNDS_COLUMNS, args.format)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -366,10 +273,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
         return 2
-    except FoliageLinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FoliageLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:

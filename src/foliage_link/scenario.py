@@ -9,9 +9,8 @@ factor, never both.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +31,7 @@ from .propagation import (
     foliage_split,
     total_loss,
 )
-from .sweep import SweepTable
+from .render import REPORT_COLUMNS, SWEEP_COLUMNS, render, to_json
 
 _SCENARIO_KEYS = ("name", "frequency_mhz", "base_height_m", "radio", "nodes")
 _RADIO_KEYS = (
@@ -43,32 +42,9 @@ _RADIO_KEYS = (
     "required_margin_db",
 )
 
-SWEEP_CSV_HEADER = [
-    "x",
-    "delta",
-    "d_f_m",
-    "d_fsp_m",
-    "l_foliage_db",
-    "l_fsp_db",
-    "l_total_db",
-    "regime",
-    "validity",
-]
-
-REPORT_CSV_HEADER = [
-    "id",
-    "delta",
-    "d_f_m",
-    "d_fsp_m",
-    "l_foliage_db",
-    "l_fsp_db",
-    "l_total_db",
-    "regime",
-    "validity",
-    "margin_db",
-    "required_tx_dbm",
-    "link_ok",
-]
+#: CSV header lines of ``emit_csv`` for a sweep table and for node reports.
+SWEEP_CSV_HEADER = list(SWEEP_COLUMNS)
+REPORT_CSV_HEADER = list(REPORT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -139,7 +115,13 @@ def _number(obj: dict, key: str, context: str) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{context}: field '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # a literal such as 1e400 parses as inf
+        raise DomainError(f"{context}: field '{key}' overflows the float range")
+    return number
 
 
 def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
@@ -248,11 +230,9 @@ def evaluate_scenario(
     """
     reports: list[NodeReport] = []
     for node in scenario.nodes:
-        if node.delta is not None:
-            delta = node.delta
-        else:
+        delta = node.delta
+        if delta is None:
             delta = delta_from_heights(node.h_f_m, scenario.base_height_m)
-        split = foliage_split(node.d_km, delta)
         try:
             breakdown = total_loss(
                 LinkGeometry(d_km=node.d_km, delta=delta),
@@ -260,6 +240,7 @@ def evaluate_scenario(
                 fspl_constant,
             )
         except FullFoliageCover as exc:
+            split = foliage_split(node.d_km, delta)
             reports.append(
                 NodeReport(
                     id=node.id,
@@ -298,56 +279,24 @@ def evaluate_scenario(
     return reports
 
 
-def _cell(value: object) -> str:
-    """Render one CSV cell; floats use their shortest round-trip form."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (Regime, Validity)):
-        return value.value
-    return str(value)
-
-
-def emit_csv(data: SweepTable | Sequence[NodeReport]) -> str:
-    """Render a sweep table or a report list as CSV (LF line endings).
+def emit_csv(data) -> str:
+    """Render a ``SweepTable`` or a sequence of ``NodeReport`` as CSV (LF line endings).
 
     Numeric fields use the shortest decimal form that parses back to the
     identical float.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if isinstance(data, SweepTable):
+    if hasattr(data, "rows"):  # a SweepTable
         if not data.rows:
             raise EmptyInput("sweep table has no rows")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for row in data.rows:
-            writer.writerow([_cell(getattr(row, name)) for name in SWEEP_CSV_HEADER])
-    else:
-        if not data:
-            raise EmptyInput("no node reports to emit")
-        writer.writerow(REPORT_CSV_HEADER)
-        for report in data:
-            writer.writerow(
-                [_cell(getattr(report, name)) for name in REPORT_CSV_HEADER]
-            )
-    return out.getvalue()
-
-
-def _report_object(report: NodeReport) -> dict:
-    obj = {name: getattr(report, name) for name in REPORT_CSV_HEADER}
-    obj["regime"] = report.regime.value if report.regime is not None else None
-    obj["validity"] = report.validity.value if report.validity is not None else None
-    if report.error is not None:
-        obj["error"] = report.error
-    return obj
+        return render(data.rows, SWEEP_COLUMNS, "csv")
+    if not data:
+        raise EmptyInput("no node reports to emit")
+    return render(list(data), REPORT_COLUMNS, "csv")
 
 
 def emit_json(reports: Sequence[NodeReport]) -> str:
     """Render node reports as a JSON array with stable field order."""
-    return json.dumps([_report_object(r) for r in reports], indent=2)
+    return to_json(list(reports), REPORT_COLUMNS)
 
 
 def _node_object(node: ScenarioNode) -> dict:
@@ -373,14 +322,3 @@ def emit_scenario(scenario: Scenario) -> str:
         "nodes": [_node_object(node) for node in scenario.nodes],
     }
     return json.dumps(doc, indent=2)
-
-
-def sweep_rows_as_objects(table: SweepTable) -> list[dict]:
-    """Sweep rows as JSON-ready dicts (enum flags as their string values)."""
-    objects = []
-    for row in table.rows:
-        obj = {name: getattr(row, name) for name in SWEEP_CSV_HEADER}
-        obj["regime"] = row.regime.value
-        obj["validity"] = row.validity.value
-        objects.append(obj)
-    return objects

@@ -288,6 +288,44 @@ class TestScenarioCommand:
         assert "missing field" in err
 
 
+class TestFiniteFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loss", "--d-km", "inf", "--f-mhz", "2400", "--delta", "0.5"],
+            ["loss", "--d-km", "2", "--f-mhz", "inf", "--delta", "0.5"],
+            ["loss", "--d-km", "2", "--f-mhz", "2400", "--h-m", "30", "--h-f-m", "nan"],
+            [
+                "sweep", "--var", "distance", "--start", "0.1", "--stop", "inf",
+                "--steps", "3", "--delta", "0.5", "--f-mhz", "2400",
+            ],
+            [
+                "sweep", "--var", "delta", "--start", "0", "--stop", "0.5", "--steps", "3",
+                "--d-km", "2", "--f-mhz", "2400", "--delta-cap", "nan",
+            ],
+            [
+                "budget", "--solve", "delta", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
+                "--d-km", "inf", "--f-mhz", "2400",
+            ],
+            [
+                "budget", "--solve", "range", "--tx-dbm", "14", "--tx-gain=-inf",
+                "--sensitivity-dbm", "-137", "--delta", "0.5", "--f-mhz", "2400",
+            ],
+            ["bounds", "--delta-min", "0.1", "--delta-max", "0.9", "--sigma", "NaN"],
+        ],
+    )
+    def test_non_finite_value_is_a_usage_error(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "must be a finite number" in err
+        assert "usage:" in err
+
+    def test_non_number_message_unchanged(self, capsys):
+        code, _, err = invoke(capsys, "loss", "--d-km", "two", "--f-mhz", "2400", "--delta", "0")
+        assert code == 2
+        assert "argument --d-km: invalid float value: 'two'" in err
+
+
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -317,6 +355,16 @@ class TestFsplConstantEnv:
         assert code == 0
         assert "32.4500000" in out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_override_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(FSPL_CONST_ENV, value)
+        code, out, err = invoke(
+            capsys, "budget", "--solve", "delta", "--tx-dbm", "14",
+            "--sensitivity-dbm", "-137", "--d-km", "2", "--f-mhz", "2400", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert f"{FSPL_CONST_ENV}: must be a finite number" in err
+
     def test_invalid_override_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv(FSPL_CONST_ENV, "not-a-number")
         code, _, err = invoke(
@@ -324,3 +372,234 @@ class TestFsplConstantEnv:
         )
         assert code == 2
         assert FSPL_CONST_ENV in err
+
+
+PINNED_SCENARIO = {
+    "name": "orchard",
+    "frequency_mhz": 2400,
+    "base_height_m": 30,
+    "radio": {
+        "tx_power_dbm": 14,
+        "tx_gain_dbi": 0,
+        "rx_gain_dbi": 0,
+        "rx_sensitivity_dbm": -137,
+        "required_margin_db": 0,
+    },
+    "nodes": [
+        {"id": "near", "d_km": 0.5, "delta": 0.02},
+        {"id": "half", "d_km": 2, "h_f_m": 15},
+        {"id": "closed", "d_km": 2, "delta": 1},
+    ],
+}
+
+PINNED_ARGV = {
+    "loss": ["loss", "--d-km", "2", "--f-mhz", "2400", "--delta", "0.95"],
+    "budget": [
+        "budget", "--solve", "delta", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
+        "--d-km", "2", "--f-mhz", "2400",
+    ],
+    "bounds": ["bounds", "--delta-min", "0.2", "--delta-max", "0.8", "--sigma", "0.5"],
+    "sweep": [
+        "sweep", "--var", "delta", "--start", "0", "--stop", "0.9", "--steps", "3",
+        "--d-km", "2", "--f-mhz", "2400",
+    ],
+}
+
+PINNED_OUTPUT = {
+    ("loss", "table"): (
+        "delta         0.9500000\n"
+        "d_f_m         1900.0000000\n"
+        "d_fsp_m       100.0000000\n"
+        "l_foliage_db  144.4570531\n"
+        "l_fsp_db      80.0542248\n"
+        "l_total_db    224.5112779\n"
+        "regime        power\n"
+        "validity      extrapolated\n"
+    ),
+    ("loss", "csv"): (
+        "delta,d_f_m,d_fsp_m,l_foliage_db,l_fsp_db,l_total_db,regime,validity\n"
+        "0.95,1900.0,100.00000000000009,144.45705306488668,80.05422483423212,224.5112778991188,power,extrapolated\n"
+    ),
+    ("loss", "json"): (
+        "{\n"
+        "  \"delta\": 0.95,\n"
+        "  \"d_f_m\": 1900.0,\n"
+        "  \"d_fsp_m\": 100.00000000000009,\n"
+        "  \"l_foliage_db\": 144.45705306488668,\n"
+        "  \"l_fsp_db\": 80.05422483423212,\n"
+        "  \"l_total_db\": 224.5112778991188,\n"
+        "  \"regime\": \"power\",\n"
+        "  \"validity\": \"extrapolated\"\n"
+        "}\n"
+    ),
+    ("budget", "table"): (
+        "solve             delta\n"
+        "value             0.1366950\n"
+        "achieved_loss_db  150.9999995\n"
+        "iterations        24\n"
+        "converged         true\n"
+        "all_feasible      false\n"
+    ),
+    ("budget", "csv"): (
+        "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
+        "delta,0.13669495539629756,150.99999946940568,24,true,false\n"
+    ),
+    ("budget", "json"): (
+        "{\n"
+        "  \"solve\": \"delta\",\n"
+        "  \"value\": 0.13669495539629756,\n"
+        "  \"achieved_loss_db\": 150.99999946940568,\n"
+        "  \"iterations\": 24,\n"
+        "  \"converged\": true,\n"
+        "  \"all_feasible\": false\n"
+        "}\n"
+    ),
+    ("bounds", "table"): (
+        "delta_min       0.2000000\n"
+        "delta_max       0.8000000\n"
+        "sigma           0.5000000\n"
+        "alpha_low_min   0.4000000\n"
+        "alpha_high_max  0.5333333\n"
+    ),
+    ("bounds", "csv"): (
+        "delta_min,delta_max,sigma,alpha_low_min,alpha_high_max\n"
+        "0.2,0.8,0.5,0.4,0.5333333333333333\n"
+    ),
+    ("bounds", "json"): (
+        "{\n"
+        "  \"delta_min\": 0.2,\n"
+        "  \"delta_max\": 0.8,\n"
+        "  \"sigma\": 0.5,\n"
+        "  \"alpha_low_min\": 0.4,\n"
+        "  \"alpha_high_max\": 0.5333333333333333\n"
+        "}\n"
+    ),
+    ("sweep", "table"): (
+        "x              delta          d_f_m          d_fsp_m        l_foliage_db   l_fsp_db       l_total_db     regime         validity     \n"
+        "0.0000000      0.0000000      0.0000000      2000.0000000   0.0000000      106.0748247    106.0748247    zero           in_domain    \n"
+        "0.4500000      0.4500000      900.0000000    1100.0000000   93.0949728     100.8820785    193.9770513    power          extrapolated \n"
+        "0.9000000      0.9000000      1800.0000000   200.0000000    139.9367768    86.0748247     226.0116016    power          extrapolated \n"
+    ),
+    ("sweep", "csv"): (
+        "x,delta,d_f_m,d_fsp_m,l_foliage_db,l_fsp_db,l_total_db,regime,validity\n"
+        "0.0,0.0,0.0,2000.0,0.0,106.07482474751174,106.07482474751174,zero,in_domain\n"
+        "0.45,0.45,900.0,1100.0,93.09497275378318,100.88207853739661,193.9770512911798,power,extrapolated\n"
+        "0.9,0.9,1800.0,199.99999999999994,139.93677684505,86.07482474751174,226.01160159256173,power,extrapolated\n"
+    ),
+    ("sweep", "json"): (
+        "[\n"
+        "  {\n"
+        "    \"x\": 0.0,\n"
+        "    \"delta\": 0.0,\n"
+        "    \"d_f_m\": 0.0,\n"
+        "    \"d_fsp_m\": 2000.0,\n"
+        "    \"l_foliage_db\": 0.0,\n"
+        "    \"l_fsp_db\": 106.07482474751174,\n"
+        "    \"l_total_db\": 106.07482474751174,\n"
+        "    \"regime\": \"zero\",\n"
+        "    \"validity\": \"in_domain\"\n"
+        "  },\n"
+        "  {\n"
+        "    \"x\": 0.45,\n"
+        "    \"delta\": 0.45,\n"
+        "    \"d_f_m\": 900.0,\n"
+        "    \"d_fsp_m\": 1100.0,\n"
+        "    \"l_foliage_db\": 93.09497275378318,\n"
+        "    \"l_fsp_db\": 100.88207853739661,\n"
+        "    \"l_total_db\": 193.9770512911798,\n"
+        "    \"regime\": \"power\",\n"
+        "    \"validity\": \"extrapolated\"\n"
+        "  },\n"
+        "  {\n"
+        "    \"x\": 0.9,\n"
+        "    \"delta\": 0.9,\n"
+        "    \"d_f_m\": 1800.0,\n"
+        "    \"d_fsp_m\": 199.99999999999994,\n"
+        "    \"l_foliage_db\": 139.93677684505,\n"
+        "    \"l_fsp_db\": 86.07482474751174,\n"
+        "    \"l_total_db\": 226.01160159256173,\n"
+        "    \"regime\": \"power\",\n"
+        "    \"validity\": \"extrapolated\"\n"
+        "  }\n"
+        "]\n"
+    ),
+    ("scenario", "table"): (
+        "id             delta          d_f_m          d_fsp_m        l_foliage_db   l_fsp_db       l_total_db     regime         validity       margin_db      required_tx_dbm  link_ok      \n"
+        "near           0.0200000      10.0000000     490.0000000    5.7702218      93.8581464     99.6283682     linear         in_domain      51.3716318     -37.3716318    true         \n"
+        "half           0.5000000      1000.0000000   1000.0000000   99.0447896     100.0542248    199.0990144    power          extrapolated   -48.0990144    62.0990144     false        \n"
+        "closed         1.0000000      2000.0000000   0.0000000      -              -              -              -              -              -              -              false        \n"
+    ),
+    ("scenario", "csv"): (
+        "id,delta,d_f_m,d_fsp_m,l_foliage_db,l_fsp_db,l_total_db,regime,validity,margin_db,required_tx_dbm,link_ok\n"
+        "near,0.02,10.0,490.0,5.770221789588252,93.85814643480239,99.62836822439064,linear,in_domain,51.37163177560936,-37.37163177560936,true\n"
+        "half,0.5,1000.0,1000.0,99.04478956614834,100.05422483423212,199.09901440038044,power,extrapolated,-48.09901440038044,62.09901440038044,false\n"
+        "closed,1.0,2000.0,0.0,,,,,,,,false\n"
+    ),
+    ("scenario", "json"): (
+        "[\n"
+        "  {\n"
+        "    \"id\": \"near\",\n"
+        "    \"delta\": 0.02,\n"
+        "    \"d_f_m\": 10.0,\n"
+        "    \"d_fsp_m\": 490.0,\n"
+        "    \"l_foliage_db\": 5.770221789588252,\n"
+        "    \"l_fsp_db\": 93.85814643480239,\n"
+        "    \"l_total_db\": 99.62836822439064,\n"
+        "    \"regime\": \"linear\",\n"
+        "    \"validity\": \"in_domain\",\n"
+        "    \"margin_db\": 51.37163177560936,\n"
+        "    \"required_tx_dbm\": -37.37163177560936,\n"
+        "    \"link_ok\": true\n"
+        "  },\n"
+        "  {\n"
+        "    \"id\": \"half\",\n"
+        "    \"delta\": 0.5,\n"
+        "    \"d_f_m\": 1000.0,\n"
+        "    \"d_fsp_m\": 1000.0,\n"
+        "    \"l_foliage_db\": 99.04478956614834,\n"
+        "    \"l_fsp_db\": 100.05422483423212,\n"
+        "    \"l_total_db\": 199.09901440038044,\n"
+        "    \"regime\": \"power\",\n"
+        "    \"validity\": \"extrapolated\",\n"
+        "    \"margin_db\": -48.09901440038044,\n"
+        "    \"required_tx_dbm\": 62.09901440038044,\n"
+        "    \"link_ok\": false\n"
+        "  },\n"
+        "  {\n"
+        "    \"id\": \"closed\",\n"
+        "    \"delta\": 1.0,\n"
+        "    \"d_f_m\": 2000.0,\n"
+        "    \"d_fsp_m\": 0.0,\n"
+        "    \"l_foliage_db\": null,\n"
+        "    \"l_fsp_db\": null,\n"
+        "    \"l_total_db\": null,\n"
+        "    \"regime\": null,\n"
+        "    \"validity\": null,\n"
+        "    \"margin_db\": null,\n"
+        "    \"required_tx_dbm\": null,\n"
+        "    \"link_ok\": false,\n"
+        "    \"error\": \"delta = 1 leaves no free-space segment; the free-space loss term is undefined\"\n"
+        "  }\n"
+        "]\n"
+    ),
+}
+
+
+class TestPinnedOutput:
+    """Exact stdout of every format for each subcommand.
+
+    The scenario includes a full-cover node, which renders as ``-`` table
+    cells, empty CSV cells, JSON ``null`` and the JSON-only ``error`` key.
+    """
+
+    @pytest.mark.parametrize("command, fmt", sorted(PINNED_OUTPUT))
+    def test_bytes(self, capsys, tmp_path, command, fmt):
+        if command == "scenario":
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(PINNED_SCENARIO), encoding="utf-8")
+            argv = ["scenario", "--file", str(path)]
+        else:
+            argv = PINNED_ARGV[command]
+        code, out, err = invoke(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == PINNED_OUTPUT[command, fmt]

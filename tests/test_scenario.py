@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -128,6 +129,20 @@ class TestParseScenario:
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError, match="line"):
             parse_scenario("{ not json")
+
+    @pytest.mark.parametrize(
+        "field, context",
+        [("d_km", "node 'n1'"), ("frequency_mhz", "scenario"), ("tx_power_dbm", "radio")],
+    )
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["1e400", "-1e400", "10**400"]
+    )
+    def test_number_beyond_float_range(self, field, context, literal):
+        # finite in the JSON text, but float() gives inf or raises OverflowError
+        text = re.sub(rf'"{field}": [^,}}]+', f'"{field}": {literal}', scenario_doc(), count=1)
+        assert literal in text
+        with pytest.raises(DomainError, match=rf"^{context}: field '{field}' overflows"):
+            parse_scenario(text)
 
 
 class TestEvaluateScenario:
