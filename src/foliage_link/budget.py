@@ -9,7 +9,7 @@ foliage grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     BracketExceeded,
@@ -45,16 +45,13 @@ class RadioConfig:
     required_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "tx_power_dbm",
-            "tx_gain_dbi",
-            "rx_gain_dbi",
-            "rx_sensitivity_dbm",
-            "required_margin_db",
-        ):
-            value = getattr(self, name)
+        values = vars(self)
+        for name, value in values.items():
             if not math.isfinite(value):
                 raise InvalidRadioConfig(f"{name} must be finite, got {value}")
+        # every budget quantity is a signed sum of these terms and one loss
+        if not math.isfinite(sum(map(abs, values.values()))):
+            raise InvalidRadioConfig(f"radio terms must sum to a finite budget, got {values}")
         if self.required_margin_db < 0:
             raise InvalidRadioConfig(
                 f"required_margin_db must be >= 0, got {self.required_margin_db}"
@@ -161,9 +158,12 @@ def max_range(
         return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= loss_tol_db)
     if budget >= loss_hi:
         return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= loss_tol_db)
+    return _bisect(loss_at, lo, loss_lo, hi, budget, loss_tol_db, d_tol_km, max_iter)
 
+
+def _bisect(loss_at, lo, lo_loss, hi, budget, loss_tol_db, x_tol, max_iter) -> SolveResult:
+    """Last point of ``[lo, hi]`` within budget, where the loss rises through it."""
     iterations = 0
-    feasible, feasible_loss = lo, loss_lo
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -173,14 +173,12 @@ def max_range(
         if abs(loss_mid - budget) <= loss_tol_db:
             return SolveResult(mid, loss_mid, iterations, True)
         if loss_mid < budget:
-            lo, feasible, feasible_loss = mid, mid, loss_mid
+            lo, lo_loss = mid, loss_mid
         else:
             hi = mid
-        if hi - lo <= d_tol_km:
+        if hi - lo <= x_tol:
             break
-    return SolveResult(
-        feasible, feasible_loss, iterations, abs(feasible_loss - budget) <= loss_tol_db
-    )
+    return SolveResult(lo, lo_loss, iterations, abs(lo_loss - budget) <= loss_tol_db)
 
 
 def max_foliage_factor(
@@ -233,23 +231,7 @@ def max_foliage_factor(
             break
     else:
         return SolveResult(delta_cap, loss_at(delta_cap), 0, True, all_feasible=True)
-
-    iterations = 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        iterations += 1
-        loss_mid = loss_at(mid)
-        if abs(loss_mid - budget) <= loss_tol_db:
-            return SolveResult(mid, loss_mid, iterations, True)
-        if loss_mid < budget:
-            lo, lo_loss = mid, loss_mid
-        else:
-            hi = mid
-        if hi - lo <= delta_tol:
-            break
-    return SolveResult(lo, lo_loss, iterations, abs(lo_loss - budget) <= loss_tol_db)
+    return _bisect(loss_at, lo, lo_loss, hi, budget, loss_tol_db, delta_tol, max_iter)
 
 
 def _rising_sides(
@@ -307,13 +289,7 @@ def max_foliage_height(
     (``h_f = delta * h``). Inherits the cover-factor solver's contracts,
     including the ``delta_cap`` ceiling.
     """
-    if not h_m > 0:
-        raise NonPositiveHeight(f"h_m must be > 0, got {h_m}")
+    if not 0.0 < h_m < math.inf:
+        raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
     result = max_foliage_factor(radio, d_km, f_mhz, delta_cap, **solver_options)
-    return SolveResult(
-        value=result.value * h_m,
-        achieved_loss_db=result.achieved_loss_db,
-        iterations=result.iterations,
-        converged=result.converged,
-        all_feasible=result.all_feasible,
-    )
+    return replace(result, value=result.value * h_m)

@@ -15,11 +15,11 @@ class FoliageLinkError(ValueError):
 # --- propagation model inputs ---
 
 class NonPositiveDistance(FoliageLinkError):
-    """A path length that must be strictly positive was zero or negative."""
+    """A path length that must be positive and finite (in meters) was not."""
 
 
 class NegativeDistance(FoliageLinkError):
-    """A foliage depth that must be non-negative was negative."""
+    """A foliage depth that must be non-negative and finite was not."""
 
 
 class DeltaOutOfRange(FoliageLinkError):
@@ -27,7 +27,7 @@ class DeltaOutOfRange(FoliageLinkError):
 
 
 class NonPositiveHeight(FoliageLinkError):
-    """An antenna height that must be strictly positive was not."""
+    """An antenna height that must be positive and finite was not."""
 
 
 class HeightOutOfRange(FoliageLinkError):
@@ -35,7 +35,7 @@ class HeightOutOfRange(FoliageLinkError):
 
 
 class NonPositiveFrequency(FoliageLinkError):
-    """A carrier frequency that must be strictly positive was not."""
+    """A carrier frequency that must be positive and finite was not."""
 
 
 class FullFoliageCover(FoliageLinkError):

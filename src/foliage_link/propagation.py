@@ -17,6 +17,8 @@ Losses in dB:
 * total -- the sum of the two.
 
 All functions are pure and stateless; they are safe to call concurrently.
+Public functions check their inputs once and return finite numbers; the
+private ``_split``, ``_weissberger`` and ``_free_space`` trust their callers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from enum import Enum
 
 from .errors import (
     DeltaOutOfRange,
+    FoliageLinkError,
     FullFoliageCover,
     HeightOutOfRange,
     InconsistentGeometry,
@@ -124,7 +127,7 @@ class LinkGeometry:
     both are present they must agree to within 1e-12.
 
     Args:
-        d_km: total path length in kilometers (> 0).
+        d_km: total path length in kilometers (> 0, finite in meters).
         h_m: base-station antenna height above the sensor antenna, meters.
         h_f_m: foliage height above the sensor antenna, meters.
         delta: foliage cover factor in [0, 1].
@@ -136,8 +139,8 @@ class LinkGeometry:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.d_km > 0:
-            raise NonPositiveDistance(f"d_km must be > 0, got {self.d_km}")
+        if not 0.0 < self.d_km * 1000.0 < math.inf:
+            raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {self.d_km}")
         has_h = self.h_m is not None
         has_hf = self.h_f_m is not None
         if has_h != has_hf:
@@ -160,7 +163,7 @@ class LinkGeometry:
         """The cover factor, taken from ``delta`` or derived from the heights."""
         if self.delta is not None:
             return self.delta
-        return delta_from_heights(self.h_f_m, self.h_m)
+        return self.h_f_m / self.h_m  # __post_init__ checked both heights
 
 
 def foliage_split(d_km: float, delta: float) -> PathSplit:
@@ -169,18 +172,22 @@ def foliage_split(d_km: float, delta: float) -> PathSplit:
     Returns the foliage depth ``delta * d`` and free-space remainder
     ``(1 - delta) * d``, both in meters.
     """
-    if not d_km > 0:
-        raise NonPositiveDistance(f"d_km must be > 0, got {d_km}")
+    if not 0.0 < d_km * 1000.0 < math.inf:
+        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
     if not 0.0 <= delta <= 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
+    return _split(d_km, delta)
+
+
+def _split(d_km: float, delta: float) -> PathSplit:
     d_m = d_km * 1000.0
     return PathSplit(d_f_m=delta * d_m, d_fsp_m=(1.0 - delta) * d_m, delta=delta)
 
 
 def delta_from_heights(h_f_m: float, h_m: float) -> float:
     """Cover factor from foliage height over antenna height (similar triangles)."""
-    if not h_m > 0:
-        raise NonPositiveHeight(f"h_m must be > 0, got {h_m}")
+    if not 0.0 < h_m < math.inf:
+        raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
     if not 0.0 <= h_f_m <= h_m:
         raise HeightOutOfRange(f"h_f_m must lie in [0, h_m={h_m}], got {h_f_m}")
     return h_f_m / h_m
@@ -207,17 +214,21 @@ def weissberger_loss(f_mhz: float, d_f_m: float) -> FoliageLossResult:
     downward step of about 0.36%).
 
     Args:
-        f_mhz: carrier frequency in MHz (> 0).
-        d_f_m: foliage depth in meters (>= 0).
+        f_mhz: carrier frequency in MHz (> 0, finite).
+        d_f_m: foliage depth in meters (>= 0, finite).
 
     Returns:
         FoliageLossResult with the loss in dB, the branch used and the
         validity flag.
     """
-    if not f_mhz > 0:
-        raise NonPositiveFrequency(f"f_mhz must be > 0, got {f_mhz}")
-    if not d_f_m >= 0:
-        raise NegativeDistance(f"d_f_m must be >= 0, got {d_f_m}")
+    if not 0.0 < f_mhz < math.inf:
+        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+    if not 0.0 <= d_f_m < math.inf:
+        raise NegativeDistance(f"d_f_m must be >= 0 and finite, got {d_f_m}")
+    return _weissberger(f_mhz, d_f_m)
+
+
+def _weissberger(f_mhz: float, d_f_m: float) -> FoliageLossResult:
     if d_f_m == 0:
         return FoliageLossResult(0.0, Regime.ZERO, Validity.IN_DOMAIN)
     f_ghz = f_mhz / 1000.0  # the decay model takes GHz
@@ -239,10 +250,16 @@ def free_space_loss(
     ``fspl_constant`` selects the model-constant variant (32.45 by default;
     32.4478 or 32.5 are common alternatives).
     """
-    if not d_km > 0:
-        raise NonPositiveDistance(f"d_km must be > 0, got {d_km}")
-    if not f_mhz > 0:
-        raise NonPositiveFrequency(f"f_mhz must be > 0, got {f_mhz}")
+    if not 0.0 < d_km * 1000.0 < math.inf:
+        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
+    if not 0.0 < f_mhz < math.inf:
+        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+    if not math.isfinite(fspl_constant):
+        raise FoliageLinkError(f"fspl_constant must be finite, got {fspl_constant}")
+    return _free_space(d_km, f_mhz, fspl_constant)
+
+
+def _free_space(d_km: float, f_mhz: float, fspl_constant: float) -> float:
     return fspl_constant + 20.0 * math.log10(d_km) + 20.0 * math.log10(f_mhz)
 
 
@@ -255,10 +272,12 @@ def total_loss(
 
     The free-space term is evaluated over the unobstructed remainder
     ``d * (1 - delta)``, so the cover factor must be strictly below 1.
+    ``geometry`` checked its own fields when it was built.
 
     Raises:
         FullFoliageCover: at ``delta = 1`` the free-space segment vanishes
             and its loss term is singular.
+        NonPositiveDistance: the free-space segment rounds to 0 km.
     """
     delta = geometry.effective_delta
     if delta >= 1.0:
@@ -266,9 +285,18 @@ def total_loss(
             "delta = 1 leaves no free-space segment; the free-space loss term "
             "is undefined"
         )
-    split = foliage_split(geometry.d_km, delta)
-    foliage = weissberger_loss(f_mhz, split.d_f_m)
-    l_fsp = free_space_loss(split.d_fsp_m / 1000.0, f_mhz, fspl_constant)
+    if not 0.0 < f_mhz < math.inf:
+        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+    if not math.isfinite(fspl_constant):
+        raise FoliageLinkError(f"fspl_constant must be finite, got {fspl_constant}")
+    split = _split(geometry.d_km, delta)
+    d_fsp_km = split.d_fsp_m / 1000.0
+    if d_fsp_km == 0.0:  # a path within a few multiples of the smallest float
+        raise NonPositiveDistance(
+            f"d_km={geometry.d_km} at delta={delta} leaves a free-space segment of 0 km"
+        )
+    foliage = _weissberger(f_mhz, split.d_f_m)
+    l_fsp = _free_space(d_fsp_km, f_mhz, fspl_constant)
     return LossBreakdown(
         l_foliage_db=foliage.loss_db,
         l_fsp_db=l_fsp,
@@ -311,6 +339,6 @@ def weissberger_delta_limit(d_km: float) -> float:
     Purely informational: deeper evaluations are allowed and flagged. The
     geometric maximum is always 1; callers pick which limit to apply.
     """
-    if not d_km > 0:
-        raise NonPositiveDistance(f"d_km must be > 0, got {d_km}")
+    if not 0.0 < d_km * 1000.0 < math.inf:
+        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
     return min(1.0, WEISSBERGER_MAX_DEPTH_M / (d_km * 1000.0))

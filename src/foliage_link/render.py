@@ -72,7 +72,7 @@ def to_json(records, columns: tuple[str, ...]) -> str:
         if getattr(record, "error", None) is not None:
             obj["error"] = record.error
         objects.append(obj)
-    return json.dumps(objects[0] if single else objects, indent=2)
+    return json.dumps(objects[0] if single else objects, indent=2, allow_nan=False)
 
 
 def render(records, columns: tuple[str, ...], fmt: str) -> str:

@@ -18,6 +18,7 @@ from .budget import RadioConfig, link_margin, required_tx_power
 from .errors import (
     DomainError,
     EmptyInput,
+    FoliageLinkError,
     FullFoliageCover,
     ParseError,
     SchemaError,
@@ -94,6 +95,13 @@ def _reject_constant(token: str) -> None:
     raise ParseError(f"non-finite number literal {token!r} is not valid JSON")
 
 
+def _read_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        raise ParseError(f"integer literal of {len(token)} characters is too long") from None
+
+
 def _check_keys(obj: dict, required: Sequence[str], context: str) -> None:
     for key in required:
         if key not in obj:
@@ -138,25 +146,18 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
         raise SchemaError(f"{context}: supply one of 'h_f_m' or 'delta'")
     keys = ("id", "d_km", "h_f_m") if has_height else ("id", "d_km", "delta")
     _check_keys(raw, keys, context)
-    node_id = _string(raw, "id", context)
-    d_km = _number(raw, "d_km", context)
-    if not d_km > 0:
-        raise DomainError(f"{context}: d_km must be > 0, got {d_km}")
-    h_f_m = delta = None
-    if has_height:
-        h_f_m = _number(raw, "h_f_m", context)
-        if h_f_m < 0:
-            raise DomainError(f"{context}: h_f_m must be >= 0, got {h_f_m}")
-        if h_f_m > base_height_m:
-            raise DomainError(
-                f"{context}: h_f_m must not exceed base_height_m = {base_height_m}, "
-                f"got {h_f_m}"
-            )
-    else:
-        delta = _number(raw, "delta", context)
-        if not 0.0 <= delta <= 1.0:
-            raise DomainError(f"{context}: delta out of [0,1], got {delta}")
-    return ScenarioNode(id=node_id, d_km=d_km, h_f_m=h_f_m, delta=delta)
+    node = ScenarioNode(
+        id=_string(raw, "id", context),
+        d_km=_number(raw, "d_km", context),
+        h_f_m=_number(raw, "h_f_m", context) if has_height else None,
+        delta=None if has_height else _number(raw, "delta", context),
+    )
+    h_m = base_height_m if has_height else None
+    try:  # the model's own domain rule, once, at parse time
+        LinkGeometry(node.d_km, h_m=h_m, h_f_m=node.h_f_m, delta=node.delta)
+    except FoliageLinkError as exc:
+        raise DomainError(f"{context}: {exc}") from exc
+    return node
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -164,14 +165,14 @@ def parse_scenario(text: str) -> Scenario:
 
     Raises:
         ParseError: the text is not well-formed JSON (message carries the
-            position).
+            position), or holds an integer literal too long to read.
         SchemaError: a missing, unknown or ill-typed field, a duplicate
             node id, or a node with both / neither cover-factor source.
         DomainError: a value outside its physical domain, named by field
             (and node id where applicable).
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -193,12 +194,10 @@ def parse_scenario(text: str) -> Scenario:
         raise SchemaError(f"scenario: field 'radio' must be an object, got {raw_radio!r}")
     _check_keys(raw_radio, _RADIO_KEYS, "radio")
     radio_values = {key: _number(raw_radio, key, "radio") for key in _RADIO_KEYS}
-    if radio_values["required_margin_db"] < 0:
-        raise DomainError(
-            f"radio: required_margin_db must be >= 0, "
-            f"got {radio_values['required_margin_db']}"
-        )
-    radio = RadioConfig(**radio_values)
+    try:
+        radio = RadioConfig(**radio_values)
+    except FoliageLinkError as exc:
+        raise DomainError(f"radio: {exc}") from exc
 
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list):
@@ -321,4 +320,4 @@ def emit_scenario(scenario: Scenario) -> str:
         "radio": {key: getattr(scenario.radio, key) for key in _RADIO_KEYS},
         "nodes": [_node_object(node) for node in scenario.nodes],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)

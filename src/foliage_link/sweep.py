@@ -8,6 +8,7 @@ regenerate the bundled reference scenarios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,10 +53,10 @@ class SweepSpec:
             raise InvalidSpec(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise InvalidSpec(f"steps must be >= 2, got {self.steps}")
-        if not self.start < self.stop:
-            raise InvalidSpec(f"need start < stop, got [{self.start}, {self.stop}]")
-        if not self.f_mhz > 0:
-            raise InvalidSpec(f"f_mhz must be > 0, got {self.f_mhz}")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise InvalidSpec(f"need finite start < stop, got [{self.start}, {self.stop}]")
+        if not 0.0 < self.f_mhz < math.inf:
+            raise InvalidSpec(f"f_mhz must be > 0 and finite, got {self.f_mhz}")
         if self.variable is SweepVariable.DELTA:
             if not 0.0 < self.delta_cap < 1.0:
                 raise InvalidSpec(f"delta_cap must lie in (0, 1), got {self.delta_cap}")
@@ -74,16 +75,10 @@ class SweepSpec:
                     f"foliage-height sweep must stop below h_m = {self.base.h_m} "
                     "(full cover is singular)"
                 )
-        elif self.variable is SweepVariable.DISTANCE:
-            if self.start <= 0.0:
-                raise InvalidSpec(f"distance sweep needs start > 0, got {self.start}")
-            if self.base.effective_delta >= 1.0:
-                raise InvalidSpec("base cover factor must be below 1 (full cover)")
-        elif self.variable is SweepVariable.FREQUENCY_MHZ:
-            if self.start <= 0.0:
-                raise InvalidSpec(f"frequency sweep needs start > 0, got {self.start}")
-            if self.base.effective_delta >= 1.0:
-                raise InvalidSpec("base cover factor must be below 1 (full cover)")
+        elif self.start <= 0.0:  # a distance or frequency sweep from here on
+            raise InvalidSpec(f"{self.variable.value} sweep needs start > 0, got {self.start}")
+        elif self.base.effective_delta >= 1.0:
+            raise InvalidSpec("base cover factor must be below 1 (full cover)")
 
 
 @dataclass(frozen=True)

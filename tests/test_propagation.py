@@ -60,7 +60,7 @@ class TestFoliageSplit:
         assert split.d_f_m == 1000.0
         assert split.d_fsp_m == 1000.0
 
-    @pytest.mark.parametrize("d_km", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("d_km", [0.0, -1.0, float("nan"), float("inf"), 1e306])
     def test_bad_distance(self, d_km):
         with pytest.raises(NonPositiveDistance):
             foliage_split(d_km, 0.5)

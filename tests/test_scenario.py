@@ -89,6 +89,13 @@ class TestParseScenario:
             (lambda doc: _set_radio(doc, "required_margin_db", -1), DomainError),
             # boolean is not a number
             (lambda doc: _set_radio(doc, "tx_power_dbm", True), SchemaError),
+            # an integer literal beyond the interpreter's 4300-digit limit
+            (lambda doc: doc.replace("2400", "1" * 5000), ParseError),
+            # radio terms whose budget overflows the float range
+            (
+                lambda doc: _set_radio(_set_radio(doc, "tx_power_dbm", 1e308), "tx_gain_dbi", 1e308),
+                DomainError,
+            ),
         ],
     )
     def test_document_level_errors(self, mangle, error):
@@ -108,6 +115,9 @@ class TestParseScenario:
             ({"id": 4, "d_km": 2, "delta": 0.5}, SchemaError),
             ({"id": "n1", "d_km": 2, "delta": 0.5, "note": "x"}, SchemaError),
             ({"id": "n1", "d_km": "2", "delta": 0.5}, SchemaError),
+            # finite, but infinite in meters
+            ({"id": "n1", "d_km": 1e306, "delta": 0.5}, DomainError),
+            ({"id": "n1", "d_km": 1e306, "h_f_m": 3}, DomainError),
         ],
     )
     def test_node_level_errors(self, node, error):
