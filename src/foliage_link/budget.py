@@ -22,6 +22,7 @@ from .propagation import (
     DEFAULT_FSPL_CONSTANT_DB,
     LINEAR_BRANCH_MAX_M,
     LinkGeometry,
+    _LossCore,
     total_loss,
 )
 
@@ -137,15 +138,10 @@ def max_range(
     if not 0.0 <= delta < 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1) for a range solve, got {delta}")
     budget = max_loss_budget(radio)
-
-    def loss_at(d_km: float) -> float:
-        return total_loss(
-            LinkGeometry(d_km=d_km, delta=delta), f_mhz, fspl_constant
-        ).l_total_db
-
     lo, hi = d_lo_km, d_hi_km
-    loss_lo = loss_at(lo)
-    loss_hi = loss_at(hi)
+    # the bracket ends take the checked path, so bad inputs raise as they would there
+    loss_lo = total_loss(LinkGeometry(d_km=lo, delta=delta), f_mhz, fspl_constant).l_total_db
+    loss_hi = total_loss(LinkGeometry(d_km=hi, delta=delta), f_mhz, fspl_constant).l_total_db
     if budget < loss_lo - loss_tol_db:
         raise NoSolution(
             f"budget {budget} dB is below the {loss_lo} dB loss at d = {lo} km"
@@ -158,6 +154,11 @@ def max_range(
         return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= loss_tol_db)
     if budget >= loss_hi:
         return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= loss_tol_db)
+    at = _LossCore(f_mhz, fspl_constant).at
+
+    def loss_at(d_km: float) -> float:
+        return at(d_km, delta)[4]
+
     return _bisect(loss_at, lo, loss_lo, hi, budget, loss_tol_db, d_tol_km, max_iter)
 
 
@@ -212,14 +213,13 @@ def max_foliage_factor(
     if not 0.0 < delta_cap < 1.0:
         raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
     budget = max_loss_budget(radio)
+    # evaluated first on the checked path, so the inputs are validated before any use below
+    lo_loss = total_loss(LinkGeometry(d_km=d_km, delta=0.0), f_mhz, fspl_constant).l_total_db
+    at = _LossCore(f_mhz, fspl_constant).at
 
     def loss_at(delta: float) -> float:
-        return total_loss(
-            LinkGeometry(d_km=d_km, delta=delta), f_mhz, fspl_constant
-        ).l_total_db
+        return at(d_km, delta)[4]
 
-    # evaluated first, so the inputs are validated before any use below
-    lo_loss = loss_at(0.0)
     if lo_loss > budget + loss_tol_db:
         raise NoSolution(
             f"even delta = 0 loses {lo_loss} dB against a budget of {budget} dB"

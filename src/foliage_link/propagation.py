@@ -17,8 +17,10 @@ Losses in dB:
 * total -- the sum of the two.
 
 All functions are pure and stateless; they are safe to call concurrently.
-Public functions check their inputs once and return finite numbers; the
-private ``_split``, ``_weissberger`` and ``_free_space`` trust their callers.
+Public functions check their inputs once and return finite numbers. Each
+formula lives once, in the private ``_split`` and ``_LossCore``, which trust
+their callers; sweeps, solvers and scenario batches build one ``_LossCore``
+and evaluate every point through it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ from .errors import (
 #: Free-space path loss constant for d in km and f in MHz.
 DEFAULT_FSPL_CONSTANT_DB = 32.45
 
+#: Admissible range (dB) of the free-space constant. It holds every published
+#: km/MHz variant (32.4478, 32.45, 32.5) and keeps every loss and link margin
+#: finite.
+FSPL_CONSTANT_RANGE_DB = (0.0, 100.0)
+
 #: Foliage depth (m) where the decay model switches from its linear to its
 #: power branch. The boundary itself belongs to the linear branch.
 LINEAR_BRANCH_MAX_M = 14.0
@@ -52,6 +59,8 @@ LINEAR_BRANCH_MAX_M = 14.0
 WEISSBERGER_MAX_DEPTH_M = 400.0
 
 _DELTA_SOURCE_TOL = 1e-12
+
+_FULL_COVER = "delta = 1 leaves no free-space segment; the free-space loss term is undefined"
 
 
 class Regime(str, Enum):
@@ -176,12 +185,14 @@ def foliage_split(d_km: float, delta: float) -> PathSplit:
         raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
     if not 0.0 <= delta <= 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
-    return _split(d_km, delta)
+    d_f_m, d_fsp_m = _split(d_km, delta)
+    return PathSplit(d_f_m=d_f_m, d_fsp_m=d_fsp_m, delta=delta)
 
 
-def _split(d_km: float, delta: float) -> PathSplit:
+def _split(d_km: float, delta: float) -> tuple[float, float]:
+    """Foliage depth and free-space remainder, in meters."""
     d_m = d_km * 1000.0
-    return PathSplit(d_f_m=delta * d_m, d_fsp_m=(1.0 - delta) * d_m, delta=delta)
+    return delta * d_m, (1.0 - delta) * d_m
 
 
 def delta_from_heights(h_f_m: float, h_m: float) -> float:
@@ -225,21 +236,8 @@ def weissberger_loss(f_mhz: float, d_f_m: float) -> FoliageLossResult:
         raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
     if not 0.0 <= d_f_m < math.inf:
         raise NegativeDistance(f"d_f_m must be >= 0 and finite, got {d_f_m}")
-    return _weissberger(f_mhz, d_f_m)
-
-
-def _weissberger(f_mhz: float, d_f_m: float) -> FoliageLossResult:
-    if d_f_m == 0:
-        return FoliageLossResult(0.0, Regime.ZERO, Validity.IN_DOMAIN)
-    f_ghz = f_mhz / 1000.0  # the decay model takes GHz
-    if d_f_m <= LINEAR_BRANCH_MAX_M:
-        loss = 0.45 * f_ghz**0.284 * d_f_m
-        return FoliageLossResult(loss, Regime.LINEAR, Validity.IN_DOMAIN)
-    loss = 1.33 * f_ghz**0.284 * d_f_m**0.588
-    validity = (
-        Validity.EXTRAPOLATED if d_f_m > WEISSBERGER_MAX_DEPTH_M else Validity.IN_DOMAIN
-    )
-    return FoliageLossResult(loss, Regime.POWER, validity)
+    # the free-space constant plays no part in the foliage term
+    return FoliageLossResult(*_LossCore(f_mhz, DEFAULT_FSPL_CONSTANT_DB).foliage(d_f_m))
 
 
 def free_space_loss(
@@ -248,19 +246,11 @@ def free_space_loss(
     """Free-space path loss ``K + 20 log10(d_km) + 20 log10(f_mhz)`` in dB.
 
     ``fspl_constant`` selects the model-constant variant (32.45 by default;
-    32.4478 or 32.5 are common alternatives).
+    32.4478 or 32.5 are common alternatives), within ``FSPL_CONSTANT_RANGE_DB``.
     """
     if not 0.0 < d_km * 1000.0 < math.inf:
         raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
-    if not 0.0 < f_mhz < math.inf:
-        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
-    if not math.isfinite(fspl_constant):
-        raise FoliageLinkError(f"fspl_constant must be finite, got {fspl_constant}")
-    return _free_space(d_km, f_mhz, fspl_constant)
-
-
-def _free_space(d_km: float, f_mhz: float, fspl_constant: float) -> float:
-    return fspl_constant + 20.0 * math.log10(d_km) + 20.0 * math.log10(f_mhz)
+    return _LossCore(f_mhz, fspl_constant).free_space(d_km)
 
 
 def total_loss(
@@ -281,29 +271,82 @@ def total_loss(
     """
     delta = geometry.effective_delta
     if delta >= 1.0:
-        raise FullFoliageCover(
-            "delta = 1 leaves no free-space segment; the free-space loss term "
-            "is undefined"
-        )
-    if not 0.0 < f_mhz < math.inf:
-        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
-    if not math.isfinite(fspl_constant):
-        raise FoliageLinkError(f"fspl_constant must be finite, got {fspl_constant}")
-    split = _split(geometry.d_km, delta)
-    d_fsp_km = split.d_fsp_m / 1000.0
-    if d_fsp_km == 0.0:  # a path within a few multiples of the smallest float
-        raise NonPositiveDistance(
-            f"d_km={geometry.d_km} at delta={delta} leaves a free-space segment of 0 km"
-        )
-    foliage = _weissberger(f_mhz, split.d_f_m)
-    l_fsp = _free_space(d_fsp_km, f_mhz, fspl_constant)
+        raise FullFoliageCover(_FULL_COVER)
+    d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(
+        f_mhz, fspl_constant
+    ).at(geometry.d_km, delta)
     return LossBreakdown(
-        l_foliage_db=foliage.loss_db,
+        l_foliage_db=l_foliage,
         l_fsp_db=l_fsp,
-        l_total_db=foliage.loss_db + l_fsp,
-        foliage=foliage,
-        split=split,
+        l_total_db=l_total,
+        foliage=FoliageLossResult(l_foliage, regime, validity),
+        split=PathSplit(d_f_m=d_f_m, d_fsp_m=d_fsp_m, delta=delta),
     )
+
+
+# bound once for _LossCore: looking up an Enum member costs more than the
+# arithmetic whose branch it labels
+_ZERO, _LINEAR, _POWER = Regime.ZERO, Regime.LINEAR, Regime.POWER
+_IN_DOMAIN, _EXTRAPOLATED = Validity.IN_DOMAIN, Validity.EXTRAPOLATED
+
+
+class _LossCore:
+    """The loss model at one frequency and free-space constant, for inner loops.
+
+    Construction checks ``f_mhz`` and ``fspl_constant`` and hoists the terms
+    that depend on them alone. The methods check nothing else: callers pass a
+    path length that is positive and finite in meters and a cover factor in
+    [0, 1]. Results are bit-identical to evaluating each formula in full.
+    """
+
+    __slots__ = ("_linear", "_power", "_constant", "_log_f")
+
+    def __init__(self, f_mhz: float, fspl_constant: float) -> None:
+        if not 0.0 < f_mhz < math.inf:
+            raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+        low, high = FSPL_CONSTANT_RANGE_DB
+        if not low <= fspl_constant <= high:
+            raise FoliageLinkError(
+                f"fspl_constant must lie in [{low:g}, {high:g}] dB, got {fspl_constant}"
+            )
+        f_factor = (f_mhz / 1000.0) ** 0.284  # the decay model takes GHz
+        self._linear = 0.45 * f_factor
+        self._power = 1.33 * f_factor
+        self._constant = fspl_constant
+        self._log_f = 20.0 * math.log10(f_mhz)
+
+    def foliage(self, d_f_m: float) -> tuple[float, Regime, Validity]:
+        """Weissberger loss (dB), branch and validity at foliage depth ``d_f_m``."""
+        if d_f_m == 0:
+            return 0.0, _ZERO, _IN_DOMAIN
+        if d_f_m <= LINEAR_BRANCH_MAX_M:
+            return self._linear * d_f_m, _LINEAR, _IN_DOMAIN
+        validity = _EXTRAPOLATED if d_f_m > WEISSBERGER_MAX_DEPTH_M else _IN_DOMAIN
+        return self._power * d_f_m**0.588, _POWER, validity
+
+    def free_space(self, d_km: float) -> float:
+        """Free-space loss (dB) over ``d_km`` kilometers."""
+        return self._constant + 20.0 * math.log10(d_km) + self._log_f
+
+    def at(self, d_km: float, delta: float) -> tuple:
+        """``(d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity)`` of one path.
+
+        Raises:
+            FullFoliageCover: ``delta`` is 1.
+            NonPositiveDistance: the free-space segment rounds to 0 km.
+        """
+        d_f_m, d_fsp_m = _split(d_km, delta)
+        d_fsp_km = d_fsp_m / 1000.0
+        if d_fsp_km == 0.0:
+            if delta >= 1.0:
+                raise FullFoliageCover(_FULL_COVER)
+            # a path within a few multiples of the smallest float
+            raise NonPositiveDistance(
+                f"d_km={d_km} at delta={delta} leaves a free-space segment of 0 km"
+            )
+        l_foliage, regime, validity = self.foliage(d_f_m)
+        l_fsp = self.free_space(d_fsp_km)
+        return d_f_m, d_fsp_m, l_foliage, l_fsp, l_foliage + l_fsp, regime, validity
 
 
 def delta_bounds(delta_min: float, delta_max: float, sigma: float) -> DeltaBounds:

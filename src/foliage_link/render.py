@@ -4,7 +4,9 @@ Each record type has one column tuple: attribute names in output order,
 dotted where the value sits on a nested object (``split.delta`` prints as
 ``delta``). One record renders as a key/value table or a JSON object, a
 list of records as a column table or a JSON array (indent 2). CSV is a
-header line plus one line per record either way.
+header line plus one line per record either way. Any ``tuple`` counts as a
+list of records: ``SweepRow`` and ``NodeReport`` are named tuples, so a lone
+one would render as a list, but both only ever render inside a list.
 
 Cell rules, table / CSV / JSON:
 

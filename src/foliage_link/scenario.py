@@ -12,14 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .budget import RadioConfig, link_margin, required_tx_power
 from .errors import (
     DomainError,
     EmptyInput,
     FoliageLinkError,
-    FullFoliageCover,
     ParseError,
     SchemaError,
 )
@@ -28,9 +27,10 @@ from .propagation import (
     LinkGeometry,
     Regime,
     Validity,
+    _LossCore,
     delta_from_heights,
     foliage_split,
-    total_loss,
+    total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 from .render import REPORT_COLUMNS, SWEEP_COLUMNS, render, to_json
 
@@ -67,13 +67,14 @@ class Scenario:
     nodes: list[ScenarioNode]
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(NamedTuple):
     """Evaluated link quality for one node.
 
-    A node whose evaluation fails (full foliage cover) still yields a
-    report: its geometry fields are filled, the loss and budget fields are
-    None, ``link_ok`` is False and ``error`` holds the diagnostic.
+    A node whose evaluation fails (full foliage cover, or a free-space
+    segment that rounds to 0 km) still yields a report: its geometry fields
+    are filled, the loss and budget fields are None, ``link_ok`` is False
+    and ``error`` holds the diagnostic. A named tuple, because a batch
+    builds one per node; it costs a third of a frozen dataclass.
     """
 
     id: str
@@ -224,22 +225,28 @@ def evaluate_scenario(
 ) -> list[NodeReport]:
     """Evaluate every node, preserving input order.
 
-    A node at full foliage cover produces an error report entry instead of
-    aborting the batch.
+    A node whose loss cannot be evaluated (full foliage cover, or a path so
+    short that its free-space segment rounds to 0 km) produces an error
+    report entry instead of aborting the batch.
+
+    Raises:
+        FoliageLinkError: ``fspl_constant`` lies outside
+            ``FSPL_CONSTANT_RANGE_DB``, or a node that ``parse_scenario``
+            would have rejected.
     """
+    radio = scenario.radio
+    at = _LossCore(scenario.frequency_mhz, fspl_constant).at
     reports: list[NodeReport] = []
     for node in scenario.nodes:
-        delta = node.delta
+        d_km, delta = node.d_km, node.delta
         if delta is None:
             delta = delta_from_heights(node.h_f_m, scenario.base_height_m)
+        if not (0.0 < d_km * 1000.0 < math.inf and 0.0 <= delta <= 1.0):
+            foliage_split(d_km, delta)  # a node parse_scenario did not check: raise its error
         try:
-            breakdown = total_loss(
-                LinkGeometry(d_km=node.d_km, delta=delta),
-                scenario.frequency_mhz,
-                fspl_constant,
-            )
-        except FullFoliageCover as exc:
-            split = foliage_split(node.d_km, delta)
+            d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = at(d_km, delta)
+        except FoliageLinkError as exc:
+            split = foliage_split(d_km, delta)
             reports.append(
                 NodeReport(
                     id=node.id,
@@ -258,21 +265,11 @@ def evaluate_scenario(
                 )
             )
             continue
-        margin = link_margin(scenario.radio, breakdown.l_total_db)
+        margin = link_margin(radio, l_total)
         reports.append(
             NodeReport(
-                id=node.id,
-                delta=delta,
-                d_f_m=breakdown.split.d_f_m,
-                d_fsp_m=breakdown.split.d_fsp_m,
-                l_foliage_db=breakdown.l_foliage_db,
-                l_fsp_db=breakdown.l_fsp_db,
-                l_total_db=breakdown.l_total_db,
-                regime=breakdown.foliage.regime,
-                validity=breakdown.foliage.validity,
-                margin_db=margin,
-                required_tx_dbm=required_tx_power(scenario.radio, breakdown.l_total_db),
-                link_ok=margin >= scenario.radio.required_margin_db,
+                node.id, delta, d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity,
+                margin, required_tx_power(radio, l_total), margin >= radio.required_margin_db,
             )
         )
     return reports

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
 from .propagation import (
@@ -18,7 +19,8 @@ from .propagation import (
     LinkGeometry,
     Regime,
     Validity,
-    total_loss,
+    _LossCore,
+    total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 
 
@@ -81,9 +83,12 @@ class SweepSpec:
             raise InvalidSpec("base cover factor must be below 1 (full cover)")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated point: the swept value plus the full loss breakdown."""
+class SweepRow(NamedTuple):
+    """One evaluated point: the swept value plus the full loss breakdown.
+
+    A named tuple, because a sweep builds one per point; it costs a third of
+    a frozen dataclass.
+    """
 
     x: float
     delta: float
@@ -102,16 +107,23 @@ class SweepTable:
     rows: list[SweepRow]
 
 
-def _point(spec: SweepSpec, x: float) -> tuple[LinkGeometry, float]:
-    """Geometry and frequency for the sweep evaluated at x."""
-    base = spec.base
-    if spec.variable is SweepVariable.DELTA:
-        return LinkGeometry(d_km=base.d_km, delta=x), spec.f_mhz
-    if spec.variable is SweepVariable.FOLIAGE_HEIGHT:
-        return LinkGeometry(d_km=base.d_km, h_m=base.h_m, h_f_m=x), spec.f_mhz
-    if spec.variable is SweepVariable.DISTANCE:
-        return LinkGeometry(d_km=x, delta=base.effective_delta), spec.f_mhz
-    return base, x  # FREQUENCY_MHZ
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced values from ``start`` to ``stop``, as ``numpy.linspace``.
+
+    Each value is ``start + i * step`` and the last is ``stop``, which
+    matches numpy bit for bit. Where the step underflows to 0 (a span of a
+    few subnormals), numpy scales ``i / (steps - 1)`` by the span instead,
+    and so does this.
+    """
+    div = steps - 1
+    span = stop - start
+    step = span / div
+    if step == 0.0:
+        grid = [start + (i / div) * span for i in range(div)]
+    else:
+        grid = [start + i * step for i in range(div)]
+    grid.append(stop)
+    return grid
 
 
 def run_sweep(
@@ -120,34 +132,40 @@ def run_sweep(
     """Evaluate the sweep at ``steps`` uniformly spaced points, endpoints included.
 
     Rows come back sorted by the swept value. Any propagation error is
-    re-raised annotated with the offending x.
+    re-raised annotated with the offending x. ``spec`` checked every swept
+    value except a distance in meters, which is checked per point.
     """
-    import numpy as np  # imported here so the other subcommands start without it
-
+    grid = _grid(spec.start, spec.stop, spec.steps)
+    variable, base = spec.variable, spec.base
     rows: list[SweepRow] = []
-    for x in np.linspace(spec.start, spec.stop, spec.steps):
-        x = float(x)
-        geometry, f_mhz = _point(spec, x)
-        try:
-            breakdown = total_loss(geometry, f_mhz, fspl_constant)
-        except FoliageLinkError as exc:
-            raise type(exc)(
-                f"{spec.variable.value} sweep failed at x = {x}: {exc}"
-            ) from exc
-        rows.append(
-            SweepRow(
-                x=x,
-                delta=breakdown.split.delta,
-                d_f_m=breakdown.split.d_f_m,
-                d_fsp_m=breakdown.split.d_fsp_m,
-                l_foliage_db=breakdown.l_foliage_db,
-                l_fsp_db=breakdown.l_fsp_db,
-                l_total_db=breakdown.l_total_db,
-                regime=breakdown.foliage.regime,
-                validity=breakdown.foliage.validity,
-            )
-        )
-    return SweepTable(variable=spec.variable.value, rows=rows)
+    x = grid[0]  # the point an error from building the core is reported at
+    try:
+        if variable is SweepVariable.FREQUENCY_MHZ:
+            d_km, delta = base.d_km, base.effective_delta
+            for x in grid:
+                rows.append(SweepRow(x, delta, *_LossCore(x, fspl_constant).at(d_km, delta)))
+        else:
+            at = _LossCore(spec.f_mhz, fspl_constant).at
+            if variable is SweepVariable.DELTA:
+                d_km = base.d_km
+                for x in grid:
+                    rows.append(SweepRow(x, x, *at(d_km, x)))
+            elif variable is SweepVariable.FOLIAGE_HEIGHT:
+                d_km, h_m = base.d_km, base.h_m
+                for x in grid:
+                    delta = x / h_m  # as LinkGeometry.effective_delta derives it
+                    rows.append(SweepRow(x, delta, *at(d_km, delta)))
+            else:  # DISTANCE
+                delta = base.effective_delta
+                for x in grid:
+                    if not x * 1000.0 < math.inf:
+                        break  # refused below, by the geometry check, without annotation
+                    rows.append(SweepRow(x, delta, *at(x, delta)))
+    except FoliageLinkError as exc:
+        raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
+    if len(rows) < len(grid):
+        LinkGeometry(d_km=x, delta=base.effective_delta)  # raises NonPositiveDistance
+    return SweepTable(variable=variable.value, rows=rows)
 
 
 def preset(name: str) -> SweepSpec:

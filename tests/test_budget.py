@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import foliage_link.budget
 from foliage_link import (
@@ -312,3 +314,76 @@ class TestCoverSolverShape:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_sweeps_leave_numpy_out(self):
+        src = str(Path(foliage_link.__file__).resolve().parent.parent)
+        code = (
+            f"import io, sys; sys.path.insert(0, {src!r}); import foliage_link.cli as cli; "
+            "sys.stdout = io.StringIO(); "
+            "codes = [cli.run(['sweep', '--preset', 'figure3', '--format', 'csv']), "
+            "cli.run(['sweep', '--var', 'distance', '--start', '0.1', '--stop', '5', "
+            "'--steps', '50', '--delta', '0.3', '--f-mhz', '868'])]; "
+            "sys.stdout = sys.__stdout__; print(codes, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] False"
+
+
+class TestSolversMatchScalarPath:
+    """The solvers bisect through the hoisted loss core; the loss they report
+    must equal ``total_loss`` at the value they return, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "budget, delta, f",
+        [(130.0, 0.0, 868), (151.0, 0.3, 868), (140.0, 0.9, 2400), (200.0, 0.5, 433)],
+    )
+    def test_range(self, budget, delta, f):
+        result = max_range(radio_with_budget(budget), delta, f)
+        assert result.iterations > 0
+        assert result.achieved_loss_db == forward_total(result.value, delta, f)
+
+    @pytest.mark.parametrize(
+        "budget, d_km, f",
+        [
+            (TOTAL_D2_DELTA05, 2.0, 2400),
+            (TOTAL_D2_DELTA095, 2.0, 2400),
+            (227.0, 2.0, 2400),
+            (77.0, 0.05, 2400),
+            (265.2910212, 5.0, 868),
+        ],
+    )
+    def test_cover_and_height(self, budget, d_km, f):
+        radio = radio_with_budget(budget)
+        factor = max_foliage_factor(radio, d_km, f)
+        assert factor.achieved_loss_db == forward_total(d_km, factor.value, f)
+        height = max_foliage_height(radio, d_km, 30.0, f)
+        assert (height.value, height.achieved_loss_db) == (
+            factor.value * 30.0, factor.achieved_loss_db
+        )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        budget=st.floats(60.0, 400.0),
+        d_km=st.floats(1e-3, 300.0),
+        delta=st.floats(0.0, 0.99),
+        f=st.floats(10.0, 1e5),
+        constant=st.sampled_from([32.45, 32.4478, 32.5]),
+    )
+    def test_random_solves(self, budget, d_km, delta, f, constant):
+        radio = radio_with_budget(budget)
+        for solve, x_of in (
+            (lambda: max_range(radio, delta, f, fspl_constant=constant),
+             lambda value: (value, delta)),
+            (lambda: max_foliage_factor(radio, d_km, f, fspl_constant=constant),
+             lambda value: (d_km, value)),
+        ):
+            try:
+                result = solve()
+            except (NoSolution, BracketExceeded):
+                continue
+            at_d, at_delta = x_of(result.value)
+            expected = total_loss(LinkGeometry(d_km=at_d, delta=at_delta), f, constant)
+            assert result.achieved_loss_db == expected.l_total_db

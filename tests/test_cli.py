@@ -373,6 +373,24 @@ class TestFsplConstantEnv:
         assert code == 2
         assert FSPL_CONST_ENV in err
 
+    @pytest.mark.parametrize("value", ["1e308", "-1"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_of_range_override_exits_1(self, capsys, monkeypatch, tmp_path, value, fmt):
+        # a constant near the float maximum used to overflow the margin of a
+        # radio whose terms are themselves near it
+        doc = dict(PINNED_SCENARIO, radio=dict(PINNED_SCENARIO["radio"], tx_power_dbm=-1e308))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setenv(FSPL_CONST_ENV, value)
+        for argv in (
+            ["scenario", "--file", str(path)],
+            ["loss", "--d-km", "2", "--f-mhz", "2400", "--delta", "0.5"],
+        ):
+            code, out, err = invoke(capsys, *argv, "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: fspl_constant must lie in [0, 100] dB")
+            assert err.endswith(f"got {float(value)}\n") and err.count("\n") == 1
+
 
 PINNED_SCENARIO = {
     "name": "orchard",

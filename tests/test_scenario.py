@@ -19,8 +19,11 @@ from foliage_link import (
     emit_json,
     emit_scenario,
     evaluate_scenario,
+    link_margin,
     parse_scenario,
+    required_tx_power,
     run_sweep,
+    total_loss,
 )
 from foliage_link.scenario import REPORT_CSV_HEADER, SWEEP_CSV_HEADER
 
@@ -200,6 +203,56 @@ class TestEvaluateScenario:
             assert report.l_total_db is None
             assert not report.link_ok
             assert report.d_fsp_m == 0.0
+
+    def test_zero_free_space_segment_becomes_error_entry(self):
+        # 5e-324 km splits into two segments of 2.47e-321 m each, and the
+        # free-space one rounds to 0 km: the node is reported, the batch goes on
+        nodes = [
+            {"id": "speck", "d_km": 5e-324, "delta": 0.5},
+            {"id": "ok", "d_km": 2, "delta": 0.5},
+        ]
+        speck, ok = evaluate_scenario(parse_scenario(scenario_doc(nodes)))
+        assert speck.id == "speck"
+        assert speck.error == "d_km=5e-324 at delta=0.5 leaves a free-space segment of 0 km"
+        assert speck.l_total_db is None and not speck.link_ok
+        assert speck.d_f_m == speck.d_fsp_m == 2.47e-321
+        assert ok.error is None
+        assert ok.l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
+        assert json.loads(emit_json([speck, ok]))[0]["error"] == speck.error
+
+    @pytest.mark.parametrize("fspl_constant", [32.45, 32.5])
+    def test_rows_equal_total_loss(self, fspl_constant):
+        # the batch evaluates through the hoisted loss core; every row must
+        # equal the checked scalar path at its node, bit for bit
+        nodes = [{"id": "speck", "d_km": 5e-324, "delta": 0.5}]
+        for i in range(400):
+            d_km = 10 ** (-3 + 5.5 * ((i * 0.6180339887) % 1.0))
+            cover = (i * 0.7548776662) % 1.0
+            node = {"id": f"n{i}", "d_km": d_km}
+            if i % 3 == 0:
+                node["h_f_m"] = 30 * cover
+            else:
+                node["delta"] = 1.0 if i % 50 == 1 else cover
+            nodes.append(node)
+        scenario = parse_scenario(scenario_doc(nodes))
+        reports = evaluate_scenario(scenario, fspl_constant)
+        full_cover = [node["id"] for node in nodes if node.get("delta") == 1.0]
+        assert [r.id for r in reports if r.error is not None] == ["speck", *full_cover]
+        radio = scenario.radio
+        for node, report in zip(scenario.nodes, reports):
+            if report.error is not None:
+                continue
+            if node.h_f_m is not None:
+                geometry = LinkGeometry(d_km=node.d_km, h_m=30.0, h_f_m=node.h_f_m)
+            else:
+                geometry = LinkGeometry(d_km=node.d_km, delta=node.delta)
+            b = total_loss(geometry, 2400.0, fspl_constant)
+            margin = link_margin(radio, b.l_total_db)
+            assert tuple(report) == (
+                node.id, b.split.delta, b.split.d_f_m, b.split.d_fsp_m, b.l_foliage_db,
+                b.l_fsp_db, b.l_total_db, b.foliage.regime, b.foliage.validity, margin,
+                required_tx_power(radio, b.l_total_db), margin >= radio.required_margin_db, None,
+            )
 
 
 class TestEmitCsv:

@@ -1,6 +1,9 @@
 """Tests for sweep specs, presets and table generation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foliage_link import (
     InvalidSpec,
@@ -11,6 +14,7 @@ from foliage_link import (
     UnknownPreset,
     preset,
     run_sweep,
+    total_loss,
 )
 
 TOTAL_D2_DELTA0 = 106.07482474751174
@@ -220,3 +224,94 @@ class TestSpecValidation:
     def test_bad_fixed_frequency(self):
         with pytest.raises(InvalidSpec):
             delta_spec(f_mhz=0.0)
+
+
+def scalar_row(spec, x, fspl_constant=32.45):
+    """The row at ``x`` on the checked path: a ``LinkGeometry`` and ``total_loss``."""
+    base, f_mhz = spec.base, spec.f_mhz
+    if spec.variable is SweepVariable.DELTA:
+        geometry = LinkGeometry(d_km=base.d_km, delta=x)
+    elif spec.variable is SweepVariable.FOLIAGE_HEIGHT:
+        geometry = LinkGeometry(d_km=base.d_km, h_m=base.h_m, h_f_m=x)
+    elif spec.variable is SweepVariable.DISTANCE:
+        geometry = LinkGeometry(d_km=x, delta=base.effective_delta)
+    else:
+        geometry, f_mhz = base, x
+    b = total_loss(geometry, f_mhz, fspl_constant)
+    return (
+        x, b.split.delta, b.split.d_f_m, b.split.d_fsp_m, b.l_foliage_db, b.l_fsp_db,
+        b.l_total_db, b.foliage.regime, b.foliage.validity,
+    )
+
+
+def assert_matches_scalar_path(spec, fspl_constant=32.45):
+    """Every row equals the checked path at its x, and the x column equals
+    ``np.linspace``, both bit for bit (0 ulp)."""
+    rows = run_sweep(spec, fspl_constant).rows
+    expected_x = np.linspace(spec.start, spec.stop, spec.steps).tolist()
+    assert [row.x.hex() for row in rows] == [x.hex() for x in expected_x]
+    for row in rows:
+        assert tuple(row) == scalar_row(spec, row.x, fspl_constant)
+
+
+SPECS = {
+    "delta": SweepSpec(SweepVariable.DELTA, 0.0, 0.9, 37, LinkGeometry(3.0, delta=0.0), 868.0),
+    "foliage_height": SweepSpec(
+        SweepVariable.FOLIAGE_HEIGHT, 0.5, 29.0, 23, LinkGeometry(1.3, h_m=30.0, h_f_m=0.5), 915.0
+    ),
+    "distance": SweepSpec(
+        SweepVariable.DISTANCE, 0.001, 50.0, 41, LinkGeometry(1.0, delta=0.3), 433.0
+    ),
+    "frequency_mhz": SweepSpec(
+        SweepVariable.FREQUENCY_MHZ, 100.0, 6000.0, 33, LinkGeometry(2.0, delta=0.4), 100.0
+    ),
+    "figure3": preset("figure3"),
+    "figure4": preset("figure4"),
+}
+
+
+class TestFastPathMatchesScalarPath:
+    """``run_sweep`` evaluates its points through the hoisted loss core and
+    builds its own grid; both must agree with the scalar path exactly."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("fspl_constant", [32.45, 32.4478])
+    def test_rows_equal_total_loss(self, name, fspl_constant):
+        assert_matches_scalar_path(SPECS[name], fspl_constant)
+
+    @pytest.mark.parametrize(
+        "stop, steps",
+        [(5e-324, 4), (1e-322, 50), (1e-320, 5000), (2.5e-308, 1000)],
+    )
+    def test_grid_over_a_subnormal_span(self, stop, steps):
+        # in the first three the step underflows to 0, and numpy scales
+        # i / (steps - 1) by the span instead; the last has a subnormal step
+        spec = SweepSpec(SweepVariable.DELTA, 0.0, stop, steps, LinkGeometry(3.0, delta=0.0), 868.0)
+        assert_matches_scalar_path(spec)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        variable=st.sampled_from(SweepVariable),
+        bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        steps=st.integers(2, 60),
+        d_km=st.floats(1e-3, 300.0),
+        f_mhz=st.floats(10.0, 1e5),
+        cover=st.floats(0.0, 0.999),
+        scale=st.floats(1e-300, 1e4),
+    )
+    def test_random_specs(self, variable, bounds, steps, d_km, f_mhz, cover, scale):
+        lo, hi = sorted(bounds)
+        h_m = 30.0
+        if variable is SweepVariable.DELTA:
+            start, stop = lo * 0.95, hi * 0.95
+        elif variable is SweepVariable.FOLIAGE_HEIGHT:
+            start, stop = lo * h_m * 0.999, hi * h_m * 0.999
+        else:  # distance or frequency: positive, over many magnitudes
+            start, stop = (lo + 1e-3) * scale, (hi + 1e-3) * scale
+        try:
+            spec = SweepSpec(
+                variable, start, stop, steps, LinkGeometry(d_km, h_m=h_m, h_f_m=cover * h_m), f_mhz
+            )
+        except InvalidSpec:
+            return  # start == stop
+        assert_matches_scalar_path(spec)
