@@ -19,6 +19,7 @@ from .errors import (
     NoSolution,
 )
 from .propagation import (
+    DEFAULT_DELTA_CAP,
     DEFAULT_FSPL_CONSTANT_DB,
     LINEAR_BRANCH_MAX_M,
     LinkGeometry,
@@ -28,6 +29,15 @@ from .propagation import (
 
 #: Decibels per neper: the derivative of 20 log10(x) is this over x.
 _DB_PER_NEPER = 20.0 / math.log(10.0)
+
+#: Distance bracket (km) of a range solve: 10 cm to 1000 km.
+_RANGE_BRACKET_KM = (1e-4, 1000.0)
+#: A solve converges, and its bisection stops, within this many dB of the budget.
+_LOSS_TOL_DB = 1e-6
+#: A bisection also stops once its bracket is this narrow: km in a range solve,
+#: cover factor in a cover solve.
+_RANGE_TOL_KM = 1e-7
+_DELTA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,7 @@ class SolveResult:
     ``value`` is in the unit of the solved quantity (km for range,
     dimensionless for cover factor, meters for foliage height).
     ``converged`` is set only when the achieved loss matches the budget
-    within the solver's loss tolerance. ``all_feasible`` marks a cover
+    within ``_LOSS_TOL_DB`` (1e-6 dB). ``all_feasible`` marks a cover
     solve where no cover factor up to the cap exceeds the budget, so the
     cap itself was returned. Such a result has no crossing to converge to:
     the cap is exact, so ``converged`` is ``True`` even though the achieved
@@ -118,60 +128,48 @@ def max_range(
     delta: float,
     f_mhz: float,
     *,
-    d_lo_km: float = 1e-4,
-    d_hi_km: float = 1000.0,
-    loss_tol_db: float = 1e-6,
-    d_tol_km: float = 1e-7,
-    max_iter: int = 200,
     fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
 ) -> SolveResult:
     """Largest distance (km) whose total loss fits the radio's budget.
 
     Total loss is strictly increasing in distance at a fixed cover factor
-    (both terms grow with d), so plain bisection on [d_lo_km, d_hi_km]
-    applies.
+    (both terms grow with d), so plain bisection on ``_RANGE_BRACKET_KM``
+    (10 cm to 1000 km) applies.
 
     Raises:
-        NoSolution: the budget is below the loss already at ``d_lo_km``.
-        BracketExceeded: the budget is above the loss at ``d_hi_km``.
+        NoSolution: the budget is below the loss already at 10 cm.
+        BracketExceeded: the budget is above the loss at 1000 km.
     """
     if not 0.0 <= delta < 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1) for a range solve, got {delta}")
     budget = max_loss_budget(radio)
-    lo, hi = d_lo_km, d_hi_km
+    lo, hi = _RANGE_BRACKET_KM
     # the bracket ends take the checked path, so bad inputs raise as they would there
     loss_lo = total_loss(LinkGeometry(d_km=lo, delta=delta), f_mhz, fspl_constant).l_total_db
     loss_hi = total_loss(LinkGeometry(d_km=hi, delta=delta), f_mhz, fspl_constant).l_total_db
-    if budget < loss_lo - loss_tol_db:
-        raise NoSolution(
-            f"budget {budget} dB is below the {loss_lo} dB loss at d = {lo} km"
-        )
-    if budget > loss_hi + loss_tol_db:
-        raise BracketExceeded(
-            f"budget {budget} dB exceeds the {loss_hi} dB loss at d = {hi} km"
-        )
+    if budget < loss_lo - _LOSS_TOL_DB:
+        raise NoSolution(f"budget {budget} dB is below the {loss_lo} dB loss at d = {lo} km")
+    if budget > loss_hi + _LOSS_TOL_DB:
+        raise BracketExceeded(f"budget {budget} dB exceeds the {loss_hi} dB loss at d = {hi} km")
     if budget <= loss_lo:
-        return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= loss_tol_db)
+        return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= _LOSS_TOL_DB)
     if budget >= loss_hi:
-        return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= loss_tol_db)
+        return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= _LOSS_TOL_DB)
     at = _LossCore(f_mhz, fspl_constant).at
 
     def loss_at(d_km: float) -> float:
         return at(d_km, delta)[4]
 
-    return _bisect(loss_at, lo, loss_lo, hi, budget, loss_tol_db, d_tol_km, max_iter)
+    return _bisect(loss_at, lo, loss_lo, hi, budget, _RANGE_TOL_KM)
 
 
-def _bisect(loss_at, lo, lo_loss, hi, budget, loss_tol_db, x_tol, max_iter) -> SolveResult:
+def _bisect(loss_at, lo, lo_loss, hi, budget, x_tol) -> SolveResult:
     """Last point of ``[lo, hi]`` within budget, where the loss rises through it."""
     iterations = 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # float resolution exhausted
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         iterations += 1
         loss_mid = loss_at(mid)
-        if abs(loss_mid - budget) <= loss_tol_db:
+        if abs(loss_mid - budget) <= _LOSS_TOL_DB:
             return SolveResult(mid, loss_mid, iterations, True)
         if loss_mid < budget:
             lo, lo_loss = mid, loss_mid
@@ -179,18 +177,15 @@ def _bisect(loss_at, lo, lo_loss, hi, budget, loss_tol_db, x_tol, max_iter) -> S
             hi = mid
         if hi - lo <= x_tol:
             break
-    return SolveResult(lo, lo_loss, iterations, abs(lo_loss - budget) <= loss_tol_db)
+    return SolveResult(lo, lo_loss, iterations, abs(lo_loss - budget) <= _LOSS_TOL_DB)
 
 
 def max_foliage_factor(
     radio: RadioConfig,
     d_km: float,
     f_mhz: float,
-    delta_cap: float = 0.95,
+    delta_cap: float = DEFAULT_DELTA_CAP,
     *,
-    loss_tol_db: float = 1e-6,
-    delta_tol: float = 1e-9,
-    max_iter: int = 200,
     fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
 ) -> SolveResult:
     """Largest tolerable cover factor at a fixed distance, up to ``delta_cap``.
@@ -220,7 +215,7 @@ def max_foliage_factor(
     def loss_at(delta: float) -> float:
         return at(d_km, delta)[4]
 
-    if lo_loss > budget + loss_tol_db:
+    if lo_loss > budget + _LOSS_TOL_DB:
         raise NoSolution(
             f"even delta = 0 loses {lo_loss} dB against a budget of {budget} dB"
         )
@@ -231,7 +226,7 @@ def max_foliage_factor(
             break
     else:
         return SolveResult(delta_cap, loss_at(delta_cap), 0, True, all_feasible=True)
-    return _bisect(loss_at, lo, lo_loss, hi, budget, loss_tol_db, delta_tol, max_iter)
+    return _bisect(loss_at, lo, lo_loss, hi, budget, _DELTA_TOL)
 
 
 def _rising_sides(
@@ -280,8 +275,9 @@ def max_foliage_height(
     d_km: float,
     h_m: float,
     f_mhz: float,
-    delta_cap: float = 0.95,
-    **solver_options,
+    delta_cap: float = DEFAULT_DELTA_CAP,
+    *,
+    fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
 ) -> SolveResult:
     """Largest tolerable foliage height (m) under an antenna of height ``h_m``.
 
@@ -291,5 +287,5 @@ def max_foliage_height(
     """
     if not 0.0 < h_m < math.inf:
         raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
-    result = max_foliage_factor(radio, d_km, f_mhz, delta_cap, **solver_options)
+    result = max_foliage_factor(radio, d_km, f_mhz, delta_cap, fspl_constant=fspl_constant)
     return replace(result, value=result.value * h_m)

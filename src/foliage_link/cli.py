@@ -19,6 +19,7 @@ from types import SimpleNamespace
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError
 from .propagation import (
+    DEFAULT_DELTA_CAP,
     DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
     delta_bounds,
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--start", type=_finite_float, help="first swept value")
     sweep.add_argument("--stop", type=_finite_float, help="last swept value")
     sweep.add_argument("--steps", type=int, help="number of points, endpoints included")
-    sweep.add_argument("--delta-cap", type=_finite_float, default=0.95,
-                       help="upper cap for cover-factor sweeps (default 0.95)")
+    sweep.add_argument("--delta-cap", type=_finite_float, default=DEFAULT_DELTA_CAP,
+                       help="upper cap for cover-factor sweeps (default %(default)s)")
     add_geometry_flags(sweep)
     sweep.add_argument("--f-mhz", type=_finite_float, help="fixed frequency in MHz")
     add_output_flags(sweep)
@@ -110,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="receiver sensitivity, dBm (negative)")
     budget.add_argument("--margin-db", type=_finite_float, default=0.0,
                         help="required fade margin, dB")
-    budget.add_argument("--delta-cap", type=_finite_float, default=0.95,
-                        help="cover-factor ceiling for delta/height solves")
+    budget.add_argument("--delta-cap", type=_finite_float, default=DEFAULT_DELTA_CAP,
+                        help="cover-factor ceiling for delta/height solves (default %(default)s)")
     add_geometry_flags(budget)
     budget.add_argument("--f-mhz", type=_finite_float, required=True, help="frequency in MHz")
     add_output_flags(budget)

@@ -58,6 +58,9 @@ LINEAR_BRANCH_MAX_M = 14.0
 #: results are extrapolations.
 WEISSBERGER_MAX_DEPTH_M = 400.0
 
+#: Default cover-factor ceiling of sweeps and solves, short of singular full cover.
+DEFAULT_DELTA_CAP = 0.95
+
 _DELTA_SOURCE_TOL = 1e-12
 
 _FULL_COVER = "delta = 1 leaves no free-space segment; the free-space loss term is undefined"

@@ -43,10 +43,6 @@ _RADIO_KEYS = (
     "required_margin_db",
 )
 
-#: CSV header lines of ``emit_csv`` for a sweep table and for node reports.
-SWEEP_CSV_HEADER = list(SWEEP_COLUMNS)
-REPORT_CSV_HEADER = list(REPORT_COLUMNS)
-
 
 @dataclass(frozen=True)
 class ScenarioNode:
@@ -279,14 +275,13 @@ def emit_csv(data) -> str:
     """Render a ``SweepTable`` or a sequence of ``NodeReport`` as CSV (LF line endings).
 
     Numeric fields use the shortest decimal form that parses back to the
-    identical float.
+    identical float. No node reports give the header line alone, as an
+    empty scenario renders an empty table or JSON array.
     """
     if hasattr(data, "rows"):  # a SweepTable
         if not data.rows:
             raise EmptyInput("sweep table has no rows")
         return render(data.rows, SWEEP_COLUMNS, "csv")
-    if not data:
-        raise EmptyInput("no node reports to emit")
     return render(list(data), REPORT_COLUMNS, "csv")
 
 

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
 from .propagation import (
+    DEFAULT_DELTA_CAP,
     DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
     Regime,
@@ -37,9 +38,9 @@ class SweepSpec:
 
     ``base`` fixes every parameter that is not swept; the field of ``base``
     corresponding to ``variable`` is ignored. Cover-factor sweeps are
-    capped at ``delta_cap`` (0.95 by default) and full cover (delta = 1)
-    is rejected outright for every variable, since the free-space term is
-    singular there.
+    capped at ``delta_cap`` (``DEFAULT_DELTA_CAP`` by default) and full
+    cover (delta = 1) is rejected outright for every variable, since the
+    free-space term is singular there.
     """
 
     variable: SweepVariable
@@ -48,7 +49,7 @@ class SweepSpec:
     steps: int
     base: LinkGeometry
     f_mhz: float
-    delta_cap: float = 0.95
+    delta_cap: float = DEFAULT_DELTA_CAP
 
     def __post_init__(self) -> None:
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):

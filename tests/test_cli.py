@@ -275,6 +275,14 @@ class TestScenarioCommand:
         assert code == 0
         assert "heavy" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_empty_nodes_exit_0(self, capsys, tmp_path, fmt):
+        path = self.make_file(tmp_path, nodes=[])
+        code, out, err = invoke(capsys, "scenario", "--file", path, "--format", fmt)
+        assert (code, err) == (0, "")
+        header = PINNED_OUTPUT["scenario", fmt].partition("\n")[0] + "\n"
+        assert out == ("[]\n" if fmt == "json" else header)
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "scenario", "--file", str(tmp_path / "nope.json"))
         assert code == 1
@@ -416,6 +424,14 @@ PINNED_ARGV = {
         "budget", "--solve", "delta", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
         "--d-km", "2", "--f-mhz", "2400",
     ],
+    "budget-range": [
+        "budget", "--solve", "range", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
+        "--delta", "0.3", "--f-mhz", "868",
+    ],
+    "budget-height": [
+        "budget", "--solve", "height", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
+        "--d-km", "2", "--h-m", "30", "--f-mhz", "2400",
+    ],
     "bounds": ["bounds", "--delta-min", "0.2", "--delta-max", "0.8", "--sigma", "0.5"],
     "sweep": [
         "sweep", "--var", "delta", "--start", "0", "--stop", "0.9", "--steps", "3",
@@ -466,6 +482,50 @@ PINNED_OUTPUT = {
         "{\n"
         "  \"solve\": \"delta\",\n"
         "  \"value\": 0.13669495539629756,\n"
+        "  \"achieved_loss_db\": 150.99999946940568,\n"
+        "  \"iterations\": 24,\n"
+        "  \"converged\": true,\n"
+        "  \"all_feasible\": false\n"
+        "}\n"
+    ),
+    ("budget-range", "table"): (
+        "solve             range\n"
+        "value             2.0943479\n"
+        "achieved_loss_db  151.0000001\n"
+        "iterations        32\n"
+        "converged         true\n"
+        "all_feasible      false\n"
+    ),
+    ("budget-range", "csv"): (
+        "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
+        "range,2.0943478674760323,151.00000008810258,32,true,false\n"
+    ),
+    ("budget-range", "json"): (
+        "{\n"
+        "  \"solve\": \"range\",\n"
+        "  \"value\": 2.0943478674760323,\n"
+        "  \"achieved_loss_db\": 151.00000008810258,\n"
+        "  \"iterations\": 32,\n"
+        "  \"converged\": true,\n"
+        "  \"all_feasible\": false\n"
+        "}\n"
+    ),
+    ("budget-height", "table"): (
+        "solve             height\n"
+        "value             4.1008487\n"
+        "achieved_loss_db  150.9999995\n"
+        "iterations        24\n"
+        "converged         true\n"
+        "all_feasible      false\n"
+    ),
+    ("budget-height", "csv"): (
+        "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
+        "height,4.100848661888927,150.99999946940568,24,true,false\n"
+    ),
+    ("budget-height", "json"): (
+        "{\n"
+        "  \"solve\": \"height\",\n"
+        "  \"value\": 4.100848661888927,\n"
         "  \"achieved_loss_db\": 150.99999946940568,\n"
         "  \"iterations\": 24,\n"
         "  \"converged\": true,\n"

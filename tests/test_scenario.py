@@ -9,7 +9,6 @@ import pytest
 
 from foliage_link import (
     DomainError,
-    EmptyInput,
     LinkGeometry,
     ParseError,
     SchemaError,
@@ -25,7 +24,7 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
-from foliage_link.scenario import REPORT_CSV_HEADER, SWEEP_CSV_HEADER
+from foliage_link.render import REPORT_COLUMNS, SWEEP_COLUMNS
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -284,7 +283,7 @@ class TestEmitCsv:
         rows = list(csv.DictReader(io.StringIO(emit_csv(table))))
         assert len(rows) == len(table.rows)
         for parsed, row in zip(rows, table.rows):
-            for name in SWEEP_CSV_HEADER[:7]:
+            for name in SWEEP_COLUMNS[:7]:
                 assert float(parsed[name]) == getattr(row, name)
             assert parsed["regime"] == row.regime.value
             assert parsed["validity"] == row.validity.value
@@ -293,15 +292,14 @@ class TestEmitCsv:
         reports = evaluate_scenario(parse_scenario(scenario_doc()))
         text = emit_csv(reports)
         lines = text.split("\n")
-        assert lines[0] == ",".join(REPORT_CSV_HEADER)
+        assert lines[0] == ",".join(REPORT_COLUMNS)
         parsed = next(csv.DictReader(io.StringIO(text)))
         assert parsed["id"] == "n1"
         assert float(parsed["l_total_db"]) == reports[0].l_total_db
         assert parsed["link_ok"] == "false"
 
     def test_empty_inputs(self):
-        with pytest.raises(EmptyInput):
-            emit_csv([])
+        assert emit_csv([]) == ",".join(REPORT_COLUMNS) + "\n"
 
 
 class TestEmitJson:
@@ -312,7 +310,7 @@ class TestEmitJson:
         reports = evaluate_scenario(parse_scenario(scenario_doc()))
         objects = json.loads(emit_json(reports))
         assert len(objects) == 1
-        assert list(objects[0]) == REPORT_CSV_HEADER  # all 12 fields, stable order
+        assert list(objects[0]) == list(REPORT_COLUMNS)  # all 12 fields, stable order
         assert objects[0]["l_total_db"] == reports[0].l_total_db
         assert objects[0]["link_ok"] is False
 
