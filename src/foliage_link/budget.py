@@ -20,7 +20,6 @@ from .errors import (
 )
 from .propagation import (
     DEFAULT_DELTA_CAP,
-    DEFAULT_FSPL_CONSTANT_DB,
     LINEAR_BRANCH_MAX_M,
     LinkGeometry,
     _LossCore,
@@ -123,13 +122,7 @@ def max_loss_budget(radio: RadioConfig) -> float:
     )
 
 
-def max_range(
-    radio: RadioConfig,
-    delta: float,
-    f_mhz: float,
-    *,
-    fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
-) -> SolveResult:
+def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
     """Largest distance (km) whose total loss fits the radio's budget.
 
     Total loss is strictly increasing in distance at a fixed cover factor
@@ -145,8 +138,8 @@ def max_range(
     budget = max_loss_budget(radio)
     lo, hi = _RANGE_BRACKET_KM
     # the bracket ends take the checked path, so bad inputs raise as they would there
-    loss_lo = total_loss(LinkGeometry(d_km=lo, delta=delta), f_mhz, fspl_constant).l_total_db
-    loss_hi = total_loss(LinkGeometry(d_km=hi, delta=delta), f_mhz, fspl_constant).l_total_db
+    loss_lo = total_loss(LinkGeometry(d_km=lo, delta=delta), f_mhz).l_total_db
+    loss_hi = total_loss(LinkGeometry(d_km=hi, delta=delta), f_mhz).l_total_db
     if budget < loss_lo - _LOSS_TOL_DB:
         raise NoSolution(f"budget {budget} dB is below the {loss_lo} dB loss at d = {lo} km")
     if budget > loss_hi + _LOSS_TOL_DB:
@@ -155,7 +148,7 @@ def max_range(
         return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= _LOSS_TOL_DB)
     if budget >= loss_hi:
         return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= _LOSS_TOL_DB)
-    at = _LossCore(f_mhz, fspl_constant).at
+    at = _LossCore(f_mhz).at
 
     def loss_at(d_km: float) -> float:
         return at(d_km, delta)[4]
@@ -185,8 +178,6 @@ def max_foliage_factor(
     d_km: float,
     f_mhz: float,
     delta_cap: float = DEFAULT_DELTA_CAP,
-    *,
-    fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
 ) -> SolveResult:
     """Largest tolerable cover factor at a fixed distance, up to ``delta_cap``.
 
@@ -209,8 +200,8 @@ def max_foliage_factor(
         raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
     budget = max_loss_budget(radio)
     # evaluated first on the checked path, so the inputs are validated before any use below
-    lo_loss = total_loss(LinkGeometry(d_km=d_km, delta=0.0), f_mhz, fspl_constant).l_total_db
-    at = _LossCore(f_mhz, fspl_constant).at
+    lo_loss = total_loss(LinkGeometry(d_km=d_km, delta=0.0), f_mhz).l_total_db
+    at = _LossCore(f_mhz).at
 
     def loss_at(delta: float) -> float:
         return at(d_km, delta)[4]
@@ -276,8 +267,6 @@ def max_foliage_height(
     h_m: float,
     f_mhz: float,
     delta_cap: float = DEFAULT_DELTA_CAP,
-    *,
-    fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
 ) -> SolveResult:
     """Largest tolerable foliage height (m) under an antenna of height ``h_m``.
 
@@ -287,5 +276,5 @@ def max_foliage_height(
     """
     if not 0.0 < h_m < math.inf:
         raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
-    result = max_foliage_factor(radio, d_km, f_mhz, delta_cap, fspl_constant=fspl_constant)
+    result = max_foliage_factor(radio, d_km, f_mhz, delta_cap)
     return replace(result, value=result.value * h_m)

@@ -1,9 +1,7 @@
 """Command-line frontend: point losses, sweeps, budget solving, scenarios, bounds.
 
 Exit codes: 0 on success, 1 on domain or solver errors (one-line diagnostic
-on stderr), 2 on usage errors. The environment variable
-``FOLIAGE_LINK_FSPL_CONST`` overrides the free-space constant (default
-32.45) for model-variant experiments.
+on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -11,16 +9,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
-from .errors import FoliageLinkError
+from .errors import FoliageLinkError, ParseError
 from .propagation import (
     DEFAULT_DELTA_CAP,
-    DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
     delta_bounds,
     delta_from_heights,
@@ -36,8 +32,6 @@ from .render import (
 )
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario
 from .sweep import SweepSpec, SweepVariable, preset, run_sweep
-
-FSPL_CONST_ENV = "FOLIAGE_LINK_FSPL_CONST"
 
 _SWEEP_VARS = {
     "delta": SweepVariable.DELTA,
@@ -137,16 +131,6 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _fspl_constant_from_env() -> float:
-    raw = os.environ.get(FSPL_CONST_ENV)
-    if raw is None:
-        return DEFAULT_FSPL_CONSTANT_DB
-    try:
-        return _finite_float(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"{FSPL_CONST_ENV}: {exc}") from None
-
-
 def _geometry_from_args(args: argparse.Namespace) -> LinkGeometry:
     if args.d_km is None:
         raise _UsageError("--d-km is required here")
@@ -163,12 +147,12 @@ def _delta_from_args(args: argparse.Namespace) -> float:
     return delta_from_heights(args.h_f_m, args.h_m)
 
 
-def _run_loss(args: argparse.Namespace, fspl_constant: float) -> str:
-    breakdown = total_loss(_geometry_from_args(args), args.f_mhz, fspl_constant)
+def _run_loss(args: argparse.Namespace) -> str:
+    breakdown = total_loss(_geometry_from_args(args), args.f_mhz)
     return render(breakdown, LOSS_COLUMNS, args.format)
 
 
-def _run_sweep_cmd(args: argparse.Namespace, fspl_constant: float) -> str:
+def _run_sweep_cmd(args: argparse.Namespace) -> str:
     custom_flags = (args.var, args.start, args.stop, args.steps)
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
@@ -204,13 +188,13 @@ def _run_sweep_cmd(args: argparse.Namespace, fspl_constant: float) -> str:
             f_mhz=f_mhz,
             delta_cap=args.delta_cap,
         )
-    table = run_sweep(spec, fspl_constant)
+    table = run_sweep(spec)
     if args.format == "csv":
         return emit_csv(table)
     return render(table.rows, SWEEP_COLUMNS, args.format)
 
 
-def _run_budget(args: argparse.Namespace, fspl_constant: float) -> str:
+def _run_budget(args: argparse.Namespace) -> str:
     radio = RadioConfig(
         tx_power_dbm=args.tx_dbm,
         tx_gain_dbi=args.tx_gain,
@@ -219,26 +203,24 @@ def _run_budget(args: argparse.Namespace, fspl_constant: float) -> str:
         required_margin_db=args.margin_db,
     )
     if args.solve == "range":
-        result = max_range(radio, _delta_from_args(args), args.f_mhz, fspl_constant=fspl_constant)
+        result = max_range(radio, _delta_from_args(args), args.f_mhz)
     elif args.solve == "delta":
         if args.d_km is None:
             raise _UsageError("--d-km is required for --solve delta")
-        result = max_foliage_factor(
-            radio, args.d_km, args.f_mhz, args.delta_cap, fspl_constant=fspl_constant
-        )
+        result = max_foliage_factor(radio, args.d_km, args.f_mhz, args.delta_cap)
     else:
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
-        result = max_foliage_height(
-            radio, args.d_km, args.h_m, args.f_mhz, args.delta_cap,
-            fspl_constant=fspl_constant,
-        )
+        result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, args.delta_cap)
     return render(SimpleNamespace(solve=args.solve, **vars(result)), SOLVE_COLUMNS, args.format)
 
 
-def _run_scenario(args: argparse.Namespace, fspl_constant: float) -> str:
-    scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"))
-    reports = evaluate_scenario(scenario, fspl_constant)
+def _run_scenario(args: argparse.Namespace) -> str:
+    try:
+        scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
+    reports = evaluate_scenario(scenario)
     if args.format == "json":
         return emit_json(reports) + "\n"
     if args.format == "csv":
@@ -259,17 +241,20 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage/help
         return int(exc.code or 0)
     try:
-        fspl_constant = _fspl_constant_from_env()
         if args.command == "loss":
-            text = _run_loss(args, fspl_constant)
+            text = _run_loss(args)
         elif args.command == "sweep":
-            text = _run_sweep_cmd(args, fspl_constant)
+            text = _run_sweep_cmd(args)
         elif args.command == "budget":
-            text = _run_budget(args, fspl_constant)
+            text = _run_budget(args)
         elif args.command == "scenario":
-            text = _run_scenario(args, fspl_constant)
+            text = _run_scenario(args)
         else:
             text = _run_bounds(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text, encoding="utf-8")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -277,10 +262,6 @@ def run(argv: list[str] | None = None) -> int:
     except (FoliageLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

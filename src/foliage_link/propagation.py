@@ -12,8 +12,7 @@ Losses in dB:
 * foliage segment -- Weissberger's modified exponential decay model, with a
   linear branch up to 14 m depth and a power branch above it (validated up
   to 400 m; deeper evaluations are flagged, not refused),
-* free-space segment -- ``K + 20 log10(d_km) + 20 log10(f_mhz)`` with
-  ``K = 32.45`` by default,
+* free-space segment -- ``32.45 + 20 log10(d_km) + 20 log10(f_mhz)``,
 * total -- the sum of the two.
 
 All functions are pure and stateless; they are safe to call concurrently.
@@ -31,7 +30,6 @@ from enum import Enum
 
 from .errors import (
     DeltaOutOfRange,
-    FoliageLinkError,
     FullFoliageCover,
     HeightOutOfRange,
     InconsistentGeometry,
@@ -43,12 +41,7 @@ from .errors import (
 )
 
 #: Free-space path loss constant for d in km and f in MHz.
-DEFAULT_FSPL_CONSTANT_DB = 32.45
-
-#: Admissible range (dB) of the free-space constant. It holds every published
-#: km/MHz variant (32.4478, 32.45, 32.5) and keeps every loss and link margin
-#: finite.
-FSPL_CONSTANT_RANGE_DB = (0.0, 100.0)
+FSPL_CONSTANT_DB = 32.45
 
 #: Foliage depth (m) where the decay model switches from its linear to its
 #: power branch. The boundary itself belongs to the linear branch.
@@ -235,32 +228,20 @@ def weissberger_loss(f_mhz: float, d_f_m: float) -> FoliageLossResult:
         FoliageLossResult with the loss in dB, the branch used and the
         validity flag.
     """
-    if not 0.0 < f_mhz < math.inf:
-        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+    core = _LossCore(f_mhz)
     if not 0.0 <= d_f_m < math.inf:
         raise NegativeDistance(f"d_f_m must be >= 0 and finite, got {d_f_m}")
-    # the free-space constant plays no part in the foliage term
-    return FoliageLossResult(*_LossCore(f_mhz, DEFAULT_FSPL_CONSTANT_DB).foliage(d_f_m))
+    return FoliageLossResult(*core.foliage(d_f_m))
 
 
-def free_space_loss(
-    d_km: float, f_mhz: float, fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB
-) -> float:
-    """Free-space path loss ``K + 20 log10(d_km) + 20 log10(f_mhz)`` in dB.
-
-    ``fspl_constant`` selects the model-constant variant (32.45 by default;
-    32.4478 or 32.5 are common alternatives), within ``FSPL_CONSTANT_RANGE_DB``.
-    """
+def free_space_loss(d_km: float, f_mhz: float) -> float:
+    """Free-space path loss ``32.45 + 20 log10(d_km) + 20 log10(f_mhz)`` in dB."""
     if not 0.0 < d_km * 1000.0 < math.inf:
         raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
-    return _LossCore(f_mhz, fspl_constant).free_space(d_km)
+    return _LossCore(f_mhz).free_space(d_km)
 
 
-def total_loss(
-    geometry: LinkGeometry,
-    f_mhz: float,
-    fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB,
-) -> LossBreakdown:
+def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
     """Total path loss of a link: foliage term plus free-space term.
 
     The free-space term is evaluated over the unobstructed remainder
@@ -275,9 +256,9 @@ def total_loss(
     delta = geometry.effective_delta
     if delta >= 1.0:
         raise FullFoliageCover(_FULL_COVER)
-    d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(
-        f_mhz, fspl_constant
-    ).at(geometry.d_km, delta)
+    d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(f_mhz).at(
+        geometry.d_km, delta
+    )
     return LossBreakdown(
         l_foliage_db=l_foliage,
         l_fsp_db=l_fsp,
@@ -294,28 +275,22 @@ _IN_DOMAIN, _EXTRAPOLATED = Validity.IN_DOMAIN, Validity.EXTRAPOLATED
 
 
 class _LossCore:
-    """The loss model at one frequency and free-space constant, for inner loops.
+    """The loss model at one frequency, for inner loops.
 
-    Construction checks ``f_mhz`` and ``fspl_constant`` and hoists the terms
-    that depend on them alone. The methods check nothing else: callers pass a
-    path length that is positive and finite in meters and a cover factor in
-    [0, 1]. Results are bit-identical to evaluating each formula in full.
+    Construction checks ``f_mhz`` and hoists the terms that depend on it
+    alone. The methods check nothing else: callers pass a path length that is
+    positive and finite in meters and a cover factor in [0, 1]. Results are
+    bit-identical to evaluating each formula in full.
     """
 
-    __slots__ = ("_linear", "_power", "_constant", "_log_f")
+    __slots__ = ("_linear", "_power", "_log_f")
 
-    def __init__(self, f_mhz: float, fspl_constant: float) -> None:
+    def __init__(self, f_mhz: float) -> None:
         if not 0.0 < f_mhz < math.inf:
             raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
-        low, high = FSPL_CONSTANT_RANGE_DB
-        if not low <= fspl_constant <= high:
-            raise FoliageLinkError(
-                f"fspl_constant must lie in [{low:g}, {high:g}] dB, got {fspl_constant}"
-            )
         f_factor = (f_mhz / 1000.0) ** 0.284  # the decay model takes GHz
         self._linear = 0.45 * f_factor
         self._power = 1.33 * f_factor
-        self._constant = fspl_constant
         self._log_f = 20.0 * math.log10(f_mhz)
 
     def foliage(self, d_f_m: float) -> tuple[float, Regime, Validity]:
@@ -329,7 +304,7 @@ class _LossCore:
 
     def free_space(self, d_km: float) -> float:
         """Free-space loss (dB) over ``d_km`` kilometers."""
-        return self._constant + 20.0 * math.log10(d_km) + self._log_f
+        return FSPL_CONSTANT_DB + 20.0 * math.log10(d_km) + self._log_f
 
     def at(self, d_km: float, delta: float) -> tuple:
         """``(d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity)`` of one path.

@@ -23,7 +23,6 @@ from .errors import (
     SchemaError,
 )
 from .propagation import (
-    DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
     Regime,
     Validity,
@@ -216,9 +215,7 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def evaluate_scenario(
-    scenario: Scenario, fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB
-) -> list[NodeReport]:
+def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     """Evaluate every node, preserving input order.
 
     A node whose loss cannot be evaluated (full foliage cover, or a path so
@@ -226,12 +223,10 @@ def evaluate_scenario(
     report entry instead of aborting the batch.
 
     Raises:
-        FoliageLinkError: ``fspl_constant`` lies outside
-            ``FSPL_CONSTANT_RANGE_DB``, or a node that ``parse_scenario``
-            would have rejected.
+        FoliageLinkError: a node that ``parse_scenario`` would have rejected.
     """
     radio = scenario.radio
-    at = _LossCore(scenario.frequency_mhz, fspl_constant).at
+    at = _LossCore(scenario.frequency_mhz).at
     reports: list[NodeReport] = []
     for node in scenario.nodes:
         d_km, delta = node.d_km, node.delta

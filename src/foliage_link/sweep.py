@@ -16,7 +16,6 @@ from typing import NamedTuple
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
 from .propagation import (
     DEFAULT_DELTA_CAP,
-    DEFAULT_FSPL_CONSTANT_DB,
     LinkGeometry,
     Regime,
     Validity,
@@ -127,9 +126,7 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     return grid
 
 
-def run_sweep(
-    spec: SweepSpec, fspl_constant: float = DEFAULT_FSPL_CONSTANT_DB
-) -> SweepTable:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep at ``steps`` uniformly spaced points, endpoints included.
 
     Rows come back sorted by the swept value. Any propagation error is
@@ -144,9 +141,9 @@ def run_sweep(
         if variable is SweepVariable.FREQUENCY_MHZ:
             d_km, delta = base.d_km, base.effective_delta
             for x in grid:
-                rows.append(SweepRow(x, delta, *_LossCore(x, fspl_constant).at(d_km, delta)))
+                rows.append(SweepRow(x, delta, *_LossCore(x).at(d_km, delta)))
         else:
-            at = _LossCore(spec.f_mhz, fspl_constant).at
+            at = _LossCore(spec.f_mhz).at
             if variable is SweepVariable.DELTA:
                 d_km = base.d_km
                 for x in grid:

@@ -5,11 +5,11 @@ Run it on two checkouts to show that a solver refactor changes no result:
     PYTHONPATH=src python tests/solver_digest.py [DRAWS]
 
 Each draw (default 20,000) is a random radio, cover factor, distance,
-frequency, cover-factor cap, free-space constant and antenna height, and
-goes through ``max_range``, ``max_foliage_factor`` and
-``max_foliage_height``. The digest covers each result's ``value`` and
-``achieved_loss_db`` as exact hex floats, ``iterations``, ``converged`` and
-``all_feasible``, or the raised error's type and message.
+frequency, cover-factor cap and antenna height, and goes through
+``max_range``, ``max_foliage_factor`` and ``max_foliage_height``. The digest
+covers each result's ``value`` and ``achieved_loss_db`` as exact hex floats,
+``iterations``, ``converged`` and ``all_feasible``, or the raised error's type
+and message.
 """
 
 import hashlib
@@ -51,11 +51,10 @@ def digest(draws: int, seed: int = 20261018) -> str:
         d_km = 10 ** rng.uniform(-3, 2)
         f_mhz = 10 ** rng.uniform(2, 4.5)
         cap = rng.uniform(0.01, 0.999)
-        constant = rng.uniform(0, 100) if rng.random() < 0.3 else 32.45
         h_m = rng.uniform(1, 60)
-        record(max_range, radio, delta, f_mhz, fspl_constant=constant)
-        record(max_foliage_factor, radio, d_km, f_mhz, cap, fspl_constant=constant)
-        record(max_foliage_height, radio, d_km, h_m, f_mhz, cap, fspl_constant=constant)
+        record(max_range, radio, delta, f_mhz)
+        record(max_foliage_factor, radio, d_km, f_mhz, cap)
+        record(max_foliage_height, radio, d_km, h_m, f_mhz, cap)
     return sha.hexdigest()
 
 

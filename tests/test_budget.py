@@ -370,14 +370,13 @@ class TestSolversMatchScalarPath:
         d_km=st.floats(1e-3, 300.0),
         delta=st.floats(0.0, 0.99),
         f=st.floats(10.0, 1e5),
-        constant=st.sampled_from([32.45, 32.4478, 32.5]),
     )
-    def test_random_solves(self, budget, d_km, delta, f, constant):
+    def test_random_solves(self, budget, d_km, delta, f):
         radio = radio_with_budget(budget)
         for solve, x_of in (
-            (lambda: max_range(radio, delta, f, fspl_constant=constant),
+            (lambda: max_range(radio, delta, f),
              lambda value: (value, delta)),
-            (lambda: max_foliage_factor(radio, d_km, f, fspl_constant=constant),
+            (lambda: max_foliage_factor(radio, d_km, f),
              lambda value: (d_km, value)),
         ):
             try:
@@ -385,5 +384,5 @@ class TestSolversMatchScalarPath:
             except (NoSolution, BracketExceeded):
                 continue
             at_d, at_delta = x_of(result.value)
-            expected = total_loss(LinkGeometry(d_km=at_d, delta=at_delta), f, constant)
+            expected = total_loss(LinkGeometry(d_km=at_d, delta=at_delta), f)
             assert result.achieved_loss_db == expected.l_total_db

@@ -210,10 +210,6 @@ class TestFreeSpaceLoss:
         # both log terms vanish at 1 km / 1 MHz
         assert free_space_loss(1, 1) == 32.45
 
-    def test_constant_override(self):
-        assert free_space_loss(1, 1, fspl_constant=32.4478) == 32.4478
-        assert free_space_loss(1, 1, fspl_constant=32.5) == 32.5
-
     def test_monotone_in_each_argument(self):
         rng = random.Random(5)
         for _ in range(1000):
@@ -273,11 +269,6 @@ class TestTotalLoss:
         at = lambda delta: total_loss(LinkGeometry(d_km=2, delta=delta), 2400).l_total_db
         assert at(0.0) < at(0.5) < at(0.95)
         assert at(0.99) < at(0.95)
-
-    def test_fspl_constant_passthrough(self):
-        low = total_loss(LinkGeometry(d_km=2, delta=0.5), 2400, fspl_constant=32.4478)
-        high = total_loss(LinkGeometry(d_km=2, delta=0.5), 2400, fspl_constant=32.5)
-        assert high.l_total_db - low.l_total_db == pytest.approx(0.0522, abs=1e-12)
 
 
 class TestLinkGeometry:

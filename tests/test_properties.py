@@ -94,7 +94,6 @@ def finite_or_error(call, *args, **kwargs):
         (lambda: LinkGeometry(d_km=inf, delta=0.5), NonPositiveDistance, "^d_km .* got inf$"),
         (lambda: LinkGeometry(d_km=1e306, delta=0.5), NonPositiveDistance, r"got 1e\+306$"),
         (lambda: total_loss(LinkGeometry(2, delta=0.5), inf), NonPositiveFrequency, "got inf$"),
-        (lambda: total_loss(LinkGeometry(2, delta=0.5), 2400, nan), FoliageLinkError, "got nan$"),
         (lambda: max_foliage_height(RADIO, 2, inf, 2400), NonPositiveHeight, "got inf$"),
         (
             lambda: SweepSpec(SweepVariable.DISTANCE, 1, inf, 3, LinkGeometry(2, delta=0.5), 868),
@@ -103,7 +102,6 @@ def finite_or_error(call, *args, **kwargs):
         ),
         (lambda: weissberger_delta_limit(inf), NonPositiveDistance, "got inf$"),
         (lambda: delta_from_heights(1, inf), NonPositiveHeight, "^h_m .* got inf$"),
-        (lambda: free_space_loss(2, 2400, -inf), FoliageLinkError, "got -inf$"),
         (
             lambda: parse_scenario(_scenario_text(868, 14, 1e306, 0.5, False)),
             DomainError,
@@ -111,9 +109,8 @@ def finite_or_error(call, *args, **kwargs):
         ),
     ],
     ids=[
-        "geometry-inf", "geometry-1e306", "total-f-inf", "total-constant-nan",
-        "height-h-inf", "sweep-stop-inf", "delta-limit-inf",
-        "heights-inf", "free-space-constant", "scenario-node-1e306",
+        "geometry-inf", "geometry-1e306", "total-f-inf", "height-h-inf",
+        "sweep-stop-inf", "delta-limit-inf", "heights-inf", "scenario-node-1e306",
     ],
 )
 def test_non_finite_input_names_itself(call, error, message):
@@ -140,16 +137,16 @@ def test_cli_exits_1_with_one_error_line(tmp_path, argv):
 
 
 @CHECKED
-@given(d_km=NUMBER, delta=NUMBER, f_mhz=NUMBER, h_m=NUMBER, h_f_m=NUMBER, constant=DB)
-@example(d_km=1e306, delta=0.5, f_mhz=2400.0, h_m=30.0, h_f_m=15.0, constant=32.45)
-@example(d_km=5e-324, delta=0.5, f_mhz=2400.0, h_m=30.0, h_f_m=15.0, constant=32.45)
-@example(d_km=2.0, delta=0.0, f_mhz=inf, h_m=inf, h_f_m=1.0, constant=nan)
-def test_propagation_is_finite_or_raises(d_km, delta, f_mhz, h_m, h_f_m, constant):
+@given(d_km=NUMBER, delta=NUMBER, f_mhz=NUMBER, h_m=NUMBER, h_f_m=NUMBER)
+@example(d_km=1e306, delta=0.5, f_mhz=2400.0, h_m=30.0, h_f_m=15.0)
+@example(d_km=5e-324, delta=0.5, f_mhz=2400.0, h_m=30.0, h_f_m=15.0)
+@example(d_km=2.0, delta=0.0, f_mhz=inf, h_m=inf, h_f_m=1.0)
+def test_propagation_is_finite_or_raises(d_km, delta, f_mhz, h_m, h_f_m):
     finite_or_error(foliage_split, d_km, delta)
     finite_or_error(delta_from_heights, h_f_m, h_m)
     finite_or_error(split_from_heights, d_km, h_m, h_f_m)
     finite_or_error(weissberger_loss, f_mhz, d_km)
-    finite_or_error(free_space_loss, d_km, f_mhz, constant)
+    finite_or_error(free_space_loss, d_km, f_mhz)
     finite_or_error(weissberger_delta_limit, d_km)
     finite_or_error(delta_bounds, delta, h_f_m, h_m)
     for geometry in (
@@ -157,25 +154,20 @@ def test_propagation_is_finite_or_raises(d_km, delta, f_mhz, h_m, h_f_m, constan
         finite_or_error(LinkGeometry, d_km, h_m=h_m, h_f_m=h_f_m),
     ):
         if geometry is not None:
-            finite_or_error(total_loss, geometry, f_mhz, constant)
+            finite_or_error(total_loss, geometry, f_mhz)
 
 
 @CHECKED
-@given(
-    tx=DB, gain=DB, d_km=NUMBER, delta=NUMBER, f_mhz=NUMBER, h_m=NUMBER, cap=NUMBER,
-    constant=DB,
-)
-@example(tx=14.0, gain=0.0, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=inf, cap=0.95,
-         constant=32.45)
-@example(tx=1e308, gain=1e308, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=30.0, cap=0.95,
-         constant=32.45)
-def test_solvers_are_finite_or_raise(tx, gain, d_km, delta, f_mhz, h_m, cap, constant):
+@given(tx=DB, gain=DB, d_km=NUMBER, delta=NUMBER, f_mhz=NUMBER, h_m=NUMBER, cap=NUMBER)
+@example(tx=14.0, gain=0.0, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=inf, cap=0.95)
+@example(tx=1e308, gain=1e308, d_km=2.0, delta=0.5, f_mhz=2400.0, h_m=30.0, cap=0.95)
+def test_solvers_are_finite_or_raise(tx, gain, d_km, delta, f_mhz, h_m, cap):
     radio = finite_or_error(RadioConfig, tx, gain, 0.0, -137.0)
     if radio is None:
         return
-    finite_or_error(max_range, radio, delta, f_mhz, fspl_constant=constant)
-    finite_or_error(max_foliage_factor, radio, d_km, f_mhz, cap, fspl_constant=constant)
-    finite_or_error(max_foliage_height, radio, d_km, h_m, f_mhz, cap, fspl_constant=constant)
+    finite_or_error(max_range, radio, delta, f_mhz)
+    finite_or_error(max_foliage_factor, radio, d_km, f_mhz, cap)
+    finite_or_error(max_foliage_height, radio, d_km, h_m, f_mhz, cap)
 
 
 @CHECKED

@@ -219,8 +219,7 @@ class TestEvaluateScenario:
         assert ok.l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
         assert json.loads(emit_json([speck, ok]))[0]["error"] == speck.error
 
-    @pytest.mark.parametrize("fspl_constant", [32.45, 32.5])
-    def test_rows_equal_total_loss(self, fspl_constant):
+    def test_rows_equal_total_loss(self):
         # the batch evaluates through the hoisted loss core; every row must
         # equal the checked scalar path at its node, bit for bit
         nodes = [{"id": "speck", "d_km": 5e-324, "delta": 0.5}]
@@ -234,7 +233,7 @@ class TestEvaluateScenario:
                 node["delta"] = 1.0 if i % 50 == 1 else cover
             nodes.append(node)
         scenario = parse_scenario(scenario_doc(nodes))
-        reports = evaluate_scenario(scenario, fspl_constant)
+        reports = evaluate_scenario(scenario)
         full_cover = [node["id"] for node in nodes if node.get("delta") == 1.0]
         assert [r.id for r in reports if r.error is not None] == ["speck", *full_cover]
         radio = scenario.radio
@@ -245,7 +244,7 @@ class TestEvaluateScenario:
                 geometry = LinkGeometry(d_km=node.d_km, h_m=30.0, h_f_m=node.h_f_m)
             else:
                 geometry = LinkGeometry(d_km=node.d_km, delta=node.delta)
-            b = total_loss(geometry, 2400.0, fspl_constant)
+            b = total_loss(geometry, 2400.0)
             margin = link_margin(radio, b.l_total_db)
             assert tuple(report) == (
                 node.id, b.split.delta, b.split.d_f_m, b.split.d_fsp_m, b.l_foliage_db,

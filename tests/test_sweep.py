@@ -226,7 +226,7 @@ class TestSpecValidation:
             delta_spec(f_mhz=0.0)
 
 
-def scalar_row(spec, x, fspl_constant=32.45):
+def scalar_row(spec, x):
     """The row at ``x`` on the checked path: a ``LinkGeometry`` and ``total_loss``."""
     base, f_mhz = spec.base, spec.f_mhz
     if spec.variable is SweepVariable.DELTA:
@@ -237,21 +237,21 @@ def scalar_row(spec, x, fspl_constant=32.45):
         geometry = LinkGeometry(d_km=x, delta=base.effective_delta)
     else:
         geometry, f_mhz = base, x
-    b = total_loss(geometry, f_mhz, fspl_constant)
+    b = total_loss(geometry, f_mhz)
     return (
         x, b.split.delta, b.split.d_f_m, b.split.d_fsp_m, b.l_foliage_db, b.l_fsp_db,
         b.l_total_db, b.foliage.regime, b.foliage.validity,
     )
 
 
-def assert_matches_scalar_path(spec, fspl_constant=32.45):
+def assert_matches_scalar_path(spec):
     """Every row equals the checked path at its x, and the x column equals
     ``np.linspace``, both bit for bit (0 ulp)."""
-    rows = run_sweep(spec, fspl_constant).rows
+    rows = run_sweep(spec).rows
     expected_x = np.linspace(spec.start, spec.stop, spec.steps).tolist()
     assert [row.x.hex() for row in rows] == [x.hex() for x in expected_x]
     for row in rows:
-        assert tuple(row) == scalar_row(spec, row.x, fspl_constant)
+        assert tuple(row) == scalar_row(spec, row.x)
 
 
 SPECS = {
@@ -275,9 +275,8 @@ class TestFastPathMatchesScalarPath:
     builds its own grid; both must agree with the scalar path exactly."""
 
     @pytest.mark.parametrize("name", sorted(SPECS))
-    @pytest.mark.parametrize("fspl_constant", [32.45, 32.4478])
-    def test_rows_equal_total_loss(self, name, fspl_constant):
-        assert_matches_scalar_path(SPECS[name], fspl_constant)
+    def test_rows_equal_total_loss(self, name):
+        assert_matches_scalar_path(SPECS[name])
 
     @pytest.mark.parametrize(
         "stop, steps",
