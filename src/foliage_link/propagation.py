@@ -17,9 +17,10 @@ Losses in dB:
 
 All functions are pure and stateless; they are safe to call concurrently.
 Public functions check their inputs once and return finite numbers. Each
-formula lives once, in the private ``_split`` and ``_LossCore``, which trust
-their callers; sweeps, solvers and scenario batches build one ``_LossCore``
-and evaluate every point through it.
+formula lives once, in the private ``_split``, ``_foliage`` and
+``_free_space``, which trust their callers. Each scalar entry computes only
+the frequency terms it uses; sweeps, solvers and scenario batches build one
+``_LossCore``, which hoists them all, and evaluate every point through it.
 """
 
 from __future__ import annotations
@@ -228,17 +229,18 @@ def weissberger_loss(f_mhz: float, d_f_m: float) -> FoliageLossResult:
         FoliageLossResult with the loss in dB, the branch used and the
         validity flag.
     """
-    core = _LossCore(f_mhz)
+    _check_frequency(f_mhz)
     if not 0.0 <= d_f_m < math.inf:
         raise NegativeDistance(f"d_f_m must be >= 0 and finite, got {d_f_m}")
-    return FoliageLossResult(*core.foliage(d_f_m))
+    return FoliageLossResult(*_foliage(d_f_m, *_foliage_factors(f_mhz)))
 
 
 def free_space_loss(d_km: float, f_mhz: float) -> float:
     """Free-space path loss ``32.45 + 20 log10(d_km) + 20 log10(f_mhz)`` in dB."""
     if not 0.0 < d_km * 1000.0 < math.inf:
         raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
-    return _LossCore(f_mhz).free_space(d_km)
+    _check_frequency(f_mhz)
+    return _free_space(d_km, 20.0 * math.log10(f_mhz))
 
 
 def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
@@ -268,17 +270,43 @@ def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
     )
 
 
-# bound once for _LossCore: looking up an Enum member costs more than the
-# arithmetic whose branch it labels
+# bound once: looking up an Enum member costs more than the arithmetic whose
+# branch it labels
 _ZERO, _LINEAR, _POWER = Regime.ZERO, Regime.LINEAR, Regime.POWER
 _IN_DOMAIN, _EXTRAPOLATED = Validity.IN_DOMAIN, Validity.EXTRAPOLATED
+
+
+def _check_frequency(f_mhz: float) -> None:
+    if not 0.0 < f_mhz < math.inf:
+        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+
+
+def _foliage_factors(f_mhz: float) -> tuple[float, float]:
+    """The linear and power branch factors ``0.45 f^0.284`` and ``1.33 f^0.284``."""
+    f_factor = (f_mhz / 1000.0) ** 0.284  # the decay model takes GHz
+    return 0.45 * f_factor, 1.33 * f_factor
+
+
+def _foliage(d_f_m: float, linear: float, power: float) -> tuple[float, Regime, Validity]:
+    """Weissberger loss (dB), branch and validity at foliage depth ``d_f_m``."""
+    if d_f_m == 0:
+        return 0.0, _ZERO, _IN_DOMAIN
+    if d_f_m <= LINEAR_BRANCH_MAX_M:
+        return linear * d_f_m, _LINEAR, _IN_DOMAIN
+    validity = _EXTRAPOLATED if d_f_m > WEISSBERGER_MAX_DEPTH_M else _IN_DOMAIN
+    return power * d_f_m**0.588, _POWER, validity
+
+
+def _free_space(d_km: float, log_f: float) -> float:
+    """Free-space loss (dB) over ``d_km`` kilometers, given ``20 log10(f_mhz)``."""
+    return FSPL_CONSTANT_DB + 20.0 * math.log10(d_km) + log_f
 
 
 class _LossCore:
     """The loss model at one frequency, for inner loops.
 
     Construction checks ``f_mhz`` and hoists the terms that depend on it
-    alone. The methods check nothing else: callers pass a path length that is
+    alone. ``at`` checks nothing else: callers pass a path length that is
     positive and finite in meters and a cover factor in [0, 1]. Results are
     bit-identical to evaluating each formula in full.
     """
@@ -286,25 +314,9 @@ class _LossCore:
     __slots__ = ("_linear", "_power", "_log_f")
 
     def __init__(self, f_mhz: float) -> None:
-        if not 0.0 < f_mhz < math.inf:
-            raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
-        f_factor = (f_mhz / 1000.0) ** 0.284  # the decay model takes GHz
-        self._linear = 0.45 * f_factor
-        self._power = 1.33 * f_factor
+        _check_frequency(f_mhz)
+        self._linear, self._power = _foliage_factors(f_mhz)
         self._log_f = 20.0 * math.log10(f_mhz)
-
-    def foliage(self, d_f_m: float) -> tuple[float, Regime, Validity]:
-        """Weissberger loss (dB), branch and validity at foliage depth ``d_f_m``."""
-        if d_f_m == 0:
-            return 0.0, _ZERO, _IN_DOMAIN
-        if d_f_m <= LINEAR_BRANCH_MAX_M:
-            return self._linear * d_f_m, _LINEAR, _IN_DOMAIN
-        validity = _EXTRAPOLATED if d_f_m > WEISSBERGER_MAX_DEPTH_M else _IN_DOMAIN
-        return self._power * d_f_m**0.588, _POWER, validity
-
-    def free_space(self, d_km: float) -> float:
-        """Free-space loss (dB) over ``d_km`` kilometers."""
-        return FSPL_CONSTANT_DB + 20.0 * math.log10(d_km) + self._log_f
 
     def at(self, d_km: float, delta: float) -> tuple:
         """``(d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity)`` of one path.
@@ -322,8 +334,8 @@ class _LossCore:
             raise NonPositiveDistance(
                 f"d_km={d_km} at delta={delta} leaves a free-space segment of 0 km"
             )
-        l_foliage, regime, validity = self.foliage(d_f_m)
-        l_fsp = self.free_space(d_fsp_km)
+        l_foliage, regime, validity = _foliage(d_f_m, self._linear, self._power)
+        l_fsp = _free_space(d_fsp_km, self._log_f)
         return d_f_m, d_fsp_m, l_foliage, l_fsp, l_foliage + l_fsp, regime, validity
 
 

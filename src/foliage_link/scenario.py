@@ -43,9 +43,11 @@ _RADIO_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioNode:
-    """One sensor node: distance plus exactly one cover-factor source."""
+class ScenarioNode(NamedTuple):
+    """One sensor node: distance plus exactly one cover-factor source.
+
+    A named tuple, as ``NodeReport`` is, because a batch builds one per node.
+    """
 
     id: str
     d_km: float
@@ -129,6 +131,29 @@ def _number(obj: dict, key: str, context: str) -> float:
 
 
 def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
+    """One node, validated in one pass.
+
+    A node of exactly ``id``, ``d_km`` and one cover-factor source, holding a
+    string and floats inside the model's domain, is accepted by the first
+    test; that test is ``LinkGeometry``'s domain rule written inline. Any
+    other node is checked field by field, in a fixed order, so the first
+    rule it breaks names itself, and ``LinkGeometry`` raises the domain error,
+    so those messages are written once.
+    """
+    if type(raw) is dict and len(raw) == 3:
+        node_id, d_km = raw.get("id"), raw.get("d_km")
+        h_f_m, delta = raw.get("h_f_m"), raw.get("delta")
+        if (
+            type(node_id) is str
+            and type(d_km) is float
+            and 0.0 < d_km * 1000.0 < math.inf
+            and (
+                type(delta) is float and 0.0 <= delta <= 1.0
+                if h_f_m is None
+                else type(h_f_m) is float and 0.0 <= h_f_m <= base_height_m
+            )
+        ):
+            return ScenarioNode(node_id, d_km, h_f_m, delta)
     context = f"nodes[{index}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: each node must be an object, got {raw!r}")
@@ -149,7 +174,7 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
         delta=None if has_height else _number(raw, "delta", context),
     )
     h_m = base_height_m if has_height else None
-    try:  # the model's own domain rule, once, at parse time
+    try:  # the model's own domain rule; a node of integer values also passes here
         LinkGeometry(node.d_km, h_m=h_m, h_f_m=node.h_f_m, delta=node.delta)
     except FoliageLinkError as exc:
         raise DomainError(f"{context}: {exc}") from exc

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +28,11 @@ from foliage_link import (
     NonPositiveFrequency,
     NonPositiveHeight,
     RadioConfig,
+    Regime,
+    SweepRow,
     SweepSpec,
     SweepVariable,
+    Validity,
     delta_bounds,
     delta_from_heights,
     emit_json,
@@ -46,6 +50,7 @@ from foliage_link import (
     weissberger_delta_limit,
     weissberger_loss,
 )
+from foliage_link import render
 from foliage_link.cli import run
 
 inf, nan = math.inf, math.nan
@@ -261,3 +266,78 @@ def test_emit_json_refuses_a_non_finite_report():
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_json([report])
 
+
+#: every column tuple render.py defines, with the named tuple that renders by it, if any
+COLUMN_SETS = [
+    (render.SWEEP_COLUMNS, SweepRow),
+    (render.REPORT_COLUMNS, NodeReport),
+    (render.LOSS_COLUMNS, None),
+    (render.SOLVE_COLUMNS, None),
+    (render.BOUNDS_COLUMNS, None),
+]
+#: strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.one_of(
+    st.text(), st.sampled_from(['a"b', "c\\d", "\x00\x1f\x7f\n\t", "é✓€𝄞", "\u2028"])
+)
+CELL = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(),
+    st.sampled_from([*Regime, *Validity]), TEXT,
+)
+
+
+def _record(columns, cells, error, named):
+    """A record whose ``columns`` hold ``cells``: a named tuple or nested namespaces."""
+    if named is not None:
+        return named(*cells, **({} if named is SweepRow else {"error": error}))
+    record = SimpleNamespace()
+    for column, value in zip(columns, cells):
+        *parents, name = column.split(".")
+        node = record
+        for part in parents:
+            node = node.__dict__.setdefault(part, SimpleNamespace())
+        setattr(node, name, value)
+    if error is not None:
+        record.error = error
+    return record
+
+
+def _reference_object(columns, cells, error):
+    obj = {column.rpartition(".")[2]: value for column, value in zip(columns, cells)}
+    if error is not None:
+        obj["error"] = error
+    return obj
+
+
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
+       count=st.integers(0, 3), named=st.booleans())
+def test_to_json_matches_json_dumps(data, which, single, count, named):
+    columns, named_type = COLUMN_SETS[which]
+    named_type = named_type if named and not single else None
+    rows = []
+    for _ in range(1 if single else count):
+        cells = data.draw(st.lists(CELL, min_size=len(columns), max_size=len(columns)))
+        error = None if named_type is SweepRow else data.draw(st.one_of(st.none(), TEXT))
+        rows.append((cells, error))
+    records = [_record(columns, cells, error, named_type) for cells, error in rows]
+    objects = [_reference_object(columns, cells, error) for cells, error in rows]
+    try:
+        expected = json.dumps(objects[0] if single else objects, indent=2, allow_nan=False)
+    except ValueError:  # a nan or inf cell
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render.to_json(records[0] if single else records, columns)
+        return
+    assert render.to_json(records[0] if single else records, columns) == expected
+
+
+@pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
+def test_to_json_of_no_records(columns):
+    assert render.to_json([], columns) == json.dumps([], indent=2) == "[]"
+
+
+@pytest.mark.parametrize("value", [nan, inf, -inf])
+@pytest.mark.parametrize("single", [True, False])
+def test_to_json_refuses_a_non_finite_cell(value, single):
+    record = _record(render.BOUNDS_COLUMNS, [0.0, 1.0, value, 0.0, 1.0], None, None)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render.to_json(record if single else [record], render.BOUNDS_COLUMNS)

@@ -126,6 +126,109 @@ class TestParseScenario:
         with pytest.raises(error):
             parse_scenario(scenario_doc([node]))
 
+    @pytest.mark.parametrize(
+        "nodes, error, message",
+        [
+            ("7", SchemaError, "nodes[0]: each node must be an object, got 7"),
+            ('"n1"', SchemaError, "nodes[0]: each node must be an object, got 'n1'"),
+            ("null", SchemaError, "nodes[0]: each node must be an object, got None"),
+            ('{"d_km": 2, "delta": 0.5}', SchemaError, "nodes[0]: missing field 'id'"),
+            ('{"id": "n1", "delta": 0.5}', SchemaError, "node 'n1': missing field 'd_km'"),
+            (
+                '{"id": "n1", "d_km": 2, "delta": 0.5, "note": "x"}',
+                SchemaError,
+                "node 'n1': unknown field 'note'",
+            ),
+            (
+                '{"id": 4, "d_km": 2, "delta": 0.5, "note": "x"}',
+                SchemaError,
+                "nodes[0]: unknown field 'note'",
+            ),
+            ('{"id": 4, "d_km": 2, "delta": 0.5}', SchemaError,
+             "nodes[0]: field 'id' must be a string, got 4"),
+            (
+                '{"id": "n1", "d_km": 2, "h_f_m": 15, "delta": 0.5}',
+                SchemaError,
+                "node 'n1': fields 'h_f_m' and 'delta' are mutually exclusive",
+            ),
+            ('{"id": "n1", "d_km": 2}', SchemaError, "node 'n1': supply one of 'h_f_m' or 'delta'"),
+            ('{"id": "n1", "d_km": true, "delta": 0.5}', SchemaError,
+             "node 'n1': field 'd_km' must be a number, got True"),
+            ('{"id": "n1", "d_km": "2", "delta": 0.5}', SchemaError,
+             "node 'n1': field 'd_km' must be a number, got '2'"),
+            ('{"id": "n1", "d_km": 2, "delta": false}', SchemaError,
+             "node 'n1': field 'delta' must be a number, got False"),
+            ('{"id": "n1", "d_km": 2, "h_f_m": "3"}', SchemaError,
+             "node 'n1': field 'h_f_m' must be a number, got '3'"),
+            # types are checked before ranges
+            ('{"id": "n1", "d_km": -2, "delta": "x"}', SchemaError,
+             "node 'n1': field 'delta' must be a number, got 'x'"),
+            ('{"id": "n1", "d_km": 1e400, "delta": 0.5}', DomainError,
+             "node 'n1': field 'd_km' overflows the float range"),
+            ('{"id": "n1", "d_km": 2, "delta": -1e400}', DomainError,
+             "node 'n1': field 'delta' overflows the float range"),
+            ('{"id": "n1", "d_km": 2, "h_f_m": 1e400}', DomainError,
+             "node 'n1': field 'h_f_m' overflows the float range"),
+            ('{"id": "n1", "d_km": 0, "delta": 0.5}', DomainError,
+             "node 'n1': d_km must be > 0 and finite in meters, got 0.0"),
+            ('{"id": "n1", "d_km": -0.0, "delta": 0.5}', DomainError,
+             "node 'n1': d_km must be > 0 and finite in meters, got -0.0"),
+            ('{"id": "n1", "d_km": -2.5, "h_f_m": 3}', DomainError,
+             "node 'n1': d_km must be > 0 and finite in meters, got -2.5"),
+            ('{"id": "n1", "d_km": 1e306, "delta": 0.5}', DomainError,
+             "node 'n1': d_km must be > 0 and finite in meters, got 1e+306"),
+            # the distance is checked before the cover factor
+            ('{"id": "n1", "d_km": -2, "delta": 1.5}', DomainError,
+             "node 'n1': d_km must be > 0 and finite in meters, got -2.0"),
+            ('{"id": "n1", "d_km": 2, "h_f_m": 30.5}', DomainError,
+             "node 'n1': h_f_m must lie in [0, h_m=30.0], got 30.5"),
+            ('{"id": "n1", "d_km": 2, "h_f_m": -3}', DomainError,
+             "node 'n1': h_f_m must lie in [0, h_m=30.0], got -3.0"),
+            ('{"id": "n1", "d_km": 2, "delta": 1.2}', DomainError,
+             "node 'n1': delta must lie in [0, 1], got 1.2"),
+            ('{"id": "n1", "d_km": 2, "delta": -0.0001}', DomainError,
+             "node 'n1': delta must lie in [0, 1], got -0.0001"),
+            (
+                '{"id": "n1", "d_km": 2, "delta": 0.5}, {"id": "n1", "d_km": 1, "delta": 0.2}',
+                SchemaError,
+                "scenario: duplicate node id 'n1'",
+            ),
+            # every node is checked before the ids are compared
+            (
+                '{"id": "n1", "d_km": 2, "delta": 0.5}, {"id": "n1", "d_km": 1, "delta": 0.2},'
+                ' {"id": "n2", "d_km": 1, "delta": 2}',
+                DomainError,
+                "node 'n2': delta must lie in [0, 1], got 2.0",
+            ),
+            (
+                '{"id": "n1", "d_km": 2, "delta": 0.5}, {"id": "n2", "d_km": 1, "delta": 0.2},'
+                ' {"id": "n3", "d_km": 1}',
+                SchemaError,
+                "node 'n3': supply one of 'h_f_m' or 'delta'",
+            ),
+        ],
+    )
+    def test_node_rejection_messages(self, nodes, error, message):
+        text = scenario_doc(["NODES"]).replace('"NODES"', nodes)
+        with pytest.raises(error) as caught:
+            parse_scenario(text)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_integer_node_values_are_accepted_as_floats(self):
+        nodes = [
+            {"id": "a", "d_km": 2, "delta": 0},
+            {"id": "b", "d_km": 1, "h_f_m": 30},
+            {"id": "c", "d_km": 0.5, "delta": 1},
+        ]
+        parsed = [
+            (node.id, node.d_km, node.h_f_m, node.delta)
+            for node in parse_scenario(scenario_doc(nodes)).nodes
+        ]
+        assert parsed == [("a", 2.0, None, 0.0), ("b", 1.0, 30.0, None), ("c", 0.5, None, 1.0)]
+        numbers = [value for node in parsed for value in node[1:] if value is not None]
+        assert all(type(value) is float for value in numbers)
+
     def test_duplicate_node_id(self):
         nodes = [
             {"id": "n1", "d_km": 2, "delta": 0.5},
