@@ -222,7 +222,7 @@ def _run_scenario(args: argparse.Namespace) -> str:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     reports = evaluate_scenario(scenario)
     if args.format == "json":
-        return emit_json(reports) + "\n"
+        return emit_json(reports, end="\n")
     if args.format == "csv":
         return emit_csv(reports)
     return render(reports, REPORT_COLUMNS, "table")

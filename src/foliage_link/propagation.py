@@ -67,12 +67,17 @@ class Regime(str, Enum):
     LINEAR = "linear"
     POWER = "power"
 
+    # str() and format() give the value, as for enum.StrEnum (Python 3.11+)
+    __str__ = str.__str__
+
 
 class Validity(str, Enum):
     """Whether a foliage loss was computed inside the model's validated depth."""
 
     IN_DOMAIN = "in_domain"
     EXTRAPOLATED = "extrapolated"
+
+    __str__ = str.__str__
 
 
 @dataclass(frozen=True)

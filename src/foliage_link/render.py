@@ -16,11 +16,18 @@ Cell rules, table / CSV / JSON:
 * missing (``None``): ``-`` / empty cell / ``null``.
 
 A record whose ``error`` is set gets it as a last, JSON-only key.
-``csv.writer`` writes ``None``, floats and the ``str`` enums as required;
-only the columns that hold a bool are converted for CSV. JSON text is
-written here, byte for byte as ``json.dumps(..., indent=2, allow_nan=False)``
-would write it, because ``json.dumps`` runs its pure-Python encoder whenever
-``indent`` is set.
+
+CSV and JSON text is written here from one ``%`` template per column tuple
+(and, for JSON, per nesting level), byte for byte what ``csv.writer`` and
+``json.dumps(..., indent=2, allow_nan=False)`` would write: both run Python
+code per cell or per row, and ``json.dumps`` its whole pure-Python encoder
+whenever ``indent`` is set. A CSV text is one ``%`` call on a template of
+one line per record. Cells that are all floats, ints and the package's
+enums (whose ``str()`` is their value) go to it as they are; otherwise each
+other cell is converted, and a string holding a comma, double quote or line
+break is handed to ``csv.writer`` itself, so quoting stays the ``csv``
+module's. One call builds the text in one growing buffer: no line or block
+strings are held until a join.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import io
 import json
 import math
 from enum import Enum
+from itertools import chain, cycle
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 
@@ -90,14 +98,55 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def _csv_bools(rows, positions: list[int]):
-    """``rows`` with the bools at ``positions`` written as ``true``/``false``."""
-    for row in rows:
-        row = list(row)
-        for i in positions:
-            value = row[i]
-            row[i] = "true" if value is True else "false" if value is False else value
-        yield row
+#: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
+#: an int by its str, and the package's enums, whose ``str()`` is their value.
+_PLAIN = frozenset((float, int, Regime, Validity))
+
+
+def _csv_written(value: object) -> str:
+    """The cell as ``csv.writer`` writes it inside a row, quoted where needed."""
+    out = io.StringIO()
+    # a second field, because csv quotes a row's lone empty field
+    csv.writer(out, lineterminator="\n").writerow((value, ""))
+    return out.getvalue()[:-2]
+
+
+def _csv_text(value: str) -> str:
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
+        return _csv_written(value)
+    return value
+
+
+#: CSV text of a cell that is not ``_PLAIN``, by the cell's exact type; any
+#: other type (a bool outside ``_BOOL_COLUMNS`` among them) goes to
+#: ``csv.writer`` through ``_csv_written``.
+_CSV_CELL = {str: _csv_text, type(None): {None: ""}.__getitem__}
+#: The same for a column in ``_BOOL_COLUMNS``.
+_CSV_BOOL_CELL = {**_CSV_CELL, bool: ("false", "true").__getitem__}
+
+
+def to_csv(records, columns: tuple[str, ...]) -> str:
+    """CSV text of one record or a list of records: a header line, then one line each.
+
+    The text is what ``csv.writer`` writes (LF line endings), except that a
+    bool in ``_BOOL_COLUMNS`` is written ``true``/``false``. All the cells
+    go to one template in one ``%`` call; they go as they are when all are
+    ``_PLAIN``, else each one that is not is converted through ``_CSV_CELL``.
+    """
+    single = not isinstance(records, (list, tuple))
+    cells = tuple(chain.from_iterable(_rows([records] if single else records, columns)))
+    if not _PLAIN.issuperset(map(type, cells)):
+        cell_of = [
+            (_CSV_BOOL_CELL if column in _BOOL_COLUMNS else _CSV_CELL).get for column in columns
+        ]
+        cells = tuple([
+            value if type(value) in _PLAIN else get(type(value), _csv_written)(value)
+            for value, get in zip(cells, cycle(cell_of))
+        ])
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    # the header holds attribute names, so no "%" that the template would read
+    head = ",".join(_header(columns)) + "\n"
+    return (head + line * (len(cells) // len(columns))) % cells
 
 
 #: JSON text of a cell, by the cell's exact type (``bool`` is its own type,
@@ -132,38 +181,57 @@ def _json_template(names: list[str], level: int, error: bool) -> str:
     return "{" + members + "\n" + "  " * level + "}"
 
 
-def to_json(records, columns: tuple[str, ...]) -> str:
-    """JSON text of one record (an object) or a list of records (an array).
+def _json_cells(row) -> tuple:
+    """A row's cells as its JSON template takes them.
+
+    A finite float stays as it is, since ``%s`` writes its repr.
+    """
+    cell, inf = _JSON_CELL.get, math.inf
+    return tuple([
+        value if type(value) is float and -inf < value < inf
+        else cell(type(value), _json_other)(value)
+        for value in row
+    ])
+
+
+def _json_array(items: list[str], level: int, head: str = "", tail: str = "") -> str:
+    """``head``, a JSON array nested ``level`` deep of the ``items`` texts, ``tail``.
+
+    One join writes the whole text: the array's brackets, ``head`` and
+    ``tail`` go into the first and last items, which are replaced in place.
+    """
+    if not items:
+        return head + "[]" + tail
+    pad = "\n" + "  " * (level + 1)
+    items[0] = head + "[" + pad + items[0]
+    items[-1] += "\n" + "  " * level + "]" + tail
+    return ("," + pad).join(items)
+
+
+def to_json(records, columns: tuple[str, ...], end: str = "") -> str:
+    """JSON text of one record (an object) or a list of records (an array), then ``end``.
 
     The text is what ``json.dumps(obj, indent=2, allow_nan=False)`` writes
     for the same dicts: a non-finite float raises ``ValueError``.
     """
     single = not isinstance(records, (list, tuple))
     batch = [records] if single else records
-    if not batch:
-        return "[]"
     names = _header(columns)
     level = 0 if single else 1
     plain = _json_template(names, level, False)
     with_error = _json_template(names, level, True)
-    cell, inf = _JSON_CELL.get, math.inf
+    cell = _JSON_CELL.get
     objects = []
     for record, row in zip(batch, _rows(batch, columns)):
-        # a finite float enters the template as it is, and %s writes its repr
-        cells = [
-            value if type(value) is float and -inf < value < inf
-            else cell(type(value), _json_other)(value)
-            for value in row
-        ]
         error = getattr(record, "error", None)
         if error is None:
-            objects.append(plain % tuple(cells))
+            objects.append(plain % _json_cells(row))
         else:
-            cells.append(cell(type(error), _json_other)(error))
-            objects.append(with_error % tuple(cells))
+            cells = (*_json_cells(row), cell(type(error), _json_other)(error))
+            objects.append(with_error % cells)
     if single:
-        return objects[0]
-    return "[\n  " + ",\n  ".join(objects) + "\n]"
+        return objects[0] + end
+    return _json_array(objects, 0, tail=end)
 
 
 def render(records, columns: tuple[str, ...], fmt: str) -> str:
@@ -172,17 +240,12 @@ def render(records, columns: tuple[str, ...], fmt: str) -> str:
     The text ends with a newline in every format.
     """
     if fmt == "json":
-        return to_json(records, columns) + "\n"
+        return to_json(records, columns, end="\n")
+    if fmt == "csv":
+        return to_csv(records, columns)
     single = not isinstance(records, (list, tuple))
     names = _header(columns)
     rows = _rows([records] if single else records, columns)
-    if fmt == "csv":
-        bools = [i for i, column in enumerate(columns) if column in _BOOL_COLUMNS]
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(_csv_bools(rows, bools) if bools else rows)
-        return out.getvalue()
     if single:
         width = max(map(len, names))
         pairs = zip(names, next(iter(rows)))

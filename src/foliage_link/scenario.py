@@ -31,7 +31,15 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
-from .render import REPORT_COLUMNS, SWEEP_COLUMNS, render, to_json
+from .render import (
+    REPORT_COLUMNS,
+    SWEEP_COLUMNS,
+    _json_array,
+    _json_cells,
+    _json_template,
+    to_csv,
+    to_json,
+)
 
 _SCENARIO_KEYS = ("name", "frequency_mhz", "base_height_m", "radio", "nodes")
 _RADIO_KEYS = (
@@ -301,35 +309,37 @@ def emit_csv(data) -> str:
     if hasattr(data, "rows"):  # a SweepTable
         if not data.rows:
             raise EmptyInput("sweep table has no rows")
-        return render(data.rows, SWEEP_COLUMNS, "csv")
-    return render(list(data), REPORT_COLUMNS, "csv")
+        return to_csv(data.rows, SWEEP_COLUMNS)
+    return to_csv(list(data), REPORT_COLUMNS)
 
 
-def emit_json(reports: Sequence[NodeReport]) -> str:
-    """Render node reports as a JSON array with stable field order."""
-    return to_json(list(reports), REPORT_COLUMNS)
-
-
-def _node_object(node: ScenarioNode) -> dict:
-    obj: dict = {"id": node.id, "d_km": node.d_km}
-    if node.h_f_m is not None:
-        obj["h_f_m"] = node.h_f_m
-    else:
-        obj["delta"] = node.delta
-    return obj
+def emit_json(reports: Sequence[NodeReport], end: str = "") -> str:
+    """Render node reports as a JSON array with stable field order, then ``end``."""
+    return to_json(list(reports), REPORT_COLUMNS, end)
 
 
 def emit_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its JSON wire format.
 
     ``parse_scenario(emit_scenario(s))`` reproduces ``s`` exactly, and the
-    emitted text is a fixed point of a further parse/emit round trip.
+    emitted text is a fixed point of a further parse/emit round trip. The
+    text is what ``json.dumps(doc, indent=2, allow_nan=False)`` writes for
+    the document; the nodes are written from one template per cover source.
     """
-    doc = {
+    head = {
         "name": scenario.name,
         "frequency_mhz": scenario.frequency_mhz,
         "base_height_m": scenario.base_height_m,
         "radio": {key: getattr(scenario.radio, key) for key in _RADIO_KEYS},
-        "nodes": [_node_object(node) for node in scenario.nodes],
     }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    # the head object without its closing "\n}", then the nodes array
+    opening = json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "nodes": '
+    by_height = _json_template(["id", "d_km", "h_f_m"], 2, False)
+    by_delta = _json_template(["id", "d_km", "delta"], 2, False)
+    nodes = [
+        by_delta % _json_cells((node.id, node.d_km, node.delta))
+        if node.h_f_m is None
+        else by_height % _json_cells((node.id, node.d_km, node.h_f_m))
+        for node in scenario.nodes
+    ]
+    return _json_array(nodes, 1, opening, "\n}")

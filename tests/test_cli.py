@@ -636,11 +636,28 @@ PINNED_OUTPUT = {
 }
 
 
+#: a scenario whose node ids CSV has to quote
+QUOTED_SCENARIO = {
+    **PINNED_SCENARIO,
+    "frequency_mhz": 868,
+    "nodes": [
+        {"id": "row,12", "d_km": 1, "delta": 0.1},
+        {"id": 'say "hi"', "d_km": 2, "h_f_m": 15},
+    ],
+}
+QUOTED_CSV = (
+    "id,delta,d_f_m,d_fsp_m,l_foliage_db,l_fsp_db,l_total_db,regime,validity,margin_db,required_tx_dbm,link_ok\n"
+    '"row,12",0.1,100.0,900.0,19.159811979714675,90.30524469231634,109.46505667203101,power,in_domain,41.53494332796899,-27.53494332796899,true\n'
+    '"say ""hi""",0.5,1000.0,1000.0,74.19783664405293,91.22039450352985,165.4182311475828,power,extrapolated,-14.418231147582787,28.418231147582787,false\n'
+)
+
+
 class TestPinnedOutput:
     """Exact stdout of every format for each subcommand.
 
     The scenario includes a full-cover node, which renders as ``-`` table
     cells, empty CSV cells, JSON ``null`` and the JSON-only ``error`` key.
+    A second scenario has node ids that CSV quotes.
     """
 
     @pytest.mark.parametrize("command, fmt", sorted(PINNED_OUTPUT))
@@ -654,3 +671,10 @@ class TestPinnedOutput:
         code, out, err = invoke(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == PINNED_OUTPUT[command, fmt]
+
+    def test_quoted_ids_csv(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(QUOTED_SCENARIO), encoding="utf-8")
+        code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == QUOTED_CSV

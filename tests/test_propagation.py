@@ -43,6 +43,13 @@ TOTAL_D2_DELTA095 = 224.51127789911881
 TOTAL_D2_DELTA05 = 199.09901440038047
 
 
+def test_enum_text_is_its_value():
+    assert str(Regime.LINEAR) == "linear"
+    assert f"{Validity.EXTRAPOLATED}" == "extrapolated"
+    assert "%s" % Regime.POWER == "power"
+    assert repr(Regime.ZERO) == "<Regime.ZERO: 'zero'>"
+
+
 class TestFoliageSplit:
     def test_heavy_cover(self):
         split = foliage_split(2, 0.95)

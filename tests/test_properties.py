@@ -8,6 +8,7 @@ every run draws the same examples.
 """
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -29,6 +30,8 @@ from foliage_link import (
     NonPositiveHeight,
     RadioConfig,
     Regime,
+    Scenario,
+    ScenarioNode,
     SweepRow,
     SweepSpec,
     SweepVariable,
@@ -341,3 +344,103 @@ def test_to_json_refuses_a_non_finite_cell(value, single):
     record = _record(render.BOUNDS_COLUMNS, [0.0, 1.0, value, 0.0, 1.0], None, None)
     with pytest.raises(ValueError, match="not JSON compliant"):
         render.to_json(record if single else [record], render.BOUNDS_COLUMNS)
+
+
+#: node values: any float, and ints as a hand-built ``ScenarioNode`` may hold them
+NODE_VALUE = st.one_of(st.floats(), st.integers(-10**6, 10**6), SPECIAL)
+
+
+@CHECKED
+@given(name=TEXT, frequency_mhz=NODE_VALUE, base_height_m=NODE_VALUE,
+       radio=st.lists(st.floats(0.0, 200.0), min_size=5, max_size=5),
+       nodes=st.lists(st.tuples(TEXT, NODE_VALUE, st.booleans(),
+                                st.one_of(st.none(), NODE_VALUE)), max_size=4))
+def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, radio, nodes):
+    radio = RadioConfig(*radio)
+    nodes = [
+        ScenarioNode(node_id, d_km, value, None) if by_height and value is not None
+        else ScenarioNode(node_id, d_km, None, value)
+        for node_id, d_km, by_height, value in nodes
+    ]
+    scenario = Scenario(name, frequency_mhz, base_height_m, radio, nodes)
+    doc = {
+        "name": name,
+        "frequency_mhz": frequency_mhz,
+        "base_height_m": base_height_m,
+        "radio": dataclasses.asdict(radio),
+        "nodes": [
+            {"id": node.id, "d_km": node.d_km,
+             **({"h_f_m": node.h_f_m} if node.h_f_m is not None else {"delta": node.delta})}
+            for node in nodes
+        ],
+    }
+    try:
+        expected = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a nan or inf value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit_scenario(scenario)
+        return
+    assert emit_scenario(scenario) == expected
+
+
+#: the columns whose bools CSV writes ``true``/``false``; csv.writer writes any other bool
+#: as ``True``/``False``
+CSV_BOOL_COLUMNS = {"link_ok", "converged", "all_feasible"}
+#: cells for CSV: the JSON cells, strings that csv.writer quotes (or, for a lone carriage
+#: return on some Python versions, does not), and an enum that is not the package's own
+CSV_CELL = st.one_of(
+    CELL,
+    st.sampled_from(["row,12", 'say "hi"', "cr\rlf", "two\nlines", '"', ",", "\r\n", ""]),
+    st.sampled_from(list(SweepVariable)),
+)
+PLAIN_CELL = st.one_of(st.floats(), st.integers(), st.sampled_from([*Regime, *Validity]))
+
+
+def _reference_csv(columns, rows):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([column.rpartition(".")[2] for column in columns])
+    for cells in rows:
+        writer.writerow([
+            ("false", "true")[value] if type(value) is bool and column in CSV_BOOL_COLUMNS
+            else value
+            for column, value in zip(columns, cells)
+        ])
+    return out.getvalue()
+
+
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
+       count=st.integers(1, 3), named=st.booleans(), plain=st.booleans())
+def test_csv_matches_csv_writer(data, which, single, count, named, plain):
+    columns, named_type = COLUMN_SETS[which]
+    named_type = named_type if named and not single else None
+    # plain: floats, ints and the package's enums only, a batch that renders by template
+    cell = PLAIN_CELL if plain else CSV_CELL
+    rows = [
+        data.draw(st.lists(cell, min_size=len(columns), max_size=len(columns)))
+        for _ in range(1 if single else count)
+    ]
+    records = [_record(columns, cells, None, named_type) for cells in rows]
+    expected = _reference_csv(columns, rows)
+    assert render.to_csv(records[0] if single else records, columns) == expected
+    assert render.render(records[0] if single else records, columns, "csv") == expected
+
+
+def test_to_csv_of_a_long_mixed_batch():
+    """A few cells to convert among many plain ones (non-finite floats among them)."""
+    rows = [[i / 7, float(i), 1.0, 2.0, 3.0, 4.0, 5.0, Regime.POWER, Validity.IN_DOMAIN]
+            for i in range(250)]
+    rows[3][1:4] = [nan, inf, -inf]
+    rows[125][4] = None
+    rows[-1][0] = "last,row"
+    records = [SweepRow(*cells) for cells in rows]
+    assert render.to_csv(records, render.SWEEP_COLUMNS) == _reference_csv(
+        render.SWEEP_COLUMNS, rows
+    )
+
+
+@pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
+def test_to_csv_of_no_records(columns):
+    assert render.to_csv([], columns) == _reference_csv(columns, [])
+    assert render.to_csv([], columns) == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
