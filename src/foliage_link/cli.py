@@ -2,6 +2,14 @@
 
 Exit codes: 0 on success, 1 on domain or solver errors (one-line diagnostic
 on stderr), 2 on usage errors.
+
+``build_parser`` is the one declaration of the grammar. An argv of the
+canonical shape ``SUBCOMMAND (--flag value)*``, every flag spelled in full,
+is parsed from a table read off that declaration (``_option_tables``), which
+skips argparse's per-call token matching and gives the same ``Namespace``.
+Everything else (abbreviated flags, ``--flag=value``, ``--``, help, and every
+error) goes through ``argparse`` itself, so help, usage and error text are
+argparse's own.
 """
 
 from __future__ import annotations
@@ -10,8 +18,10 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
@@ -131,6 +141,105 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _Subcommand(NamedTuple):
+    """What ``_fast_parse`` needs of one subparser."""
+
+    #: full option string -> (dest, type conversion, choices)
+    options: dict[str, tuple[str, Callable, object]]
+    #: the namespace before any flag: the subcommand's name and every default
+    defaults: dict[str, object]
+    required: frozenset[str]
+    #: matches a value that starts with "-" but that argparse still takes as a value
+    negative_number: Callable | None
+
+
+def _plain_store(action: argparse.Action) -> bool:
+    """Whether ``--flag value`` sets ``action.dest`` to the converted value and does nothing else."""
+    return (
+        type(action) is argparse._StoreAction
+        and action.nargs is None
+        # argparse converts a str default that was not overridden; a raw copy is only right untyped
+        and (action.type is None or not isinstance(action.default, str))
+    )
+
+
+@functools.cache
+def _option_tables() -> dict[str, _Subcommand]:
+    """Per subcommand name, the table ``_fast_parse`` reads, built from ``_parser()``.
+
+    A subcommand with anything the table cannot mirror (an action other
+    than a plain store or help, parser-level defaults, a mutually exclusive
+    group) is left out, and so is every subcommand if the top-level parser
+    holds more than help and one set of subparsers. A positional is a
+    required dest that no flag sets, so its subcommand's argvs all decline.
+    """
+    parser = _parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if len(subparsers) != 1 or len(parser._actions) != 2 or parser._defaults:
+        return {}
+    (commands,) = subparsers
+    tables = {}
+    for name, sub in commands._name_parser_map.items():
+        actions = [a for a in sub._actions if type(a) is not argparse._HelpAction]
+        if sub._defaults or sub._mutually_exclusive_groups or not all(map(_plain_store, actions)):
+            continue
+        tables[name] = _Subcommand(
+            options={
+                option: (a.dest, sub._registry_get("type", a.type, a.type), a.choices)
+                for a in actions for option in a.option_strings
+            },
+            defaults={commands.dest: name, **{a.dest: a.default for a in actions}},
+            required=frozenset(a.dest for a in actions if a.required),
+            negative_number=(None if sub._has_negative_number_optionals
+                             else sub._negative_number_matcher.match),
+        )
+    return tables
+
+
+def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
+    """``_parser().parse_args(argv)`` for a canonical argv, else None.
+
+    Canonical is ``SUBCOMMAND (--flag value)*`` with every flag an exact
+    option string of a plain-store action, each value converted and checked
+    against its choices as argparse does (the last of a repeated flag wins),
+    and every required flag given. A value that starts with ``-`` is taken
+    only where argparse takes it as a negative number. Anything else returns
+    None, and the caller hands ``argv`` to argparse.
+    """
+    if len(argv) % 2 != 1:
+        return None
+    command = _option_tables().get(argv[0])
+    if command is None:
+        return None
+    values = dict(command.defaults)
+    given = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = command.options.get(flag)
+        if option is None:
+            return None
+        if text[:1] == "-" and not (command.negative_number and command.negative_number(text)):
+            return None
+        dest, convert, choices = option
+        try:
+            value = convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        given.add(dest)
+    if not command.required <= given:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _reject_unused(args: argparse.Namespace, flags: tuple[str, ...], where: str) -> None:
+    """A usage error naming the first of ``flags`` given: ``where`` would ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise _UsageError(f"{flag} does not apply to {where}")
+
+
 def _geometry_from_args(args: argparse.Namespace) -> LinkGeometry:
     if args.d_km is None:
         raise _UsageError("--d-km is required here")
@@ -157,26 +266,30 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
             raise _UsageError("--preset is exclusive of --var/--start/--stop/--steps")
+        _reject_unused(args, ("--d-km", "--delta", "--h-m", "--h-f-m", "--f-mhz"), "--preset")
         spec = preset(args.preset)
     else:
         if any(flag is None for flag in custom_flags):
             raise _UsageError("supply --preset, or all of --var/--start/--stop/--steps")
         variable = _SWEEP_VARS[args.var]
+        where = f"a {args.var} sweep"
         if variable is SweepVariable.DELTA:
+            _reject_unused(args, ("--delta", "--h-m", "--h-f-m"), where)
             if args.d_km is None:
                 raise _UsageError("--d-km is required for a delta sweep")
             base = LinkGeometry(d_km=args.d_km, delta=args.start)
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
+            _reject_unused(args, ("--delta", "--h-f-m"), where)
             if args.d_km is None or args.h_m is None:
                 raise _UsageError("--d-km and --h-m are required for a foliage-height sweep")
             base = LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.start)
         elif variable is SweepVariable.DISTANCE:
+            _reject_unused(args, ("--d-km",), where)
             base = LinkGeometry(d_km=args.start, delta=_delta_from_args(args))
         else:  # frequency sweep
+            _reject_unused(args, ("--f-mhz",), where)
             base = _geometry_from_args(args)
-        f_mhz = args.f_mhz
-        if variable is SweepVariable.FREQUENCY_MHZ:
-            f_mhz = args.start if f_mhz is None else f_mhz
+        f_mhz = args.start if variable is SweepVariable.FREQUENCY_MHZ else args.f_mhz
         if f_mhz is None:
             raise _UsageError("--f-mhz is required here")
         spec = SweepSpec(
@@ -202,13 +315,17 @@ def _run_budget(args: argparse.Namespace) -> str:
         rx_sensitivity_dbm=args.sensitivity_dbm,
         required_margin_db=args.margin_db,
     )
+    where = f"--solve {args.solve}"
     if args.solve == "range":
+        _reject_unused(args, ("--d-km",), where)
         result = max_range(radio, _delta_from_args(args), args.f_mhz)
     elif args.solve == "delta":
+        _reject_unused(args, ("--delta", "--h-m", "--h-f-m"), where)
         if args.d_km is None:
             raise _UsageError("--d-km is required for --solve delta")
         result = max_foliage_factor(radio, args.d_km, args.f_mhz, args.delta_cap)
     else:
+        _reject_unused(args, ("--delta", "--h-f-m"), where)
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
         result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, args.delta_cap)
@@ -236,10 +353,14 @@ def _run_bounds(args: argparse.Namespace) -> str:
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the process exit code."""
     parser = _parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage/help
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse already printed usage/help
+            return int(exc.code or 0)
     try:
         if args.command == "loss":
             text = _run_loss(args)

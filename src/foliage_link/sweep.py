@@ -24,6 +24,10 @@ from .propagation import (
 )
 
 
+#: the most points one sweep evaluates: 100 times a 100k-point sweep (about 70 MB of rows)
+MAX_STEPS = 10_000_000
+
+
 class SweepVariable(str, Enum):
     DELTA = "delta"
     FOLIAGE_HEIGHT = "foliage_height"
@@ -36,10 +40,10 @@ class SweepSpec:
     """One-variable sweep definition.
 
     ``base`` fixes every parameter that is not swept; the field of ``base``
-    corresponding to ``variable`` is ignored. Cover-factor sweeps are
-    capped at ``delta_cap`` (``DEFAULT_DELTA_CAP`` by default) and full
-    cover (delta = 1) is rejected outright for every variable, since the
-    free-space term is singular there.
+    corresponding to ``variable`` is ignored. ``steps`` lies in
+    [2, ``MAX_STEPS``]. Cover-factor sweeps are capped at ``delta_cap``
+    (``DEFAULT_DELTA_CAP`` by default) and full cover (delta = 1) is rejected
+    outright for every variable, since the free-space term is singular there.
     """
 
     variable: SweepVariable
@@ -53,8 +57,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.steps, int) or isinstance(self.steps, bool):
             raise InvalidSpec(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise InvalidSpec(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
         if not -math.inf < self.start < self.stop < math.inf:
             raise InvalidSpec(f"need finite start < stop, got [{self.start}, {self.stop}]")
         if not 0.0 < self.f_mhz < math.inf:

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line frontend via its run() entry point."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
+from foliage_link import cli
 from foliage_link.cli import run
+
+from argv_check import readme_argvs
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -302,6 +306,47 @@ class TestScenarioCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: not UTF-8 at byte 0: ")
         assert err.count("\n") == 1
+
+
+BUDGET_RADIO = ["--tx-dbm", "14", "--sensitivity-dbm", "-137", "--f-mhz", "868"]
+
+
+class TestIgnoredFlags:
+    """A flag the command would not use is a usage error that names it."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["budget", "--solve", "delta", "--d-km", "2", "--delta", "0.3"], "--delta"),
+            (["budget", "--solve", "delta", "--d-km", "2", "--h-m", "30"], "--h-m"),
+            (["budget", "--solve", "delta", "--d-km", "2", "--h-f-m", "15"], "--h-f-m"),
+            (["budget", "--solve", "height", "--d-km", "2", "--h-m", "30", "--delta", "0.3"],
+             "--delta"),
+            (["budget", "--solve", "height", "--d-km", "2", "--h-m", "30", "--h-f-m", "15"],
+             "--h-f-m"),
+            (["budget", "--solve", "range", "--delta", "0.3", "--d-km", "9"], "--d-km"),
+            (["sweep", "--preset", "figure2", "--d-km", "5"], "--d-km"),
+            (["sweep", "--preset", "figure3", "--delta", "0.3"], "--delta"),
+            (["sweep", "--preset", "figure4", "--h-m", "20"], "--h-m"),
+            (["sweep", "--preset", "figure4", "--h-f-m", "5"], "--h-f-m"),
+            (["sweep", "--preset", "figure2", "--f-mhz", "868"], "--f-mhz"),
+            (["sweep", "--var", "delta", "--start", "0", "--stop", "0.5", "--steps", "3",
+              "--d-km", "2", "--f-mhz", "868", "--h-m", "30"], "--h-m"),
+            (["sweep", "--var", "foliage-height", "--start", "0", "--stop", "5", "--steps", "3",
+              "--d-km", "2", "--h-m", "30", "--f-mhz", "868", "--delta", "0.3"], "--delta"),
+            (["sweep", "--var", "distance", "--start", "1", "--stop", "5", "--steps", "3",
+              "--delta", "0.3", "--f-mhz", "868", "--d-km", "2"], "--d-km"),
+            (["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
+              "--d-km", "2", "--delta", "0.3", "--f-mhz", "868"], "--f-mhz"),
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv, flag):
+        if argv[0] == "budget":
+            argv = [*argv, *BUDGET_RADIO]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {flag} does not apply to ")
+        assert "usage:" in err
 
 
 class TestFiniteFlags:
@@ -678,3 +723,44 @@ class TestPinnedOutput:
         code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", "csv")
         assert (code, err) == (0, "")
         assert out == QUOTED_CSV
+
+
+FORMATS = ("table", "csv", "json")
+
+
+class TestFastParse:
+    """Canonical argvs are parsed from the table built off the argparse declaration."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", sorted(PINNED_ARGV) + ["scenario"])
+    def test_pinned_argv_takes_the_fast_path(self, command, fmt):
+        argv = PINNED_ARGV.get(command, ["scenario", "--file", "orchard.json"]) + ["--format", fmt]
+        fast = cli._fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", readme_argvs(), ids=" ".join)
+    def test_readme_example_takes_the_fast_path(self, argv):
+        fast = cli._fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == vars(cli._parser().parse_args(argv))
+
+    def test_readme_examples_found(self):
+        assert {argv[0] for argv in readme_argvs()} == set(cli._option_tables())
+
+    def test_no_subparsers_found_leaves_argparse_to_parse(self, capsys, monkeypatch):
+        argvs = [
+            PINNED_ARGV["budget"] + ["--format", "json"],  # exit 0
+            ["loss", "--d-km", "two", "--delta", "0", "--f-mhz", "2400"],  # argparse's error
+            ["loss", "--d-km", "2", "--f-mhz", "2400"],  # a usage error of run's own
+            ["bounds", "--help"],
+        ]
+        expected = [invoke(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(argparse, "_SubParsersAction", type("NotSubparsers", (), {}))
+        cli._option_tables.cache_clear()
+        try:
+            assert cli._option_tables() == {}
+            assert all(cli._fast_parse(argv) is None for argv in argvs)
+            assert [invoke(capsys, *argv) for argv in argvs] == expected
+        finally:
+            cli._option_tables.cache_clear()

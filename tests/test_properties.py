@@ -7,12 +7,14 @@ re-parse with the non-finite literals rejected. The runs are derandomized, so
 every run draws the same examples.
 """
 
+import argparse
 import contextlib
 import csv
 import dataclasses
 import io
 import json
 import math
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
@@ -53,7 +55,7 @@ from foliage_link import (
     weissberger_delta_limit,
     weissberger_loss,
 )
-from foliage_link import render
+from foliage_link import cli, render
 from foliage_link.cli import run
 
 inf, nan = math.inf, math.nan
@@ -444,3 +446,88 @@ def test_to_csv_of_a_long_mixed_batch():
 def test_to_csv_of_no_records(columns):
     assert render.to_csv([], columns) == _reference_csv(columns, [])
     assert render.to_csv([], columns) == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
+
+
+# ---------------------------------------------------------------- argv parsing
+
+PARSER = cli._parser()
+SUBPARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+#: per subcommand, its actions that take a value
+ARG_ACTIONS = {name: [a for a in sub._actions if a.option_strings and a.nargs is None]
+               for name, sub in SUBPARSERS.items()}
+OPTIONS = sorted({o for actions in ARG_ACTIONS.values() for a in actions for o in a.option_strings})
+CHOICES = sorted({c for actions in ARG_ACTIONS.values() for a in actions for c in a.choices or ()})
+ARG_VALUE = st.one_of(
+    st.sampled_from(["-137.0", "-1e-05", "1e300", "nan", "inf", "", " -3", "-3", "-.5", "-",
+                     "2", "0.5", "1_000", *CHOICES]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=6),
+)
+ODD_FLAG = st.one_of(
+    st.sampled_from([*OPTIONS, "-h", "--help", "--"]),
+    st.sampled_from(OPTIONS).flatmap(lambda o: st.integers(2, len(o) - 1).map(lambda k: o[:k])),
+    st.tuples(st.sampled_from(OPTIONS), ARG_VALUE).map("=".join),
+)
+
+
+def _valid_value(action):
+    """A value the action takes: one of its choices, or a number."""
+    if action.choices:
+        return st.sampled_from(action.choices)
+    return st.one_of(st.integers(-999, 10**6).map(str),
+                     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its required flags and a few more pairs, in any order.
+
+    Half the argvs hold only the subcommand's own flags with values they
+    take; the rest mix in any value, odd flags and a stray token.
+    """
+    command = draw(st.sampled_from([*SUBPARSERS, "fly", "", "--help"]))
+    actions = ARG_ACTIONS.get(command, [])
+    clean = draw(st.booleans())
+
+    def value(action):
+        return draw(_valid_value(action) if clean else st.one_of(_valid_value(action), ARG_VALUE))
+
+    pairs = [(a.option_strings[0], value(a)) for a in actions if a.required]
+    for _ in range(draw(st.integers(0, 4))):
+        if actions and (clean or draw(st.booleans())):
+            action = draw(st.sampled_from(actions))
+            pairs.append((action.option_strings[0], value(action)))
+        else:
+            pairs.append((draw(ODD_FLAG), draw(ARG_VALUE)))
+    argv = [command, *chain.from_iterable(draw(st.permutations(pairs)))]
+    if not clean and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.one_of(ODD_FLAG, ARG_VALUE)))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=argvs())
+@example(argv=["loss", "--d-km", "2", "--f-mhz"])  # an odd token count
+@example(argv=["fly", "--d-km", "2"])  # an unknown subcommand
+@example(argv=["loss", "-h", "2"])
+@example(argv=["loss", "--d-k", "2", "--delta", "0", "--f-mhz", "2400"])  # an abbreviation
+@example(argv=["loss", "--d-km=2", "--delta=0", "--f-mhz", "2400"])
+@example(argv=["loss", "--d-km", "2", "--delta", "0", "--f-mhz", "2400", "--", "x"])
+@example(argv=["loss", "--d-km", "2", "--delta", "-1e-05", "--f-mhz", "2400"])
+@example(argv=["loss", "--d-km", "2", "--delta", "0", "--f-mhz", "2400", "--out", "-o"])
+@example(argv=["loss", "--d-km", "2", "--delta", "-.5", "--f-mhz", "2400"])  # accepted
+@example(argv=["loss", "--d-km", "two", "--delta", "0", "--f-mhz", "2400"])  # a type error
+@example(argv=["loss", "--d-km", "2", "--delta", "0", "--f-mhz", "2400", "--format", "xml"])
+@example(argv=["loss", "--d-km", "2", "--delta", "0"])  # a required flag missing
+@example(argv=["loss", "--f-mhz", "1", "--f-mhz", "2", "--delta", "0"])  # the last one wins
+def test_fast_parse_matches_argparse(argv):
+    """Wherever the table parser accepts an argv, argparse accepts it with an equal Namespace."""
+    fast = cli._fast_parse(argv)
+    if fast is not None:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                reference = PARSER.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+        assert vars(fast) == vars(reference)

@@ -16,6 +16,7 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
+from foliage_link.sweep import MAX_STEPS
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -145,6 +146,14 @@ class TestSpecValidation:
     def test_steps_too_small(self):
         with pytest.raises(InvalidSpec):
             delta_spec(steps=1)
+
+    def test_steps_at_the_cap(self):
+        assert delta_spec(steps=MAX_STEPS).steps == 10**7  # built, never run
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    def test_steps_above_the_cap(self, steps):
+        with pytest.raises(InvalidSpec, match=rf"\[2, 10000000\], got {steps}$"):
+            delta_spec(steps=steps)
 
     def test_steps_not_integer(self):
         with pytest.raises(InvalidSpec):
