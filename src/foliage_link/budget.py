@@ -21,9 +21,10 @@ from .errors import (
 from .propagation import (
     DEFAULT_DELTA_CAP,
     LINEAR_BRANCH_MAX_M,
-    LinkGeometry,
+    LinkGeometry,  # noqa: F401  not used here; perfbench/spans.py wraps it by this name
+    _check_distance,
     _LossCore,
-    total_loss,
+    total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 
 #: Decibels per neper: the derivative of 20 log10(x) is this over x.
@@ -137,9 +138,9 @@ def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
         raise DeltaOutOfRange(f"delta must lie in [0, 1) for a range solve, got {delta}")
     budget = max_loss_budget(radio)
     lo, hi = _RANGE_BRACKET_KM
-    # the bracket ends take the checked path, so bad inputs raise as they would there
-    loss_lo = total_loss(LinkGeometry(d_km=lo, delta=delta), f_mhz).l_total_db
-    loss_hi = total_loss(LinkGeometry(d_km=hi, delta=delta), f_mhz).l_total_db
+    at = _LossCore(f_mhz).at
+    loss_lo = at(lo, delta)[4]
+    loss_hi = at(hi, delta)[4]
     if budget < loss_lo - _LOSS_TOL_DB:
         raise NoSolution(f"budget {budget} dB is below the {loss_lo} dB loss at d = {lo} km")
     if budget > loss_hi + _LOSS_TOL_DB:
@@ -148,7 +149,6 @@ def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
         return SolveResult(lo, loss_lo, 0, abs(loss_lo - budget) <= _LOSS_TOL_DB)
     if budget >= loss_hi:
         return SolveResult(hi, loss_hi, 0, abs(loss_hi - budget) <= _LOSS_TOL_DB)
-    at = _LossCore(f_mhz).at
 
     def loss_at(d_km: float) -> float:
         return at(d_km, delta)[4]
@@ -199,9 +199,9 @@ def max_foliage_factor(
     if not 0.0 < delta_cap < 1.0:
         raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
     budget = max_loss_budget(radio)
-    # evaluated first on the checked path, so the inputs are validated before any use below
-    lo_loss = total_loss(LinkGeometry(d_km=d_km, delta=0.0), f_mhz).l_total_db
+    _check_distance(d_km)
     at = _LossCore(f_mhz).at
+    lo_loss = at(d_km, 0.0)[4]
 
     def loss_at(delta: float) -> float:
         return at(d_km, delta)[4]
@@ -228,7 +228,7 @@ def _rising_sides(
     On a branch the total loss is concave in the cover factor, so it rises
     from the branch start to the peak and falls after it. The slope of the
     free-space term ``20 log10(1 - delta)`` is ``-_DB_PER_NEPER / (1 - delta)``.
-    Computes no loss; the inputs must already have passed ``total_loss``.
+    Computes no loss; the caller has checked the distance and the frequency.
     """
     d_m = d_km * 1000.0  # as foliage_split computes it
     f_factor = (f_mhz / 1000.0) ** 0.284

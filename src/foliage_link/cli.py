@@ -3,13 +3,14 @@
 Exit codes: 0 on success, 1 on domain or solver errors (one-line diagnostic
 on stderr), 2 on usage errors.
 
-``build_parser`` is the one declaration of the grammar. An argv of the
-canonical shape ``SUBCOMMAND (--flag value)*``, every flag spelled in full,
-is parsed from a table read off that declaration (``_option_tables``), which
-skips argparse's per-call token matching and gives the same ``Namespace``.
-Everything else (abbreviated flags, ``--flag=value``, ``--``, help, and every
-error) goes through ``argparse`` itself, so help, usage and error text are
-argparse's own.
+The grammar is declared once, as data: ``_COMMANDS`` maps each subcommand to
+its help and its ``(flag, add_argument keywords)`` pairs. ``build_parser``
+builds the ``argparse`` parser from it, and ``_option_tables`` builds the
+table that parses a canonical argv, ``SUBCOMMAND (--flag value)*`` with every
+flag spelled in full, to the same ``Namespace`` without argparse's per-call
+token matching. Everything else (abbreviated flags, ``--flag=value``, ``--``,
+help, and every error) goes through argparse itself, so help, usage and
+error text are argparse's own.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
-from collections.abc import Callable
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
@@ -66,72 +66,80 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_OUTPUT_FLAGS = (
+    ("--format", dict(choices=("table", "csv", "json"), default="table",
+                      help="output format (default: table)")),
+    ("--out", dict(metavar="PATH", help="write output to PATH instead of stdout")),
+)
+_GEOMETRY_FLAGS = (
+    ("--d-km", dict(type=_finite_float, help="total path length in km")),
+    ("--delta", dict(type=_finite_float, help="foliage cover factor in [0,1]")),
+    ("--h-m", dict(type=_finite_float, help="base antenna height above sensor, m")),
+    ("--h-f-m", dict(type=_finite_float, help="foliage height above sensor, m")),
+)
+
+#: subcommand -> (help, its flags in help order); every flag stores one value
+_COMMANDS = {
+    "loss": ("loss breakdown for one link", (
+        *_GEOMETRY_FLAGS,
+        ("--f-mhz", dict(type=_finite_float, required=True, help="frequency in MHz")),
+        *_OUTPUT_FLAGS,
+    )),
+    "sweep": ("one-dimensional parameter sweep", (
+        ("--preset", dict(choices=("figure2", "figure3", "figure4"),
+                          help="bundled sweep (exclusive of --var/--start/--stop/--steps)")),
+        ("--var", dict(choices=tuple(_SWEEP_VARS), help="variable to sweep")),
+        ("--start", dict(type=_finite_float, help="first swept value")),
+        ("--stop", dict(type=_finite_float, help="last swept value")),
+        ("--steps", dict(type=int, help="number of points, endpoints included")),
+        ("--delta-cap", dict(
+            type=_finite_float,
+            help=f"upper cap for cover-factor sweeps (default {DEFAULT_DELTA_CAP})",
+        )),
+        *_GEOMETRY_FLAGS,
+        ("--f-mhz", dict(type=_finite_float, help="fixed frequency in MHz")),
+        *_OUTPUT_FLAGS,
+    )),
+    "budget": ("inverse solves against a radio budget", (
+        ("--solve", dict(choices=("range", "delta", "height"), required=True)),
+        ("--tx-dbm", dict(type=_finite_float, required=True, help="transmit power, dBm")),
+        ("--tx-gain", dict(type=_finite_float, default=0.0, help="transmit gain, dBi")),
+        ("--rx-gain", dict(type=_finite_float, default=0.0, help="receive gain, dBi")),
+        ("--sensitivity-dbm", dict(type=_finite_float, required=True,
+                                   help="receiver sensitivity, dBm (negative)")),
+        ("--margin-db", dict(type=_finite_float, default=0.0, help="required fade margin, dB")),
+        ("--delta-cap", dict(
+            type=_finite_float,
+            help=f"cover-factor ceiling for delta/height solves (default {DEFAULT_DELTA_CAP})",
+        )),
+        *_GEOMETRY_FLAGS,
+        ("--f-mhz", dict(type=_finite_float, required=True, help="frequency in MHz")),
+        *_OUTPUT_FLAGS,
+    )),
+    "scenario": ("evaluate a scenario JSON file", (
+        ("--file", dict(required=True, metavar="PATH", help="scenario document")),
+        *_OUTPUT_FLAGS,
+    )),
+    "bounds": ("admissible cover-factor band", (
+        ("--delta-min", dict(type=_finite_float, required=True)),
+        ("--delta-max", dict(type=_finite_float, required=True)),
+        ("--sigma", dict(type=_finite_float, required=True,
+                         help="fractional perturbation, e.g. 0.5 for +/-50%%")),
+        *_OUTPUT_FLAGS,
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foliage-link",
         description="Link-budget planning for wireless links crossing foliage cover.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table",
-            help="output format (default: table)",
-        )
-        p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-
-    def add_geometry_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d-km", type=_finite_float, help="total path length in km")
-        p.add_argument("--delta", type=_finite_float, help="foliage cover factor in [0,1]")
-        p.add_argument("--h-m", type=_finite_float, help="base antenna height above sensor, m")
-        p.add_argument("--h-f-m", type=_finite_float, help="foliage height above sensor, m")
-
-    loss = sub.add_parser("loss", help="loss breakdown for one link")
-    add_geometry_flags(loss)
-    loss.add_argument("--f-mhz", type=_finite_float, required=True, help="frequency in MHz")
-    add_output_flags(loss)
-
-    sweep = sub.add_parser("sweep", help="one-dimensional parameter sweep")
-    sweep.add_argument(
-        "--preset", choices=("figure2", "figure3", "figure4"),
-        help="bundled sweep (exclusive of --var/--start/--stop/--steps)",
-    )
-    sweep.add_argument("--var", choices=tuple(_SWEEP_VARS), help="variable to sweep")
-    sweep.add_argument("--start", type=_finite_float, help="first swept value")
-    sweep.add_argument("--stop", type=_finite_float, help="last swept value")
-    sweep.add_argument("--steps", type=int, help="number of points, endpoints included")
-    sweep.add_argument("--delta-cap", type=_finite_float, default=DEFAULT_DELTA_CAP,
-                       help="upper cap for cover-factor sweeps (default %(default)s)")
-    add_geometry_flags(sweep)
-    sweep.add_argument("--f-mhz", type=_finite_float, help="fixed frequency in MHz")
-    add_output_flags(sweep)
-
-    budget = sub.add_parser("budget", help="inverse solves against a radio budget")
-    budget.add_argument("--solve", choices=("range", "delta", "height"), required=True)
-    budget.add_argument("--tx-dbm", type=_finite_float, required=True, help="transmit power, dBm")
-    budget.add_argument("--tx-gain", type=_finite_float, default=0.0, help="transmit gain, dBi")
-    budget.add_argument("--rx-gain", type=_finite_float, default=0.0, help="receive gain, dBi")
-    budget.add_argument("--sensitivity-dbm", type=_finite_float, required=True,
-                        help="receiver sensitivity, dBm (negative)")
-    budget.add_argument("--margin-db", type=_finite_float, default=0.0,
-                        help="required fade margin, dB")
-    budget.add_argument("--delta-cap", type=_finite_float, default=DEFAULT_DELTA_CAP,
-                        help="cover-factor ceiling for delta/height solves (default %(default)s)")
-    add_geometry_flags(budget)
-    budget.add_argument("--f-mhz", type=_finite_float, required=True, help="frequency in MHz")
-    add_output_flags(budget)
-
-    scenario = sub.add_parser("scenario", help="evaluate a scenario JSON file")
-    scenario.add_argument("--file", required=True, metavar="PATH", help="scenario document")
-    add_output_flags(scenario)
-
-    bounds = sub.add_parser("bounds", help="admissible cover-factor band")
-    bounds.add_argument("--delta-min", type=_finite_float, required=True)
-    bounds.add_argument("--delta-max", type=_finite_float, required=True)
-    bounds.add_argument("--sigma", type=_finite_float, required=True,
-                        help="fractional perturbation, e.g. 0.5 for +/-50%%")
-    add_output_flags(bounds)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
     return parser
 
 
@@ -141,66 +149,39 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-class _Subcommand(NamedTuple):
-    """What ``_fast_parse`` needs of one subparser."""
-
-    #: full option string -> (dest, type conversion, choices)
-    options: dict[str, tuple[str, Callable, object]]
-    #: the namespace before any flag: the subcommand's name and every default
-    defaults: dict[str, object]
-    required: frozenset[str]
-    #: matches a value that starts with "-" but that argparse still takes as a value
-    negative_number: Callable | None
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag`` under: ``--d-km`` -> ``d_km``."""
+    return flag[2:].replace("-", "_")
 
 
-def _plain_store(action: argparse.Action) -> bool:
-    """Whether ``--flag value`` sets ``action.dest`` to the converted value and does nothing else."""
-    return (
-        type(action) is argparse._StoreAction
-        and action.nargs is None
-        # argparse converts a str default that was not overridden; a raw copy is only right untyped
-        and (action.type is None or not isinstance(action.default, str))
-    )
+#: a value starting with "-" that argparse still takes as a value: its
+#: ``_negative_number_matcher``, which applies while no flag looks like a number
+_negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
 @functools.cache
-def _option_tables() -> dict[str, _Subcommand]:
-    """Per subcommand name, the table ``_fast_parse`` reads, built from ``_parser()``.
+def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per subcommand, what ``_fast_parse`` reads, built from ``_COMMANDS``.
 
-    A subcommand with anything the table cannot mirror (an action other
-    than a plain store or help, parser-level defaults, a mutually exclusive
-    group) is left out, and so is every subcommand if the top-level parser
-    holds more than help and one set of subparsers. A positional is a
-    required dest that no flag sets, so its subcommand's argvs all decline.
+    Each entry is the flag -> (dest, type conversion, choices) map, the
+    namespace before any flag (the subcommand's name and every default) and
+    the set of required dests.
     """
-    parser = _parser()
-    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if len(subparsers) != 1 or len(parser._actions) != 2 or parser._defaults:
-        return {}
-    (commands,) = subparsers
-    tables = {}
-    for name, sub in commands._name_parser_map.items():
-        actions = [a for a in sub._actions if type(a) is not argparse._HelpAction]
-        if sub._defaults or sub._mutually_exclusive_groups or not all(map(_plain_store, actions)):
-            continue
-        tables[name] = _Subcommand(
-            options={
-                option: (a.dest, sub._registry_get("type", a.type, a.type), a.choices)
-                for a in actions for option in a.option_strings
-            },
-            defaults={commands.dest: name, **{a.dest: a.default for a in actions}},
-            required=frozenset(a.dest for a in actions if a.required),
-            negative_number=(None if sub._has_negative_number_optionals
-                             else sub._negative_number_matcher.match),
+    return {
+        name: (
+            {flag: (_dest(flag), kw.get("type", str), kw.get("choices")) for flag, kw in flags},
+            {"command": name, **{_dest(flag): kw.get("default") for flag, kw in flags}},
+            frozenset(_dest(flag) for flag, kw in flags if kw.get("required")),
         )
-    return tables
+        for name, (_, flags) in _COMMANDS.items()
+    }
 
 
 def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
     """``_parser().parse_args(argv)`` for a canonical argv, else None.
 
-    Canonical is ``SUBCOMMAND (--flag value)*`` with every flag an exact
-    option string of a plain-store action, each value converted and checked
+    Canonical is ``SUBCOMMAND (--flag value)*`` with every flag one the
+    subcommand declares, spelled in full, each value converted and checked
     against its choices as argparse does (the last of a repeated flag wins),
     and every required flag given. A value that starts with ``-`` is taken
     only where argparse takes it as a negative number. Anything else returns
@@ -211,13 +192,14 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
     command = _option_tables().get(argv[0])
     if command is None:
         return None
-    values = dict(command.defaults)
+    options, defaults, required = command
+    values = dict(defaults)
     given = set()
     for flag, text in zip(argv[1::2], argv[2::2]):
-        option = command.options.get(flag)
+        option = options.get(flag)
         if option is None:
             return None
-        if text[:1] == "-" and not (command.negative_number and command.negative_number(text)):
+        if text[:1] == "-" and not _negative_number(text):
             return None
         dest, convert, choices = option
         try:
@@ -228,7 +210,7 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
             return None
         values[dest] = value
         given.add(dest)
-    if not command.required <= given:
+    if not required <= given:
         return None
     return argparse.Namespace(**values)
 
@@ -236,7 +218,7 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
 def _reject_unused(args: argparse.Namespace, flags: tuple[str, ...], where: str) -> None:
     """A usage error naming the first of ``flags`` given: ``where`` would ignore it."""
     for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
+        if getattr(args, _dest(flag)) is not None:
             raise _UsageError(f"{flag} does not apply to {where}")
 
 
@@ -266,7 +248,8 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
             raise _UsageError("--preset is exclusive of --var/--start/--stop/--steps")
-        _reject_unused(args, ("--d-km", "--delta", "--h-m", "--h-f-m", "--f-mhz"), "--preset")
+        _reject_unused(args, ("--d-km", "--delta", "--h-m", "--h-f-m", "--f-mhz", "--delta-cap"),
+                       "--preset")
         spec = preset(args.preset)
     else:
         if any(flag is None for flag in custom_flags):
@@ -279,15 +262,15 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
                 raise _UsageError("--d-km is required for a delta sweep")
             base = LinkGeometry(d_km=args.d_km, delta=args.start)
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
-            _reject_unused(args, ("--delta", "--h-f-m"), where)
+            _reject_unused(args, ("--delta", "--h-f-m", "--delta-cap"), where)
             if args.d_km is None or args.h_m is None:
                 raise _UsageError("--d-km and --h-m are required for a foliage-height sweep")
             base = LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.start)
         elif variable is SweepVariable.DISTANCE:
-            _reject_unused(args, ("--d-km",), where)
+            _reject_unused(args, ("--d-km", "--delta-cap"), where)
             base = LinkGeometry(d_km=args.start, delta=_delta_from_args(args))
         else:  # frequency sweep
-            _reject_unused(args, ("--f-mhz",), where)
+            _reject_unused(args, ("--f-mhz", "--delta-cap"), where)
             base = _geometry_from_args(args)
         f_mhz = args.start if variable is SweepVariable.FREQUENCY_MHZ else args.f_mhz
         if f_mhz is None:
@@ -299,7 +282,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
             steps=args.steps,
             base=base,
             f_mhz=f_mhz,
-            delta_cap=args.delta_cap,
+            delta_cap=DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap,
         )
     table = run_sweep(spec)
     if args.format == "csv":
@@ -316,19 +299,20 @@ def _run_budget(args: argparse.Namespace) -> str:
         required_margin_db=args.margin_db,
     )
     where = f"--solve {args.solve}"
+    delta_cap = DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap
     if args.solve == "range":
-        _reject_unused(args, ("--d-km",), where)
+        _reject_unused(args, ("--d-km", "--delta-cap"), where)
         result = max_range(radio, _delta_from_args(args), args.f_mhz)
     elif args.solve == "delta":
         _reject_unused(args, ("--delta", "--h-m", "--h-f-m"), where)
         if args.d_km is None:
             raise _UsageError("--d-km is required for --solve delta")
-        result = max_foliage_factor(radio, args.d_km, args.f_mhz, args.delta_cap)
+        result = max_foliage_factor(radio, args.d_km, args.f_mhz, delta_cap)
     else:
         _reject_unused(args, ("--delta", "--h-f-m"), where)
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
-        result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, args.delta_cap)
+        result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, delta_cap)
     return render(SimpleNamespace(solve=args.solve, **vars(result)), SOLVE_COLUMNS, args.format)
 
 

@@ -150,8 +150,7 @@ class LinkGeometry:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.d_km * 1000.0 < math.inf:
-            raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {self.d_km}")
+        _check_distance(self.d_km)
         has_h = self.h_m is not None
         has_hf = self.h_f_m is not None
         if has_h != has_hf:
@@ -183,8 +182,7 @@ def foliage_split(d_km: float, delta: float) -> PathSplit:
     Returns the foliage depth ``delta * d`` and free-space remainder
     ``(1 - delta) * d``, both in meters.
     """
-    if not 0.0 < d_km * 1000.0 < math.inf:
-        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
+    _check_distance(d_km)
     if not 0.0 <= delta <= 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
     d_f_m, d_fsp_m = _split(d_km, delta)
@@ -242,8 +240,7 @@ def weissberger_loss(f_mhz: float, d_f_m: float) -> FoliageLossResult:
 
 def free_space_loss(d_km: float, f_mhz: float) -> float:
     """Free-space path loss ``32.45 + 20 log10(d_km) + 20 log10(f_mhz)`` in dB."""
-    if not 0.0 < d_km * 1000.0 < math.inf:
-        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
+    _check_distance(d_km)
     _check_frequency(f_mhz)
     return _free_space(d_km, 20.0 * math.log10(f_mhz))
 
@@ -279,6 +276,11 @@ def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
 # branch it labels
 _ZERO, _LINEAR, _POWER = Regime.ZERO, Regime.LINEAR, Regime.POWER
 _IN_DOMAIN, _EXTRAPOLATED = Validity.IN_DOMAIN, Validity.EXTRAPOLATED
+
+
+def _check_distance(d_km: float) -> None:
+    if not 0.0 < d_km * 1000.0 < math.inf:
+        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
 
 
 def _check_frequency(f_mhz: float) -> None:
@@ -377,6 +379,5 @@ def weissberger_delta_limit(d_km: float) -> float:
     Purely informational: deeper evaluations are allowed and flagged. The
     geometric maximum is always 1; callers pick which limit to apply.
     """
-    if not 0.0 < d_km * 1000.0 < math.inf:
-        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
+    _check_distance(d_km)
     return min(1.0, WEISSBERGER_MAX_DEPTH_M / (d_km * 1000.0))

@@ -1,9 +1,11 @@
 """Check the CLI's table parser against argparse over a fixed corpus of argvs.
 
-``foliage_link.cli`` parses a canonical argv (``SUBCOMMAND (--flag value)*``)
-from a table built off its argparse declaration and hands everything else to
-``argparse``. argparse's internals differ between Python versions, so run this
-under each supported one; it needs only the standard library:
+``foliage_link.cli`` declares its grammar once, in ``_COMMANDS``, builds its
+argparse parser from it, parses a canonical argv (``SUBCOMMAND (--flag
+value)*``) from a table built off the same declaration and hands everything
+else to ``argparse``. argparse's parsing rules differ between Python
+versions, so run this under each supported one; it needs only the standard
+library:
 
     PYTHONPATH=src python tests/argv_check.py
 
@@ -63,7 +65,7 @@ def readme_argvs() -> list[list[str]]:
 
 def demo_argvs() -> list[list[str]]:
     """Every list of string literals in ``demos/`` that starts with a subcommand name."""
-    commands = set(cli._option_tables())
+    commands = set(cli._COMMANDS)
     found = []
     for path in sorted(ROOT.joinpath("demos").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

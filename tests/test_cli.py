@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line frontend via its run() entry point."""
 
-import argparse
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -338,6 +338,17 @@ class TestIgnoredFlags:
               "--delta", "0.3", "--f-mhz", "868", "--d-km", "2"], "--d-km"),
             (["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
               "--d-km", "2", "--delta", "0.3", "--f-mhz", "868"], "--f-mhz"),
+            (["sweep", "--preset", "figure2", "--delta-cap", "0.1", "--format", "csv"],
+             "--delta-cap"),
+            (["sweep", "--var", "foliage-height", "--start", "0", "--stop", "5", "--steps", "3",
+              "--d-km", "2", "--h-m", "30", "--f-mhz", "868", "--delta-cap", "0.2"],
+             "--delta-cap"),
+            (["sweep", "--var", "distance", "--start", "1", "--stop", "5", "--steps", "3",
+              "--delta", "0.3", "--f-mhz", "868", "--delta-cap", "0.2"], "--delta-cap"),
+            (["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
+              "--d-km", "2", "--delta", "0.3", "--delta-cap", "0.2"], "--delta-cap"),
+            (["budget", "--solve", "range", "--delta", "0.3", "--delta-cap", "0.3"],
+             "--delta-cap"),
         ],
     )
     def test_is_a_usage_error(self, capsys, argv, flag):
@@ -347,6 +358,26 @@ class TestIgnoredFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag} does not apply to ")
         assert "usage:" in err
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["budget", "--solve", "delta", "--d-km", "2"], 0.5),
+            (["budget", "--solve", "height", "--d-km", "2", "--h-m", "30"], 15.0),
+        ],
+    )
+    def test_delta_cap_caps_a_cover_solve(self, capsys, argv, value):
+        code, out, err = invoke(capsys, *argv, "--tx-dbm", "227", "--sensitivity-dbm", "0",
+                                "--f-mhz", "2400", "--delta-cap", "0.5", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == value
+
+    def test_delta_cap_bounds_a_delta_sweep(self, capsys):
+        code, out, err = invoke(capsys, "sweep", "--var", "delta", "--start", "0", "--stop", "0.6",
+                                "--steps", "3", "--d-km", "2", "--f-mhz", "2400",
+                                "--delta-cap", "0.5")
+        assert (code, out) == (1, "")
+        assert "[0, 0.5]" in err
 
 
 class TestFiniteFlags:
@@ -729,7 +760,7 @@ FORMATS = ("table", "csv", "json")
 
 
 class TestFastParse:
-    """Canonical argvs are parsed from the table built off the argparse declaration."""
+    """Canonical argvs are parsed from the grammar table, as argparse parses them."""
 
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("command", sorted(PINNED_ARGV) + ["scenario"])
@@ -748,19 +779,23 @@ class TestFastParse:
     def test_readme_examples_found(self):
         assert {argv[0] for argv in readme_argvs()} == set(cli._option_tables())
 
-    def test_no_subparsers_found_leaves_argparse_to_parse(self, capsys, monkeypatch):
+    def test_argparse_alone_gives_the_same_results(self, capsys, monkeypatch):
         argvs = [
-            PINNED_ARGV["budget"] + ["--format", "json"],  # exit 0
+            *(PINNED_ARGV[command] + ["--format", fmt] for command in sorted(PINNED_ARGV)
+              for fmt in FORMATS),
             ["loss", "--d-km", "two", "--delta", "0", "--f-mhz", "2400"],  # argparse's error
             ["loss", "--d-km", "2", "--f-mhz", "2400"],  # a usage error of run's own
-            ["bounds", "--help"],
+            ["sweep", "--preset", "figure2", "--delta-cap", "0.1"],  # an unused --delta-cap
         ]
         expected = [invoke(capsys, *argv) for argv in argvs]
-        monkeypatch.setattr(argparse, "_SubParsersAction", type("NotSubparsers", (), {}))
-        cli._option_tables.cache_clear()
-        try:
-            assert cli._option_tables() == {}
-            assert all(cli._fast_parse(argv) is None for argv in argvs)
-            assert [invoke(capsys, *argv) for argv in argvs] == expected
-        finally:
-            cli._option_tables.cache_clear()
+        assert [code for code, _, _ in expected[-3:]] == [2, 2, 2]
+        monkeypatch.setattr(cli, "_fast_parse", lambda argv: None)
+        assert [invoke(capsys, *argv) for argv in argvs] == expected
+
+    def test_grammar_holds_only_what_the_table_parser_mirrors(self):
+        """Every flag is a long option that stores one value; ``action=`` or ``nargs=`` fails here."""
+        for _, flags in cli._COMMANDS.values():
+            for flag, keywords in flags:
+                assert re.match(r"--[a-z]", flag), flag
+                assert set(keywords) <= {"type", "choices", "default", "required", "help",
+                                         "metavar"}, flag

@@ -7,7 +7,6 @@ re-parse with the non-finite literals rejected. The runs are derandomized, so
 every run draws the same examples.
 """
 
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -451,12 +450,10 @@ def test_to_csv_of_no_records(columns):
 # ---------------------------------------------------------------- argv parsing
 
 PARSER = cli._parser()
-SUBPARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
-#: per subcommand, its actions that take a value
-ARG_ACTIONS = {name: [a for a in sub._actions if a.option_strings and a.nargs is None]
-               for name, sub in SUBPARSERS.items()}
-OPTIONS = sorted({o for actions in ARG_ACTIONS.values() for a in actions for o in a.option_strings})
-CHOICES = sorted({c for actions in ARG_ACTIONS.values() for a in actions for c in a.choices or ()})
+#: per subcommand, its (flag, add_argument keywords) pairs
+FLAGS = {name: flags for name, (_, flags) in cli._COMMANDS.items()}
+OPTIONS = sorted({flag for flags in FLAGS.values() for flag, _ in flags})
+CHOICES = sorted({c for flags in FLAGS.values() for _, kw in flags for c in kw.get("choices", ())})
 ARG_VALUE = st.one_of(
     st.sampled_from(["-137.0", "-1e-05", "1e300", "nan", "inf", "", " -3", "-3", "-.5", "-",
                      "2", "0.5", "1_000", *CHOICES]),
@@ -470,10 +467,10 @@ ODD_FLAG = st.one_of(
 )
 
 
-def _valid_value(action):
-    """A value the action takes: one of its choices, or a number."""
-    if action.choices:
-        return st.sampled_from(action.choices)
+def _valid_value(keywords):
+    """A value the flag takes: one of its choices, or a number."""
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
     return st.one_of(st.integers(-999, 10**6).map(str),
                      st.floats(allow_nan=False, allow_infinity=False).map(repr))
 
@@ -485,18 +482,19 @@ def argvs(draw):
     Half the argvs hold only the subcommand's own flags with values they
     take; the rest mix in any value, odd flags and a stray token.
     """
-    command = draw(st.sampled_from([*SUBPARSERS, "fly", "", "--help"]))
-    actions = ARG_ACTIONS.get(command, [])
+    command = draw(st.sampled_from([*FLAGS, "fly", "", "--help"]))
+    flags = FLAGS.get(command, ())
     clean = draw(st.booleans())
 
-    def value(action):
-        return draw(_valid_value(action) if clean else st.one_of(_valid_value(action), ARG_VALUE))
+    def value(keywords):
+        return draw(_valid_value(keywords) if clean
+                    else st.one_of(_valid_value(keywords), ARG_VALUE))
 
-    pairs = [(a.option_strings[0], value(a)) for a in actions if a.required]
+    pairs = [(flag, value(kw)) for flag, kw in flags if kw.get("required")]
     for _ in range(draw(st.integers(0, 4))):
-        if actions and (clean or draw(st.booleans())):
-            action = draw(st.sampled_from(actions))
-            pairs.append((action.option_strings[0], value(action)))
+        if flags and (clean or draw(st.booleans())):
+            flag, kw = draw(st.sampled_from(flags))
+            pairs.append((flag, value(kw)))
         else:
             pairs.append((draw(ODD_FLAG), draw(ARG_VALUE)))
     argv = [command, *chain.from_iterable(draw(st.permutations(pairs)))]
