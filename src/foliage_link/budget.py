@@ -9,7 +9,7 @@ foliage grow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     BracketExceeded,
@@ -23,6 +23,7 @@ from .propagation import (
     LINEAR_BRANCH_MAX_M,
     LinkGeometry,  # noqa: F401  not used here; perfbench/spans.py wraps it by this name
     _check_distance,
+    _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
@@ -40,37 +41,52 @@ _RANGE_TOL_KM = 1e-7
 _DELTA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class RadioConfig:
-    """Radio parameters entering the budget arithmetic.
-
-    ``rx_sensitivity_dbm`` is a negative number for real receivers.
-    ``required_margin_db`` is the fade margin a link must keep on top of
-    closing the budget.
-    """
-
+class _RadioConfigFields(NamedTuple):
     tx_power_dbm: float
     tx_gain_dbi: float
     rx_gain_dbi: float
     rx_sensitivity_dbm: float
     required_margin_db: float = 0.0
 
-    def __post_init__(self) -> None:
-        values = vars(self)
-        for name, value in values.items():
+
+class RadioConfig(_RadioConfigFields):
+    """Radio parameters entering the budget arithmetic.
+
+    ``rx_sensitivity_dbm`` is a negative number for real receivers.
+    ``required_margin_db`` is the fade margin a link must keep on top of
+    closing the budget. Every way of building one (the constructor,
+    ``_make`` and ``_replace``) checks the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tx_power_dbm: float,
+        tx_gain_dbi: float,
+        rx_gain_dbi: float,
+        rx_sensitivity_dbm: float,
+        required_margin_db: float = 0.0,
+    ) -> RadioConfig:
+        self = tuple.__new__(
+            cls, (tx_power_dbm, tx_gain_dbi, rx_gain_dbi, rx_sensitivity_dbm, required_margin_db)
+        )
+        for name, value in zip(cls._fields, self):
             if not math.isfinite(value):
                 raise InvalidRadioConfig(f"{name} must be finite, got {value}")
         # every budget quantity is a signed sum of these terms and one loss
-        if not math.isfinite(sum(map(abs, values.values()))):
-            raise InvalidRadioConfig(f"radio terms must sum to a finite budget, got {values}")
-        if self.required_margin_db < 0:
+        if not math.isfinite(sum(map(abs, self))):
             raise InvalidRadioConfig(
-                f"required_margin_db must be >= 0, got {self.required_margin_db}"
+                f"radio terms must sum to a finite budget, got {self._asdict()}"
             )
+        if required_margin_db < 0:
+            raise InvalidRadioConfig(f"required_margin_db must be >= 0, got {required_margin_db}")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of an inverse solve.
 
     ``value`` is in the unit of the solved quantity (km for range,
@@ -216,7 +232,7 @@ def max_foliage_factor(
                 lo_loss = loss_at(lo)
             break
     else:
-        return SolveResult(delta_cap, loss_at(delta_cap), 0, True, all_feasible=True)
+        return SolveResult(delta_cap, loss_at(delta_cap), 0, True, True)
     return _bisect(loss_at, lo, lo_loss, hi, budget, _DELTA_TOL)
 
 
@@ -244,16 +260,13 @@ def _rising_sides(
     if edge < delta_cap:
         start = math.nextafter(edge, 1.0)
         scale = 0.588 * 1.33 * f_factor * d_m**0.588
-
-        def rising(delta: float) -> bool:
-            return scale * delta**-0.412 > _DB_PER_NEPER / (1.0 - delta)
-
-        # the derivative falls strictly, so bisect on its sign
+        # the derivative of the total, scale * delta**-0.412 - _DB_PER_NEPER / (1 - delta),
+        # falls strictly, so bisect on its sign
         lo, hi = start, delta_cap
-        if rising(hi):
+        if scale * hi**-0.412 > _DB_PER_NEPER / (1.0 - hi):
             lo = hi
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            if rising(mid):
+            if scale * mid**-0.412 > _DB_PER_NEPER / (1.0 - mid):
                 lo = mid
             else:
                 hi = mid
@@ -277,4 +290,4 @@ def max_foliage_height(
     if not 0.0 < h_m < math.inf:
         raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
     result = max_foliage_factor(radio, d_km, f_mhz, delta_cap)
-    return replace(result, value=result.value * h_m)
+    return result._replace(value=result.value * h_m)

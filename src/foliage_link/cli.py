@@ -10,7 +10,11 @@ table that parses a canonical argv, ``SUBCOMMAND (--flag value)*`` with every
 flag spelled in full, to the same ``Namespace`` without argparse's per-call
 token matching. Everything else (abbreviated flags, ``--flag=value``, ``--``,
 help, and every error) goes through argparse itself, so help, usage and
-error text are argparse's own.
+error text are argparse's own; the parser is built only then, or to print
+the usage line under a usage error of ``run``'s own.
+
+Output goes out in slices of about 1 MB: to stdout as text, to ``--out``
+as UTF-8 bytes through one unbuffered binary file.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import functools
 import math
 import re
 import sys
-from pathlib import Path
-from types import SimpleNamespace
+from collections import namedtuple
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
@@ -42,6 +45,9 @@ from .render import (
 )
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario
 from .sweep import SweepSpec, SweepVariable, preset, run_sweep
+
+#: a solve as the ``budget`` command prints it: its kind, then its result
+_SolveRow = namedtuple("_SolveRow", SOLVE_COLUMNS)
 
 _SWEEP_VARS = {
     "delta": SweepVariable.DELTA,
@@ -130,23 +136,35 @@ _COMMANDS = {
 }
 
 
+_PROG = "foliage-link"
+
+
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, keywords in _COMMANDS[command][1]:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="foliage-link",
+        prog=_PROG,
         description="Link-budget planning for wireless links crossing foliage cover.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flag, keywords in flags:
-            command.add_argument(flag, **keywords)
+    for name, (help_text, _) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses, built once per process; parsing leaves it unchanged."""
+    """The parser ``run`` falls back to, built once per process; parsing leaves it unchanged."""
     return build_parser()
+
+
+def _usage(command: str) -> str:
+    """The usage line argparse prints above an error of the subcommand ``command``."""
+    return _add_flags(argparse.ArgumentParser(prog=f"{_PROG} {command}"), command).format_usage()
 
 
 def _dest(flag: str) -> str:
@@ -212,7 +230,9 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
         given.add(dest)
     if not required <= given:
         return None
-    return argparse.Namespace(**values)
+    args = argparse.Namespace()
+    args.__dict__.update(values)  # Namespace(**values) sets each attribute in a Python loop
+    return args
 
 
 def _reject_unused(args: argparse.Namespace, flags: tuple[str, ...], where: str) -> None:
@@ -313,15 +333,16 @@ def _run_budget(args: argparse.Namespace) -> str:
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
         result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, delta_cap)
-    return render(SimpleNamespace(solve=args.solve, **vars(result)), SOLVE_COLUMNS, args.format)
+    return render(_SolveRow(args.solve, *result), SOLVE_COLUMNS, args.format)
 
 
 def _run_scenario(args: argparse.Namespace) -> str:
     try:
-        scenario = parse_scenario(Path(args.file).read_text(encoding="utf-8"))
+        with open(args.file, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    reports = evaluate_scenario(scenario)
+    reports = evaluate_scenario(parse_scenario(text))
     if args.format == "json":
         return emit_json(reports, end="\n")
     if args.format == "csv":
@@ -334,15 +355,34 @@ def _run_bounds(args: argparse.Namespace) -> str:
     return render(bounds, BOUNDS_COLUMNS, args.format)
 
 
+#: characters per output slice: about 1 MB of UTF-8
+_SLICE = 1 << 20
+
+
+def _slices(text: str):
+    return (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
+
+
+def _write_all(raw, text: str) -> None:
+    """Write ``text`` as UTF-8 to the raw binary file ``raw``, one slice at a time.
+
+    A raw ``write`` may take fewer bytes than it is given; the rest is
+    written again until none is left.
+    """
+    for part in _slices(text):
+        data = memoryview(part.encode("utf-8"))
+        while data:
+            data = data[raw.write(data):]
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the process exit code."""
-    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_parse(argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # argparse already printed usage/help
             return int(exc.code or 0)
     try:
@@ -357,12 +397,14 @@ def run(argv: list[str] | None = None) -> int:
         else:
             text = _run_bounds(args)
         if args.out is None:
-            sys.stdout.write(text)
+            for part in _slices(text):
+                sys.stdout.write(part)
         else:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "wb", buffering=0) as raw:
+                _write_all(raw, text)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        print(_usage(args.command), end="", file=sys.stderr)
         return 2
     except (FoliageLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,8 @@ the frequency terms it uses; sweeps, solvers and scenario batches build one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     DeltaOutOfRange,
@@ -60,6 +60,15 @@ _DELTA_SOURCE_TOL = 1e-12
 _FULL_COVER = "delta = 1 leaves no free-space segment; the free-space loss term is undefined"
 
 
+def _checked_make(cls, iterable):
+    """``_make`` of a record that checks its fields: build it through ``__new__``.
+
+    The generated ``_make`` builds the tuple directly, and ``_replace`` goes
+    through ``_make``, so both would skip the checks.
+    """
+    return cls(*iterable)
+
+
 class Regime(str, Enum):
     """Which branch of the foliage decay model produced a loss value."""
 
@@ -80,8 +89,7 @@ class Validity(str, Enum):
     __str__ = str.__str__
 
 
-@dataclass(frozen=True)
-class PathSplit:
+class PathSplit(NamedTuple):
     """Decomposition of one path into foliage and free-space segments."""
 
     d_f_m: float
@@ -89,8 +97,7 @@ class PathSplit:
     delta: float
 
 
-@dataclass(frozen=True)
-class FoliageLossResult:
+class FoliageLossResult(NamedTuple):
     """Foliage loss in dB plus the branch and validity flags that produced it."""
 
     loss_db: float
@@ -98,8 +105,7 @@ class FoliageLossResult:
     validity: Validity
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """Foliage, free-space and total loss for one link, with its split."""
 
     l_foliage_db: float
@@ -109,8 +115,7 @@ class LossBreakdown:
     split: PathSplit
 
 
-@dataclass(frozen=True)
-class DeltaBounds:
+class DeltaBounds(NamedTuple):
     """Admissible band for a cover-factor pick under a fractional perturbation.
 
     A candidate value ``alpha`` is admissible when even after a relative
@@ -129,13 +134,20 @@ class DeltaBounds:
         return self.alpha_low_min <= alpha <= self.alpha_high_max
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class _LinkGeometryFields(NamedTuple):
+    d_km: float
+    h_m: float | None = None
+    h_f_m: float | None = None
+    delta: float | None = None
+
+
+class LinkGeometry(_LinkGeometryFields):
     """Geometry of one sensor-to-gateway link.
 
     The cover factor can be given directly (``delta``) or derived from
     heights (``h_f_m / h_m``). Exactly one source must be supplied; when
-    both are present they must agree to within 1e-12.
+    both are present they must agree to within 1e-12. Every way of building
+    one (the constructor, ``_make`` and ``_replace``) checks the fields.
 
     Args:
         d_km: total path length in kilometers (> 0, finite in meters).
@@ -144,36 +156,40 @@ class LinkGeometry:
         delta: foliage cover factor in [0, 1].
     """
 
-    d_km: float
-    h_m: float | None = None
-    h_f_m: float | None = None
-    delta: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_distance(self.d_km)
-        has_h = self.h_m is not None
-        has_hf = self.h_f_m is not None
+    def __new__(
+        cls,
+        d_km: float,
+        h_m: float | None = None,
+        h_f_m: float | None = None,
+        delta: float | None = None,
+    ) -> LinkGeometry:
+        _check_distance(d_km)
+        has_h = h_m is not None
+        has_hf = h_f_m is not None
         if has_h != has_hf:
             raise InconsistentGeometry("h_m and h_f_m must be supplied together")
-        if not has_h and self.delta is None:
+        if not has_h and delta is None:
             raise InconsistentGeometry(
                 "supply a cover-factor source: delta, or the pair (h_m, h_f_m)"
             )
-        if self.delta is not None and not 0.0 <= self.delta <= 1.0:
-            raise DeltaOutOfRange(f"delta must lie in [0, 1], got {self.delta}")
+        if delta is not None and not 0.0 <= delta <= 1.0:
+            raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
         if has_h:
-            derived = delta_from_heights(self.h_f_m, self.h_m)
-            if self.delta is not None and abs(self.delta - derived) > _DELTA_SOURCE_TOL:
-                raise InconsistentGeometry(
-                    f"delta={self.delta} disagrees with h_f_m/h_m={derived}"
-                )
+            derived = delta_from_heights(h_f_m, h_m)
+            if delta is not None and abs(delta - derived) > _DELTA_SOURCE_TOL:
+                raise InconsistentGeometry(f"delta={delta} disagrees with h_f_m/h_m={derived}")
+        return tuple.__new__(cls, (d_km, h_m, h_f_m, delta))
+
+    _make = classmethod(_checked_make)
 
     @property
     def effective_delta(self) -> float:
         """The cover factor, taken from ``delta`` or derived from the heights."""
         if self.delta is not None:
             return self.delta
-        return self.h_f_m / self.h_m  # __post_init__ checked both heights
+        return self.h_f_m / self.h_m  # __new__ checked both heights
 
 
 def foliage_split(d_km: float, delta: float) -> PathSplit:
@@ -186,7 +202,7 @@ def foliage_split(d_km: float, delta: float) -> PathSplit:
     if not 0.0 <= delta <= 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
     d_f_m, d_fsp_m = _split(d_km, delta)
-    return PathSplit(d_f_m=d_f_m, d_fsp_m=d_fsp_m, delta=delta)
+    return PathSplit(d_f_m, d_fsp_m, delta)
 
 
 def _split(d_km: float, delta: float) -> tuple[float, float]:
@@ -264,11 +280,11 @@ def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
         geometry.d_km, delta
     )
     return LossBreakdown(
-        l_foliage_db=l_foliage,
-        l_fsp_db=l_fsp,
-        l_total_db=l_total,
-        foliage=FoliageLossResult(l_foliage, regime, validity),
-        split=PathSplit(d_f_m=d_f_m, d_fsp_m=d_fsp_m, delta=delta),
+        l_foliage,
+        l_fsp,
+        l_total,
+        FoliageLossResult(l_foliage, regime, validity),
+        PathSplit(d_f_m, d_fsp_m, delta),
     )
 
 

@@ -4,9 +4,8 @@ Each record type has one column tuple: attribute names in output order,
 dotted where the value sits on a nested object (``split.delta`` prints as
 ``delta``). One record renders as a key/value table or a JSON object, a
 list of records as a column table or a JSON array (indent 2). CSV is a
-header line plus one line per record either way. Any ``tuple`` counts as a
-list of records: ``SweepRow`` and ``NodeReport`` are named tuples, so a lone
-one would render as a list, but both only ever render inside a list.
+header line plus one line per record either way. Only a ``list`` is a batch:
+every record is a named tuple, so a lone record is a tuple too.
 
 Cell rules, table / CSV / JSON:
 
@@ -18,7 +17,8 @@ Cell rules, table / CSV / JSON:
 A record whose ``error`` is set gets it as a last, JSON-only key.
 
 CSV and JSON text is written here from one ``%`` template per column tuple
-(and, for JSON, per nesting level), byte for byte what ``csv.writer`` and
+(and, for JSON, per nesting level), each built once per process. The text
+is byte for byte what ``csv.writer`` and
 ``json.dumps(..., indent=2, allow_nan=False)`` would write: both run Python
 code per cell or per row, and ``json.dumps`` its whole pure-Python encoder
 whenever ``indent`` is set. A CSV text is one ``%`` call on a template of
@@ -33,6 +33,7 @@ strings are held until a join.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -66,9 +67,10 @@ BOUNDS_COLUMNS = ("delta_min", "delta_max", "sigma", "alpha_low_min", "alpha_hig
 _BOOL_COLUMNS = frozenset(("link_ok", "converged", "all_feasible"))
 
 
-def _header(columns: tuple[str, ...]) -> list[str]:
+@functools.cache
+def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
     """The printed column names: the last part of each attribute path."""
-    return [column.rpartition(".")[2] for column in columns]
+    return tuple(column.rpartition(".")[2] for column in columns)
 
 
 def _rows(records: list, columns: tuple[str, ...]):
@@ -125,6 +127,18 @@ _CSV_CELL = {str: _csv_text, type(None): {None: ""}.__getitem__}
 _CSV_BOOL_CELL = {**_CSV_CELL, bool: ("false", "true").__getitem__}
 
 
+@functools.cache
+def _csv_format(columns: tuple[str, ...]) -> tuple[str, str, tuple]:
+    """Header line, ``%`` template of one record's line, and per-column cell lookups."""
+    # the header holds attribute names, so no "%" that the template would read
+    head = ",".join(_header(columns)) + "\n"
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    cell_of = tuple(
+        (_CSV_BOOL_CELL if column in _BOOL_COLUMNS else _CSV_CELL).get for column in columns
+    )
+    return head, line, cell_of
+
+
 def to_csv(records, columns: tuple[str, ...]) -> str:
     """CSV text of one record or a list of records: a header line, then one line each.
 
@@ -133,19 +147,14 @@ def to_csv(records, columns: tuple[str, ...]) -> str:
     go to one template in one ``%`` call; they go as they are when all are
     ``_PLAIN``, else each one that is not is converted through ``_CSV_CELL``.
     """
-    single = not isinstance(records, (list, tuple))
-    cells = tuple(chain.from_iterable(_rows([records] if single else records, columns)))
+    head, line, cell_of = _csv_format(columns)
+    batch = records if isinstance(records, list) else [records]
+    cells = tuple(chain.from_iterable(_rows(batch, columns)))
     if not _PLAIN.issuperset(map(type, cells)):
-        cell_of = [
-            (_CSV_BOOL_CELL if column in _BOOL_COLUMNS else _CSV_CELL).get for column in columns
-        ]
         cells = tuple([
             value if type(value) in _PLAIN else get(type(value), _csv_written)(value)
             for value, get in zip(cells, cycle(cell_of))
         ])
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    # the header holds attribute names, so no "%" that the template would read
-    head = ",".join(_header(columns)) + "\n"
     return (head + line * (len(cells) // len(columns))) % cells
 
 
@@ -173,7 +182,8 @@ def _json_other(value: object) -> str:
     return json.dumps(value, allow_nan=False)
 
 
-def _json_template(names: list[str], level: int, error: bool) -> str:
+@functools.cache
+def _json_template(names: tuple[str, ...], level: int, error: bool) -> str:
     """``%`` template of one JSON object nested ``level`` deep, indent 2."""
     pad = "\n" + "  " * (level + 1)
     keys = [*names, "error"] if error else names
@@ -214,7 +224,7 @@ def to_json(records, columns: tuple[str, ...], end: str = "") -> str:
     The text is what ``json.dumps(obj, indent=2, allow_nan=False)`` writes
     for the same dicts: a non-finite float raises ``ValueError``.
     """
-    single = not isinstance(records, (list, tuple))
+    single = not isinstance(records, list)
     batch = [records] if single else records
     names = _header(columns)
     level = 0 if single else 1
@@ -243,7 +253,7 @@ def render(records, columns: tuple[str, ...], fmt: str) -> str:
         return to_json(records, columns, end="\n")
     if fmt == "csv":
         return to_csv(records, columns)
-    single = not isinstance(records, (list, tuple))
+    single = not isinstance(records, list)
     names = _header(columns)
     rows = _rows([records] if single else records, columns)
     if single:

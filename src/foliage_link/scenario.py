@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .budget import RadioConfig, link_margin, required_tx_power
@@ -52,10 +51,7 @@ _RADIO_KEYS = (
 
 
 class ScenarioNode(NamedTuple):
-    """One sensor node: distance plus exactly one cover-factor source.
-
-    A named tuple, as ``NodeReport`` is, because a batch builds one per node.
-    """
+    """One sensor node: distance plus exactly one cover-factor source."""
 
     id: str
     d_km: float
@@ -63,8 +59,7 @@ class ScenarioNode(NamedTuple):
     delta: float | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     frequency_mhz: float
     base_height_m: float
@@ -78,8 +73,7 @@ class NodeReport(NamedTuple):
     A node whose evaluation fails (full foliage cover, or a free-space
     segment that rounds to 0 km) still yields a report: its geometry fields
     are filled, the loss and budget fields are None, ``link_ok`` is False
-    and ``error`` holds the diagnostic. A named tuple, because a batch
-    builds one per node; it costs a third of a frozen dataclass.
+    and ``error`` holds the diagnostic.
     """
 
     id: str
@@ -124,6 +118,16 @@ def _string(obj: dict, key: str, context: str) -> str:
     return value
 
 
+def _is_unicode(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate (a JSON ``"\\ud800"``), which
+    no UTF-8 output can carry."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _number(obj: dict, key: str, context: str) -> float:
     value = obj[key]
     # bool is an int subclass; reject it explicitly
@@ -142,8 +146,9 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
     """One node, validated in one pass.
 
     A node of exactly ``id``, ``d_km`` and one cover-factor source, holding a
-    string and floats inside the model's domain, is accepted by the first
-    test; that test is ``LinkGeometry``'s domain rule written inline. Any
+    string that UTF-8 can carry and floats inside the model's domain, is
+    accepted by the first test; that test is ``LinkGeometry``'s domain rule
+    written inline, and it encodes only a non-ASCII id. Any
     other node is checked field by field, in a fixed order, so the first
     rule it breaks names itself, and ``LinkGeometry`` raises the domain error,
     so those messages are written once.
@@ -153,6 +158,7 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
         h_f_m, delta = raw.get("h_f_m"), raw.get("delta")
         if (
             type(node_id) is str
+            and (node_id.isascii() or _is_unicode(node_id))
             and type(d_km) is float
             and 0.0 < d_km * 1000.0 < math.inf
             and (
@@ -165,7 +171,7 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
     context = f"nodes[{index}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: each node must be an object, got {raw!r}")
-    if "id" in raw and isinstance(raw["id"], str):
+    if "id" in raw and isinstance(raw["id"], str) and _is_unicode(raw["id"]):
         context = f"node '{raw['id']}'"
     has_height = "h_f_m" in raw
     has_delta = "delta" in raw
@@ -175,8 +181,11 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
         raise SchemaError(f"{context}: supply one of 'h_f_m' or 'delta'")
     keys = ("id", "d_km", "h_f_m") if has_height else ("id", "d_km", "delta")
     _check_keys(raw, keys, context)
+    node_id = _string(raw, "id", context)
+    if not _is_unicode(node_id):
+        raise SchemaError(f"{context}: field 'id' holds a lone surrogate, got {node_id!r}")
     node = ScenarioNode(
-        id=_string(raw, "id", context),
+        id=node_id,
         d_km=_number(raw, "d_km", context),
         h_f_m=_number(raw, "h_f_m", context) if has_height else None,
         delta=None if has_height else _number(raw, "delta", context),
@@ -196,7 +205,8 @@ def parse_scenario(text: str) -> Scenario:
         ParseError: the text is not well-formed JSON (message carries the
             position), or holds an integer literal too long to read.
         SchemaError: a missing, unknown or ill-typed field, a duplicate
-            node id, or a node with both / neither cover-factor source.
+            node id, a node id holding a lone surrogate, or a node with
+            both / neither cover-factor source.
         DomainError: a value outside its physical domain, named by field
             (and node id where applicable).
     """
@@ -334,8 +344,8 @@ def emit_scenario(scenario: Scenario) -> str:
     }
     # the head object without its closing "\n}", then the nodes array
     opening = json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "nodes": '
-    by_height = _json_template(["id", "d_km", "h_f_m"], 2, False)
-    by_delta = _json_template(["id", "d_km", "delta"], 2, False)
+    by_height = _json_template(("id", "d_km", "h_f_m"), 2, False)
+    by_delta = _json_template(("id", "d_km", "delta"), 2, False)
     nodes = [
         by_delta % _json_cells((node.id, node.d_km, node.delta))
         if node.h_f_m is None

@@ -9,7 +9,6 @@ regenerate the bundled reference scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ from .propagation import (
     LinkGeometry,
     Regime,
     Validity,
+    _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
@@ -35,17 +35,7 @@ class SweepVariable(str, Enum):
     FREQUENCY_MHZ = "frequency_mhz"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable sweep definition.
-
-    ``base`` fixes every parameter that is not swept; the field of ``base``
-    corresponding to ``variable`` is ignored. ``steps`` lies in
-    [2, ``MAX_STEPS``]. Cover-factor sweeps are capped at ``delta_cap``
-    (``DEFAULT_DELTA_CAP`` by default) and full cover (delta = 1) is rejected
-    outright for every variable, since the free-space term is singular there.
-    """
-
+class _SweepSpecFields(NamedTuple):
     variable: SweepVariable
     start: float
     stop: float
@@ -54,45 +44,67 @@ class SweepSpec:
     f_mhz: float
     delta_cap: float = DEFAULT_DELTA_CAP
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
-            raise InvalidSpec(f"steps must be an integer, got {self.steps!r}")
-        if not 2 <= self.steps <= MAX_STEPS:
-            raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
-        if not -math.inf < self.start < self.stop < math.inf:
-            raise InvalidSpec(f"need finite start < stop, got [{self.start}, {self.stop}]")
-        if not 0.0 < self.f_mhz < math.inf:
-            raise InvalidSpec(f"f_mhz must be > 0 and finite, got {self.f_mhz}")
-        if self.variable is SweepVariable.DELTA:
-            if not 0.0 < self.delta_cap < 1.0:
-                raise InvalidSpec(f"delta_cap must lie in (0, 1), got {self.delta_cap}")
-            if self.start < 0.0 or self.stop > self.delta_cap:
+
+class SweepSpec(_SweepSpecFields):
+    """One-variable sweep definition.
+
+    ``base`` fixes every parameter that is not swept; the field of ``base``
+    corresponding to ``variable`` is ignored. ``steps`` lies in
+    [2, ``MAX_STEPS``]. Cover-factor sweeps are capped at ``delta_cap``
+    (``DEFAULT_DELTA_CAP`` by default) and full cover (delta = 1) is rejected
+    outright for every variable, since the free-space term is singular there.
+    Every way of building one (the constructor, ``_make`` and ``_replace``)
+    checks the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        variable: SweepVariable,
+        start: float,
+        stop: float,
+        steps: int,
+        base: LinkGeometry,
+        f_mhz: float,
+        delta_cap: float = DEFAULT_DELTA_CAP,
+    ) -> SweepSpec:
+        if not isinstance(steps, int) or isinstance(steps, bool):
+            raise InvalidSpec(f"steps must be an integer, got {steps!r}")
+        if not 2 <= steps <= MAX_STEPS:
+            raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
+        if not -math.inf < start < stop < math.inf:
+            raise InvalidSpec(f"need finite start < stop, got [{start}, {stop}]")
+        if not 0.0 < f_mhz < math.inf:
+            raise InvalidSpec(f"f_mhz must be > 0 and finite, got {f_mhz}")
+        if variable is SweepVariable.DELTA:
+            if not 0.0 < delta_cap < 1.0:
+                raise InvalidSpec(f"delta_cap must lie in (0, 1), got {delta_cap}")
+            if start < 0.0 or stop > delta_cap:
                 raise InvalidSpec(
-                    f"cover-factor sweep must stay in [0, {self.delta_cap}], "
-                    f"got [{self.start}, {self.stop}]"
+                    f"cover-factor sweep must stay in [0, {delta_cap}], got [{start}, {stop}]"
                 )
-        elif self.variable is SweepVariable.FOLIAGE_HEIGHT:
-            if self.base.h_m is None:
+        elif variable is SweepVariable.FOLIAGE_HEIGHT:
+            if base.h_m is None:
                 raise InvalidSpec("foliage-height sweep needs base geometry with h_m")
-            if self.start < 0.0:
-                raise InvalidSpec(f"foliage height must be >= 0, got {self.start}")
-            if self.stop >= self.base.h_m:
+            if start < 0.0:
+                raise InvalidSpec(f"foliage height must be >= 0, got {start}")
+            if stop >= base.h_m:
                 raise InvalidSpec(
-                    f"foliage-height sweep must stop below h_m = {self.base.h_m} "
+                    f"foliage-height sweep must stop below h_m = {base.h_m} "
                     "(full cover is singular)"
                 )
-        elif self.start <= 0.0:  # a distance or frequency sweep from here on
-            raise InvalidSpec(f"{self.variable.value} sweep needs start > 0, got {self.start}")
-        elif self.base.effective_delta >= 1.0:
+        elif start <= 0.0:  # a distance or frequency sweep from here on
+            raise InvalidSpec(f"{variable.value} sweep needs start > 0, got {start}")
+        elif base.effective_delta >= 1.0:
             raise InvalidSpec("base cover factor must be below 1 (full cover)")
+        return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz, delta_cap))
+
+    _make = classmethod(_checked_make)
 
 
 class SweepRow(NamedTuple):
-    """One evaluated point: the swept value plus the full loss breakdown.
-
-    A named tuple, because a sweep builds one per point; it costs a third of
-    a frozen dataclass.
-    """
+    """One evaluated point: the swept value plus the full loss breakdown."""
 
     x: float
     delta: float
@@ -105,8 +117,7 @@ class SweepRow(NamedTuple):
     validity: Validity
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     variable: str
     rows: list[SweepRow]
 

@@ -306,16 +306,17 @@ class TestCoverSolverShape:
         assert 0 < len(calls) <= 100
 
     def test_cli_import_leaves_numpy_out(self):
+        """Nor ``dataclasses``, nor the ``inspect`` it imports: every record is a named tuple."""
         src = str(Path(foliage_link.__file__).resolve().parent.parent)
         code = (
             f"import sys; sys.path.insert(0, {src!r}); import foliage_link.cli; "
-            "print('numpy' in sys.modules)"
+            "print([name in sys.modules for name in ('numpy', 'dataclasses', 'inspect')])"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[False, False, False]"
 
     def test_cli_sweeps_leave_numpy_out(self):
         src = str(Path(foliage_link.__file__).resolve().parent.parent)

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,35 @@ class TestUsage:
         first = invoke(capsys, "sweep", "--preset", "figure4", "--format", "csv")
         second = invoke(capsys, "sweep", "--preset", "figure4", "--format", "csv")
         assert first == second
+
+
+class TestParserBuiltOnlyWhenNeeded:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_usage_line_is_argparse_own(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        assert cli._usage(command) == out.partition("\n\n")[0] + "\n"
+
+    def test_canonical_argv_never_builds_the_parser(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        code = (
+            f"import io, sys; sys.path.insert(0, {src!r}); import foliage_link.cli as cli; "
+            "built = []; build = cli.build_parser; "
+            "cli.build_parser = lambda: built.append(1) or build(); "
+            "sys.stdout = io.StringIO(); "
+            "codes = [cli.run(['loss', '--d-km', '2', '--delta', '0.5', '--f-mhz', '2400']), "
+            "cli.run(['budget', '--solve', 'delta', '--tx-dbm', '14', '--sensitivity-dbm', "
+            "'-137', '--d-km', '2', '--f-mhz', '868', '--format', 'json']), "
+            "cli.run(['bounds', '--delta-min', '0.1', '--delta-max', '0.9', '--sigma', '0.5'])]; "
+            "canonical = len(built); "
+            "codes.append(cli.run(['loss', '--d-km=2', '--delta', '0.5', '--f-mhz', '2400'])); "
+            "sys.stdout = sys.__stdout__; print(codes, canonical, len(built))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # only the argv argparse has to read, "--d-km=2", builds the parser
+        assert proc.stdout.strip() == "[0, 0, 0, 0] 0 1"
 
 
 class TestSweep:
@@ -299,6 +331,17 @@ class TestScenarioCommand:
         assert code == 1
         assert "missing field" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_lone_surrogate_id_exits_1(self, capsys, tmp_path, fmt, to_file):
+        path = self.make_file(tmp_path, nodes=[{"id": "\ud800", "d_km": 2, "delta": 0.5}])
+        target = tmp_path / "out.txt"
+        argv = ["scenario", "--file", path, "--format", fmt]
+        code, out, err = invoke(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        assert (code, out) == (1, "")
+        assert err == "error: nodes[0]: field 'id' holds a lone surrogate, got '\\ud800'\n"
+        assert not target.exists()
+
     def test_non_utf8_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -358,6 +401,19 @@ class TestIgnoredFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag} does not apply to ")
         assert "usage:" in err
+
+    def test_prints_the_subcommand_usage(self, capsys):
+        """Under a usage error of ``run``'s own goes the usage block argparse
+        prints above an error of the same subcommand."""
+        argv = ["budget", "--solve", "range", "--delta", "0.5", *BUDGET_RADIO]
+        code, _, err = invoke(capsys, *argv, "--delta-cap", "0.3")
+        assert code == 2
+        head, _, usage = err.partition("\n")
+        assert head == "usage error: --delta-cap does not apply to --solve range"
+        assert usage.startswith("usage: foliage-link budget [-h] --solve {range,delta,height}")
+        code, _, argparse_err = invoke(capsys, *argv, "--delta-cap", "low")
+        assert code == 2
+        assert usage == argparse_err.partition("foliage-link budget: error: ")[0]
 
     @pytest.mark.parametrize(
         "argv, value",
@@ -436,6 +492,65 @@ class TestOutputFile:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and str(target) in err
         assert err.count("\n") == 1
+
+    def test_out_to_a_directory_exits_1(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "budget", "--solve", "range", "--delta", "0.5",
+                                *BUDGET_RADIO, "--format", "json", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    def test_out_longer_than_one_slice_matches_stdout(self, capsys, tmp_path):
+        argv = ["sweep", "--var", "distance", "--start", "0.1", "--stop", "20", "--steps",
+                "12000", "--delta", "0.3", "--f-mhz", "868", "--format", "csv"]
+        code, text, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert len(text) > 1.05 * cli._SLICE
+        target = tmp_path / "sweep.csv"
+        assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == text.encode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])  # JSON escapes non-ASCII text
+    def test_slices_of_multibyte_text(self, capsys, tmp_path, monkeypatch, fmt):
+        """Text written slice by slice, each slice encoded alone, changes no byte."""
+        nodes = [{"id": f"é✓€𝄞{i}", "d_km": 2.0, "delta": 0.5} for i in range(5)]
+        path = TestScenarioCommand().make_file(tmp_path, nodes)
+        argv = ["scenario", "--file", path, "--format", fmt]
+        text = invoke(capsys, *argv)[1]
+        assert "é✓€𝄞4" in text
+        monkeypatch.setattr(cli, "_SLICE", 7)
+        assert invoke(capsys, *argv)[1] == text
+        target = tmp_path / "out.txt"
+        assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == text.encode("utf-8")
+
+    def test_non_ascii_id_survives_csv_out(self, capsys, tmp_path):
+        ids = ["é", "✓ node", "𝄞", "a,é"]
+        nodes = [{"id": node_id, "d_km": 2.0, "delta": 0.5} for node_id in ids]
+        path = TestScenarioCommand().make_file(tmp_path, nodes)
+        target = tmp_path / "out.csv"
+        code, out, err = invoke(capsys, "scenario", "--file", path, "--format", "csv",
+                                "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        rows = list(csv.DictReader(io.StringIO(target.read_text(encoding="utf-8"))))
+        assert [row["id"] for row in rows] == ids
+
+    def test_short_writes_lose_no_byte(self, monkeypatch):
+        class Trickle:
+            """A raw file that takes at most three bytes per write."""
+
+            def __init__(self):
+                self.data = bytearray()
+
+            def write(self, data):
+                self.data += data[:3]
+                return len(data[:3])
+
+        text = "".join(f"é✓€𝄞 {i}\n" for i in range(50))
+        monkeypatch.setattr(cli, "_SLICE", 16)
+        raw = Trickle()
+        cli._write_all(raw, text)
+        assert bytes(raw.data) == text.encode("utf-8")
 
 
 class TestFsplConstantEnv:

@@ -11,6 +11,7 @@ import pytest
 
 from foliage_link import (
     DeltaOutOfRange,
+    FoliageLinkError,
     FullFoliageCover,
     HeightOutOfRange,
     InconsistentGeometry,
@@ -20,7 +21,10 @@ from foliage_link import (
     NonPositiveDistance,
     NonPositiveFrequency,
     NonPositiveHeight,
+    RadioConfig,
     Regime,
+    SweepSpec,
+    SweepVariable,
     Validity,
     delta_bounds,
     delta_from_heights,
@@ -310,6 +314,66 @@ class TestLinkGeometry:
             LinkGeometry(d_km=2, delta=1.5)
         with pytest.raises(HeightOutOfRange):
             LinkGeometry(d_km=2, h_m=30, h_f_m=45)
+
+
+#: a valid record of each type that checks its fields, and one out-of-domain value per case
+_RECORD = {
+    "geometry": LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=15.0),
+    # a transmit power near the float limit, so a second large term overflows the budget sum
+    "radio": RadioConfig(1e308, 2.0, 3.0, -137.0, 10.0),
+    "spec": SweepSpec(SweepVariable.DELTA, 0.0, 0.5, 11, LinkGeometry(2.0, delta=0.0), 868.0),
+}
+
+
+class TestRecords:
+    """Every record is a named tuple; those that check their fields check them
+    on every construction path."""
+
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [
+            ("geometry", "d_km", 0.0),
+            ("geometry", "d_km", math.inf),
+            ("geometry", "h_f_m", None),
+            ("geometry", "h_f_m", 45.0),
+            ("geometry", "delta", 0.25),
+            ("radio", "tx_power_dbm", math.nan),
+            ("radio", "rx_sensitivity_dbm", -math.inf),
+            ("radio", "tx_gain_dbi", 1.7e308),
+            ("radio", "required_margin_db", -1.0),
+            ("spec", "steps", 1),
+            ("spec", "steps", 2.5),
+            ("spec", "stop", 0.96),
+            ("spec", "f_mhz", 0.0),
+            ("spec", "variable", SweepVariable.FOLIAGE_HEIGHT),
+        ],
+    )
+    def test_replace_and_make_check_the_fields(self, record, field, value):
+        valid = _RECORD[record]
+        fields = {**valid._asdict(), field: value}
+        with pytest.raises(FoliageLinkError) as by_constructor:
+            type(valid)(**fields)
+        with pytest.raises(FoliageLinkError) as by_replace:
+            valid._replace(**{field: value})
+        with pytest.raises(FoliageLinkError) as by_make:
+            type(valid)._make(fields.values())
+        for caught in (by_replace, by_make):
+            assert type(caught.value) is type(by_constructor.value)
+            assert str(caught.value) == str(by_constructor.value)
+
+    @pytest.mark.parametrize("record", sorted(_RECORD))
+    def test_replace_and_make_build_the_same_type(self, record):
+        valid = _RECORD[record]
+        assert type(valid._replace()) is type(valid) and valid._replace() == valid
+        assert type(type(valid)._make(valid)) is type(valid)
+
+    def test_records_are_plain_tuples_to_compare_and_iterate(self):
+        breakdown = total_loss(LinkGeometry(d_km=2.0, delta=0.5), 2400.0)
+        l_foliage, l_fsp, l_total, foliage, split = breakdown
+        assert split == (1000.0, 1000.0, 0.5)
+        assert foliage == (l_foliage, Regime.POWER, Validity.EXTRAPOLATED)
+        assert breakdown._asdict()["l_total_db"] == l_total == l_foliage + l_fsp
+        assert delta_bounds(0.1, 0.9, 0.0) == (0.1, 0.9, 0.0, 0.1, 0.9)
 
 
 class TestDeltaBounds:

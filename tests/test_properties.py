@@ -9,7 +9,6 @@ every run draws the same examples.
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -72,12 +71,9 @@ def _reject(token):
 
 
 def _floats(value):
-    """Every float in ``value``, looking inside dataclasses, lists, tuples and dicts."""
+    """Every float in ``value``, looking inside lists, tuples (records among them) and dicts."""
     if isinstance(value, float):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
-            yield from _floats(getattr(value, field.name))
     elif isinstance(value, (list, tuple)):
         for item in value:
             yield from _floats(item)
@@ -347,6 +343,19 @@ def test_to_json_refuses_a_non_finite_cell(value, single):
         render.to_json(record if single else [record], render.BOUNDS_COLUMNS)
 
 
+def test_only_a_list_is_a_batch():
+    """A lone record is a named tuple, and still renders as one record."""
+    bounds, columns = delta_bounds(0.1, 0.9, 0.5), render.BOUNDS_COLUMNS
+    assert json.loads(render.to_json(bounds, columns)) == bounds._asdict()
+    assert json.loads(render.to_json([bounds], columns)) == [bounds._asdict()]
+    table = render.render(bounds, columns, "table").splitlines()
+    assert [line.split() for line in table] == [
+        [name, f"{value:.7f}"] for name, value in bounds._asdict().items()
+    ]
+    assert render.to_csv(bounds, columns) == render.to_csv([bounds], columns)
+    assert render.to_csv(bounds, columns).count("\n") == 2
+
+
 #: node values: any float, and ints as a hand-built ``ScenarioNode`` may hold them
 NODE_VALUE = st.one_of(st.floats(), st.integers(-10**6, 10**6), SPECIAL)
 
@@ -368,7 +377,7 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
         "name": name,
         "frequency_mhz": frequency_mhz,
         "base_height_m": base_height_m,
-        "radio": dataclasses.asdict(radio),
+        "radio": radio._asdict(),
         "nodes": [
             {"id": node.id, "d_km": node.d_km,
              **({"h_f_m": node.h_f_m} if node.h_f_m is not None else {"delta": node.delta})}

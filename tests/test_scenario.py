@@ -245,6 +245,23 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="line"):
             parse_scenario("{ not json")
 
+    @pytest.mark.parametrize("node_id", ["\ud800", "ok\udfff", "\udc00\ud800", "é\ud83d"])
+    @pytest.mark.parametrize("source", [{"delta": 0.5}, {"h_f_m": 15.0}])
+    def test_lone_surrogate_id_names_the_node(self, node_id, source):
+        # the JSON text escapes the surrogate as \\udXXX, which json.loads accepts
+        text = scenario_doc([{"id": "n1", "d_km": 2.0, "delta": 0.5},
+                             {"id": node_id, "d_km": 2.0, **source}])
+        assert "\\ud" in text
+        with pytest.raises(SchemaError) as caught:
+            parse_scenario(text)
+        assert type(caught.value) is SchemaError
+        assert str(caught.value) == f"nodes[1]: field 'id' holds a lone surrogate, got {node_id!r}"
+
+    def test_non_ascii_ids_are_accepted(self):
+        ids = ["é", "✓ node", "𝄞", " "]  # "𝄞" goes to the JSON text as an escaped pair
+        nodes = [{"id": node_id, "d_km": 2.0, "delta": 0.5} for node_id in ids]
+        assert [node.id for node in parse_scenario(scenario_doc(nodes)).nodes] == ids
+
     @pytest.mark.parametrize(
         "field, context",
         [("d_km", "node 'n1'"), ("frequency_mhz", "scenario"), ("tx_power_dbm", "radio")],
