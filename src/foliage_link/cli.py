@@ -41,9 +41,18 @@ from .render import (
     REPORT_COLUMNS,
     SOLVE_COLUMNS,
     SWEEP_COLUMNS,
+    csv_cells,
+    json_cells,
     render,
 )
-from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario
+from .scenario import (
+    _REPORT_WIDTH,
+    _scenario_cells,
+    emit_csv,
+    emit_json,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
+    evaluate_scenario,
+    parse_scenario,
+)
 from .sweep import SweepSpec, SweepVariable, preset, run_sweep
 
 #: a solve as the ``budget`` command prints it: its kind, then its result
@@ -342,12 +351,13 @@ def _run_scenario(args: argparse.Namespace) -> str:
             text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    reports = evaluate_scenario(parse_scenario(text))
+    if args.format == "table":
+        return render(evaluate_scenario(parse_scenario(text)), REPORT_COLUMNS, "table")
+    # CSV and JSON are written straight from the report cells
+    cells = _scenario_cells(text)
     if args.format == "json":
-        return emit_json(reports, end="\n")
-    if args.format == "csv":
-        return emit_csv(reports)
-    return render(reports, REPORT_COLUMNS, "table")
+        return json_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, end="\n")
+    return csv_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH)
 
 
 def _run_bounds(args: argparse.Namespace) -> str:

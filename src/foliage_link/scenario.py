@@ -5,6 +5,12 @@ checked, and every value is validated against its physical domain at parse
 time. One gateway (frequency, antenna height, radio) serves many nodes;
 each node gives its distance and either a foliage height or a cover
 factor, never both.
+
+Two loops do the work: ``_node_values`` validates each node to its
+``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to one
+flat list of report cells. ``parse_scenario`` and ``evaluate_scenario``
+build their records from them, and ``_scenario_cells`` chains them for the
+CLI, whose CSV and JSON are rendered from the cells with no record built.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import json
 import math
 from typing import NamedTuple, Sequence
 
-from .budget import RadioConfig, link_margin, required_tx_power
+from .budget import RadioConfig
 from .errors import (
     DomainError,
     EmptyInput,
@@ -142,32 +148,42 @@ def _number(obj: dict, key: str, context: str) -> float:
     return number
 
 
-def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
-    """One node, validated in one pass.
+def _node_values(raw_nodes: list, base_height_m: float):
+    """Each node's ``(id, d_km, h_f_m, delta)``, validated, in document order.
 
     A node of exactly ``id``, ``d_km`` and one cover-factor source, holding a
     string that UTF-8 can carry and floats inside the model's domain, is
     accepted by the first test; that test is ``LinkGeometry``'s domain rule
-    written inline, and it encodes only a non-ASCII id. Any
-    other node is checked field by field, in a fixed order, so the first
-    rule it breaks names itself, and ``LinkGeometry`` raises the domain error,
-    so those messages are written once.
+    written inline, and it encodes only a non-ASCII id. Any other node goes
+    to ``_parse_node``, which accepts it or raises its error.
     """
-    if type(raw) is dict and len(raw) == 3:
-        node_id, d_km = raw.get("id"), raw.get("d_km")
-        h_f_m, delta = raw.get("h_f_m"), raw.get("delta")
-        if (
-            type(node_id) is str
-            and (node_id.isascii() or _is_unicode(node_id))
-            and type(d_km) is float
-            and 0.0 < d_km * 1000.0 < math.inf
-            and (
-                type(delta) is float and 0.0 <= delta <= 1.0
-                if h_f_m is None
-                else type(h_f_m) is float and 0.0 <= h_f_m <= base_height_m
-            )
-        ):
-            return ScenarioNode(node_id, d_km, h_f_m, delta)
+    for index, raw in enumerate(raw_nodes):
+        if type(raw) is dict and len(raw) == 3:
+            node_id, d_km = raw.get("id"), raw.get("d_km")
+            h_f_m, delta = raw.get("h_f_m"), raw.get("delta")
+            if (
+                type(node_id) is str
+                and (node_id.isascii() or _is_unicode(node_id))
+                and type(d_km) is float
+                and 0.0 < d_km * 1000.0 < math.inf
+                and (
+                    type(delta) is float and 0.0 <= delta <= 1.0
+                    if h_f_m is None
+                    else type(h_f_m) is float and 0.0 <= h_f_m <= base_height_m
+                )
+            ):
+                yield node_id, d_km, h_f_m, delta
+                continue
+        yield _parse_node(raw, index, base_height_m)
+
+
+def _parse_node(raw: object, index: int, base_height_m: float) -> tuple:
+    """``(id, d_km, h_f_m, delta)`` of a node that ``_node_values``' first test refused.
+
+    The node is checked field by field, in a fixed order, so the first rule
+    it breaks names itself, and ``LinkGeometry`` raises the domain error, so
+    those messages are written once.
+    """
     context = f"nodes[{index}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: each node must be an object, got {raw!r}")
@@ -184,32 +200,19 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> ScenarioNode:
     node_id = _string(raw, "id", context)
     if not _is_unicode(node_id):
         raise SchemaError(f"{context}: field 'id' holds a lone surrogate, got {node_id!r}")
-    node = ScenarioNode(
-        id=node_id,
-        d_km=_number(raw, "d_km", context),
-        h_f_m=_number(raw, "h_f_m", context) if has_height else None,
-        delta=None if has_height else _number(raw, "delta", context),
-    )
+    d_km = _number(raw, "d_km", context)
+    h_f_m = _number(raw, "h_f_m", context) if has_height else None
+    delta = None if has_height else _number(raw, "delta", context)
     h_m = base_height_m if has_height else None
     try:  # the model's own domain rule; a node of integer values also passes here
-        LinkGeometry(node.d_km, h_m=h_m, h_f_m=node.h_f_m, delta=node.delta)
+        LinkGeometry(d_km, h_m=h_m, h_f_m=h_f_m, delta=delta)
     except FoliageLinkError as exc:
         raise DomainError(f"{context}: {exc}") from exc
-    return node
+    return node_id, d_km, h_f_m, delta
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario JSON document.
-
-    Raises:
-        ParseError: the text is not well-formed JSON (message carries the
-            position), or holds an integer literal too long to read.
-        SchemaError: a missing, unknown or ill-typed field, a duplicate
-            node id, a node id holding a lone surrogate, or a node with
-            both / neither cover-factor source.
-        DomainError: a value outside its physical domain, named by field
-            (and node id where applicable).
-    """
+def _scenario_head(text: str) -> tuple[str, float, float, RadioConfig, list]:
+    """The document's name, frequency, base height and radio, all checked, and its raw nodes."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant, parse_int=_read_int)
     except json.JSONDecodeError as exc:
@@ -241,21 +244,78 @@ def parse_scenario(text: str) -> Scenario:
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list):
         raise SchemaError(f"scenario: field 'nodes' must be an array, got {raw_nodes!r}")
-    nodes = [
-        _parse_node(raw, index, base_height_m) for index, raw in enumerate(raw_nodes)
-    ]
+    return name, frequency_mhz, base_height_m, radio, raw_nodes
+
+
+def _check_unique(ids: list[str]) -> None:
+    """Raise for the first id that repeats one before it; the set's size shows whether any does."""
+    if len(set(ids)) == len(ids):
+        return
     seen: set[str] = set()
-    for node in nodes:
-        if node.id in seen:
-            raise SchemaError(f"scenario: duplicate node id '{node.id}'")
-        seen.add(node.id)
-    return Scenario(
-        name=name,
-        frequency_mhz=frequency_mhz,
-        base_height_m=base_height_m,
-        radio=radio,
-        nodes=nodes,
-    )
+    for node_id in ids:
+        if node_id in seen:
+            raise SchemaError(f"scenario: duplicate node id '{node_id}'")
+        seen.add(node_id)
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and fully validate a scenario JSON document.
+
+    Raises:
+        ParseError: the text is not well-formed JSON (message carries the
+            position), or holds an integer literal too long to read.
+        SchemaError: a missing, unknown or ill-typed field, a duplicate
+            node id, a node id holding a lone surrogate, or a node with
+            both / neither cover-factor source.
+        DomainError: a value outside its physical domain, named by field
+            (and node id where applicable).
+    """
+    name, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(text)
+    nodes = list(map(ScenarioNode._make, _node_values(raw_nodes, base_height_m)))
+    _check_unique([node.id for node in nodes])
+    return Scenario(name, frequency_mhz, base_height_m, radio, nodes)
+
+
+#: cells of one node's report: ``REPORT_COLUMNS``, then ``error``
+_REPORT_WIDTH = len(NodeReport._fields)
+
+
+def _report_cells(nodes, frequency_mhz: float, base_height_m: float, radio: RadioConfig) -> list:
+    """Every node's report as one flat list, ``NodeReport``'s fields in order, node after node.
+
+    ``nodes`` gives each node's ``(id, d_km, h_f_m, delta)``. A node whose
+    loss cannot be evaluated (full foliage cover, or a path so short that
+    its free-space segment rounds to 0 km) gets an error row. The margin
+    and the required power are ``link_margin``'s and ``required_tx_power``'s
+    sums, in their order, so every number is theirs to the bit.
+
+    Raises:
+        FoliageLinkError: a node that ``_node_values`` would have rejected.
+    """
+    at = _LossCore(frequency_mhz).at
+    tx_power, tx_gain, rx_gain, sensitivity, required_margin = radio
+    gains = tx_power + tx_gain + rx_gain  # link_margin's sum up to its loss term
+    inf = math.inf
+    cells: list = []
+    for node_id, d_km, h_f_m, delta in nodes:
+        if delta is None:
+            delta = delta_from_heights(h_f_m, base_height_m)
+        if not (0.0 < d_km * 1000.0 < inf and 0.0 <= delta <= 1.0):
+            foliage_split(d_km, delta)  # a node no parse checked: raise its error
+        try:
+            d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = at(d_km, delta)
+        except FoliageLinkError as exc:
+            split = foliage_split(d_km, delta)
+            cells += (node_id, delta, split.d_f_m, split.d_fsp_m,
+                      None, None, None, None, None, None, None, False, str(exc))
+            continue
+        margin = gains - l_total - sensitivity
+        cells += (
+            node_id, delta, d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity, margin,
+            l_total + sensitivity - tx_gain - rx_gain + required_margin,
+            margin >= required_margin, None,
+        )
+    return cells
 
 
 def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
@@ -268,45 +328,24 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     Raises:
         FoliageLinkError: a node that ``parse_scenario`` would have rejected.
     """
-    radio = scenario.radio
-    at = _LossCore(scenario.frequency_mhz).at
-    reports: list[NodeReport] = []
-    for node in scenario.nodes:
-        d_km, delta = node.d_km, node.delta
-        if delta is None:
-            delta = delta_from_heights(node.h_f_m, scenario.base_height_m)
-        if not (0.0 < d_km * 1000.0 < math.inf and 0.0 <= delta <= 1.0):
-            foliage_split(d_km, delta)  # a node parse_scenario did not check: raise its error
-        try:
-            d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = at(d_km, delta)
-        except FoliageLinkError as exc:
-            split = foliage_split(d_km, delta)
-            reports.append(
-                NodeReport(
-                    id=node.id,
-                    delta=delta,
-                    d_f_m=split.d_f_m,
-                    d_fsp_m=split.d_fsp_m,
-                    l_foliage_db=None,
-                    l_fsp_db=None,
-                    l_total_db=None,
-                    regime=None,
-                    validity=None,
-                    margin_db=None,
-                    required_tx_dbm=None,
-                    link_ok=False,
-                    error=str(exc),
-                )
-            )
-            continue
-        margin = link_margin(radio, l_total)
-        reports.append(
-            NodeReport(
-                node.id, delta, d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity,
-                margin, required_tx_power(radio, l_total), margin >= radio.required_margin_db,
-            )
-        )
-    return reports
+    cells = _report_cells(
+        scenario.nodes, scenario.frequency_mhz, scenario.base_height_m, scenario.radio
+    )
+    return list(map(NodeReport._make, zip(*[iter(cells)] * _REPORT_WIDTH)))
+
+
+def _scenario_cells(text: str) -> list:
+    """The cells of ``evaluate_scenario(parse_scenario(text))``'s reports, as one flat list.
+
+    The document is checked as ``parse_scenario`` checks it, and raises the
+    same first error, but no node or report record is built.
+    """
+    _, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(text)
+    cells = _report_cells(
+        _node_values(raw_nodes, base_height_m), frequency_mhz, base_height_m, radio
+    )
+    _check_unique(cells[::_REPORT_WIDTH])
+    return cells
 
 
 def emit_csv(data) -> str:

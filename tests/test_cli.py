@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from foliage_link import cli
+from foliage_link import FoliageLinkError, cli, parse_scenario
 from foliage_link.cli import run
 
+import render_digest
 from argv_check import readme_argvs
 
 TOTAL_D2_DELTA0 = 106.07482474751174
@@ -349,6 +350,55 @@ class TestScenarioCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: not UTF-8 at byte 0: ")
         assert err.count("\n") == 1
+
+    def test_carriage_return_id_reads_back(self, capsys, tmp_path):
+        path = self.make_file(tmp_path, nodes=[{"id": "cr\rlf", "d_km": 2, "delta": 0.5}])
+        code, out, err = invoke(capsys, "scenario", "--file", path, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 2
+        assert rows[1][0] == "cr\rlf"
+
+    #: documents that break more than one rule, and the error each must report
+    ERROR_ORDER = {
+        "bad node before a duplicate": (
+            {}, [{"id": "a", "d_km": 2, "delta": 0.5}, {"id": "b", "d_km": 2, "delta": 1.5},
+                 {"id": "a", "d_km": 3, "delta": 0.5}],
+            "node 'b': delta must lie in [0, 1], got 1.5",
+        ),
+        "bad node after a duplicate": (
+            {}, [{"id": "a", "d_km": 2, "delta": 0.5}, {"id": "a", "d_km": 3, "h_f_m": 9.0},
+                 {"id": "b", "d_km": 2, "h_f_m": 31.0}],
+            "node 'b': h_f_m must lie in [0, h_m=30.0], got 31.0",
+        ),
+        "duplicate once every node is valid": (
+            {}, [{"id": "a", "d_km": 2, "delta": 0.5}, {"id": "b", "d_km": 2, "delta": 1},
+                 {"id": "a", "d_km": 3, "h_f_m": 9}],
+            "scenario: duplicate node id 'a'",
+        ),
+        "bad head and a bad node": (
+            {"frequency_mhz": -868}, [{"id": "a", "d_km": -2, "delta": 0.5}],
+            "scenario: frequency_mhz must be > 0",
+        ),
+        "lone surrogate after a duplicate": (
+            {}, [{"id": "a", "d_km": 2, "delta": 0.5}, {"id": "a", "d_km": 2, "delta": 0.5},
+                 {"id": "\ud800", "d_km": 2, "delta": 0.5}],
+            "nodes[2]: field 'id' holds a lone surrogate",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ERROR_ORDER))
+    def test_error_order_matches_parse_scenario(self, capsys, tmp_path, case):
+        head, nodes, message = self.ERROR_ORDER[case]
+        path = Path(self.make_file(tmp_path, nodes=nodes))
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), **head}),
+                        encoding="utf-8")
+        with pytest.raises(FoliageLinkError) as raised:
+            parse_scenario(path.read_text(encoding="utf-8"))
+        assert message in str(raised.value)
+        for fmt in ("table", "csv", "json"):
+            code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", fmt)
+            assert (code, out, err) == (1, "", f"error: {raised.value}\n"), fmt
 
 
 BUDGET_RADIO = ["--tx-dbm", "14", "--sensitivity-dbm", "-137", "--f-mhz", "868"]
@@ -869,6 +919,14 @@ class TestPinnedOutput:
         code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", "csv")
         assert (code, err) == (0, "")
         assert out == QUOTED_CSV
+
+
+class TestRenderDigest:
+    """Every CSV and JSON byte of ``tests/render_digest.py``'s seeded cases, on any Python."""
+
+    def test_digest_of_300_points(self):
+        digests = dict(render_digest.digest(300))
+        assert digests["all"] == "5d82ac52becb49351efcbccca3abbccc60f1c3fb8383d9c4a997cb001f32d2ce"
 
 
 FORMATS = ("table", "csv", "json")

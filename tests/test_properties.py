@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
+import tempfile
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -38,6 +40,7 @@ from foliage_link import (
     Validity,
     delta_bounds,
     delta_from_heights,
+    emit_csv,
     emit_json,
     emit_scenario,
     evaluate_scenario,
@@ -55,6 +58,8 @@ from foliage_link import (
 )
 from foliage_link import cli, render
 from foliage_link.cli import run
+
+from render_digest import ODD_IDS
 
 inf, nan = math.inf, math.nan
 SPECIAL = st.sampled_from([0.0, 0.5, 1.0, 1e306, -1e306, 1e-300, 5e-324, inf, -inf, nan])
@@ -396,8 +401,8 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
 #: the columns whose bools CSV writes ``true``/``false``; csv.writer writes any other bool
 #: as ``True``/``False``
 CSV_BOOL_COLUMNS = {"link_ok", "converged", "all_feasible"}
-#: cells for CSV: the JSON cells, strings that csv.writer quotes (or, for a lone carriage
-#: return on some Python versions, does not), and an enum that is not the package's own
+#: cells for CSV: the JSON cells, strings that csv.writer quotes, and an enum that is not
+#: the package's own
 CSV_CELL = st.one_of(
     CELL,
     st.sampled_from(["row,12", 'say "hi"', "cr\rlf", "two\nlines", '"', ",", "\r\n", ""]),
@@ -407,16 +412,25 @@ PLAIN_CELL = st.one_of(st.floats(), st.integers(), st.sampled_from([*Regime, *Va
 
 
 def _reference_csv(columns, rows):
+    """What ``csv.writer`` writes for the rows, with LF line endings.
+
+    Each row is written with a CRLF terminator, then given an LF one: before
+    Python 3.13, ``csv.writer`` quotes a lone ``\\r`` or ``\\n`` only when the
+    line terminator holds it.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([column.rpartition(".")[2] for column in columns])
-    for cells in rows:
+    writer = csv.writer(out, lineterminator="\r\n")
+    lines = []
+    for cells in [[column.rpartition(".")[2] for column in columns], *rows]:
         writer.writerow([
             ("false", "true")[value] if type(value) is bool and column in CSV_BOOL_COLUMNS
             else value
             for column, value in zip(columns, cells)
         ])
-    return out.getvalue()
+        lines.append(out.getvalue()[:-2] + "\n")
+        out.seek(0)
+        out.truncate()
+    return "".join(lines)
 
 
 @CHECKED
@@ -454,6 +468,41 @@ def test_to_csv_of_a_long_mixed_batch():
 def test_to_csv_of_no_records(columns):
     assert render.to_csv([], columns) == _reference_csv(columns, [])
     assert render.to_csv([], columns) == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
+
+
+#: a scenario node: id, d_km (an int goes through the field-by-field check), cover source
+#: ("full" is delta 1, an error row) and cover share; a share of 1 by height is full cover too
+SCENARIO_NODE = st.tuples(
+    st.sampled_from(ODD_IDS),
+    st.one_of(st.floats(1e-3, 30.0), st.integers(1, 30)),
+    st.sampled_from(["delta", "h_f_m", "full"]),
+    st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+)
+
+
+@CHECKED
+@given(nodes=st.lists(SCENARIO_NODE, max_size=50), fmt=st.sampled_from(["csv", "json"]))
+def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
+    """The CLI writes straight from the report cells; the records are the reference."""
+    doc_nodes = []
+    for index, (odd_id, d_km, source, share) in enumerate(nodes):
+        node = {"id": f"{odd_id}{index}", "d_km": d_km}
+        if source == "h_f_m":
+            node["h_f_m"] = share * 30.0
+        else:
+            node["delta"] = 1.0 if source == "full" else share
+        doc_nodes.append(node)
+    text = json.dumps({
+        "name": "flat", "frequency_mhz": 868.0, "base_height_m": 30.0,
+        "radio": RADIO._asdict(), "nodes": doc_nodes,
+    })
+    reports = evaluate_scenario(parse_scenario(text))
+    expected = emit_csv(reports) if fmt == "csv" else emit_json(reports, end="\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(text, encoding="utf-8")
+        assert run(["scenario", "--file", str(path), "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes().decode("utf-8") == expected
 
 
 # ---------------------------------------------------------------- argv parsing

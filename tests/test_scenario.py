@@ -339,9 +339,17 @@ class TestEvaluateScenario:
         assert ok.l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
         assert json.loads(emit_json([speck, ok]))[0]["error"] == speck.error
 
-    def test_rows_equal_total_loss(self):
-        # the batch evaluates through the hoisted loss core; every row must
-        # equal the checked scalar path at its node, bit for bit
+    #: the radio of ``scenario_doc``, and one whose sums round differently by order
+    #: ((14.1 + 0.7) + 2.3 != 14.1 + (0.7 + 2.3))
+    @pytest.mark.parametrize("radio", [
+        None,
+        {"tx_power_dbm": 14.1, "tx_gain_dbi": 0.7, "rx_gain_dbi": 2.3,
+         "rx_sensitivity_dbm": -137.3, "required_margin_db": 9.9},
+    ], ids=["doc-radio", "fractional-radio"])
+    def test_rows_equal_total_loss(self, radio):
+        # the batch evaluates through the hoisted loss core and hoisted radio
+        # sums; every row must equal the checked scalar path at its node, bit
+        # for bit
         nodes = [{"id": "speck", "d_km": 5e-324, "delta": 0.5}]
         for i in range(400):
             d_km = 10 ** (-3 + 5.5 * ((i * 0.6180339887) % 1.0))
@@ -352,7 +360,9 @@ class TestEvaluateScenario:
             else:
                 node["delta"] = 1.0 if i % 50 == 1 else cover
             nodes.append(node)
-        scenario = parse_scenario(scenario_doc(nodes))
+        doc = json.loads(scenario_doc(nodes))
+        doc["radio"] = radio or doc["radio"]
+        scenario = parse_scenario(json.dumps(doc))
         reports = evaluate_scenario(scenario)
         full_cover = [node["id"] for node in nodes if node.get("delta") == 1.0]
         assert [r.id for r in reports if r.error is not None] == ["speck", *full_cover]
