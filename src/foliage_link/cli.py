@@ -14,17 +14,18 @@ error text are argparse's own; the parser is built only then, or to print
 the usage line under a usage error of ``run``'s own.
 
 Output goes out in slices of about 1 MB: to stdout as text, to ``--out``
-as UTF-8 bytes through one unbuffered binary file.
+as UTF-8 bytes through one file descriptor.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
+import os
 import re
 import sys
 from collections import namedtuple
+from math import isfinite
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
@@ -76,7 +77,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
@@ -186,6 +187,16 @@ def _dest(flag: str) -> str:
 _negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
+def _fast_type(keywords: dict):
+    """The conversion ``_fast_parse`` makes for a flag declared with ``keywords``.
+
+    A ``_finite_float`` flag converts with ``float`` itself, which saves a
+    call frame per flag; ``_fast_parse`` then checks that it is finite.
+    """
+    convert = keywords.get("type", str)
+    return float if convert is _finite_float else convert
+
+
 @functools.cache
 def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
     """Per subcommand, what ``_fast_parse`` reads, built from ``_COMMANDS``.
@@ -196,7 +207,7 @@ def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
     """
     return {
         name: (
-            {flag: (_dest(flag), kw.get("type", str), kw.get("choices")) for flag, kw in flags},
+            {flag: (_dest(flag), _fast_type(kw), kw.get("choices")) for flag, kw in flags},
             {"command": name, **{_dest(flag): kw.get("default") for flag, kw in flags}},
             frozenset(_dest(flag) for flag, kw in flags if kw.get("required")),
         )
@@ -233,6 +244,8 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
             value = convert(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
+        if convert is float and not isfinite(value):
+            return None
         if choices is not None and value not in choices:
             return None
         values[dest] = value
@@ -244,10 +257,14 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
     return args
 
 
-def _reject_unused(args: argparse.Namespace, flags: tuple[str, ...], where: str) -> None:
-    """A usage error naming the first of ``flags`` given: ``where`` would ignore it."""
-    for flag in flags:
-        if getattr(args, _dest(flag)) is not None:
+def _reject_unused(args: argparse.Namespace, dests: tuple[str, ...], where: str) -> None:
+    """A usage error naming the flag of the first of ``dests`` given: ``where`` would ignore it."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            flag = next(
+                flag for flag, (name, *_) in _option_tables()[args.command][0].items()
+                if name == dest
+            )
             raise _UsageError(f"{flag} does not apply to {where}")
 
 
@@ -277,8 +294,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
             raise _UsageError("--preset is exclusive of --var/--start/--stop/--steps")
-        _reject_unused(args, ("--d-km", "--delta", "--h-m", "--h-f-m", "--f-mhz", "--delta-cap"),
-                       "--preset")
+        _reject_unused(args, ("d_km", "delta", "h_m", "h_f_m", "f_mhz", "delta_cap"), "--preset")
         spec = preset(args.preset)
     else:
         if any(flag is None for flag in custom_flags):
@@ -286,20 +302,20 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
         variable = _SWEEP_VARS[args.var]
         where = f"a {args.var} sweep"
         if variable is SweepVariable.DELTA:
-            _reject_unused(args, ("--delta", "--h-m", "--h-f-m"), where)
+            _reject_unused(args, ("delta", "h_m", "h_f_m"), where)
             if args.d_km is None:
                 raise _UsageError("--d-km is required for a delta sweep")
             base = LinkGeometry(d_km=args.d_km, delta=args.start)
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
-            _reject_unused(args, ("--delta", "--h-f-m", "--delta-cap"), where)
+            _reject_unused(args, ("delta", "h_f_m", "delta_cap"), where)
             if args.d_km is None or args.h_m is None:
                 raise _UsageError("--d-km and --h-m are required for a foliage-height sweep")
             base = LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.start)
         elif variable is SweepVariable.DISTANCE:
-            _reject_unused(args, ("--d-km", "--delta-cap"), where)
+            _reject_unused(args, ("d_km", "delta_cap"), where)
             base = LinkGeometry(d_km=args.start, delta=_delta_from_args(args))
         else:  # frequency sweep
-            _reject_unused(args, ("--f-mhz", "--delta-cap"), where)
+            _reject_unused(args, ("f_mhz", "delta_cap"), where)
             base = _geometry_from_args(args)
         f_mhz = args.start if variable is SweepVariable.FREQUENCY_MHZ else args.f_mhz
         if f_mhz is None:
@@ -330,15 +346,15 @@ def _run_budget(args: argparse.Namespace) -> str:
     where = f"--solve {args.solve}"
     delta_cap = DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap
     if args.solve == "range":
-        _reject_unused(args, ("--d-km", "--delta-cap"), where)
+        _reject_unused(args, ("d_km", "delta_cap"), where)
         result = max_range(radio, _delta_from_args(args), args.f_mhz)
     elif args.solve == "delta":
-        _reject_unused(args, ("--delta", "--h-m", "--h-f-m"), where)
+        _reject_unused(args, ("delta", "h_m", "h_f_m"), where)
         if args.d_km is None:
             raise _UsageError("--d-km is required for --solve delta")
         result = max_foliage_factor(radio, args.d_km, args.f_mhz, delta_cap)
     else:
-        _reject_unused(args, ("--delta", "--h-f-m"), where)
+        _reject_unused(args, ("delta", "h_f_m"), where)
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
         result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, delta_cap)
@@ -373,16 +389,16 @@ def _slices(text: str):
     return (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
 
 
-def _write_all(raw, text: str) -> None:
-    """Write ``text`` as UTF-8 to the raw binary file ``raw``, one slice at a time.
+def _write_all(write, text: str) -> None:
+    """Write ``text`` as UTF-8 through the raw ``write`` function, one slice at a time.
 
-    A raw ``write`` may take fewer bytes than it is given; the rest is
-    written again until none is left.
+    A raw write may take fewer bytes than it is given; the rest is written
+    again until none is left.
     """
     for part in _slices(text):
         data = memoryview(part.encode("utf-8"))
         while data:
-            data = data[raw.write(data):]
+            data = data[write(data):]
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -410,8 +426,13 @@ def run(argv: list[str] | None = None) -> int:
             for part in _slices(text):
                 sys.stdout.write(part)
         else:
-            with open(args.out, "wb", buffering=0) as raw:
-                _write_all(raw, text)
+            # a bare descriptor: a file object costs more to set up than a
+            # small output costs to write, and raises the same OSError
+            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                _write_all(functools.partial(os.write, fd), text)
+            finally:
+                os.close(fd)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         print(_usage(args.command), end="", file=sys.stderr)

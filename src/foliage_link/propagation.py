@@ -20,7 +20,9 @@ Public functions check their inputs once and return finite numbers. Each
 formula lives once, in the private ``_split``, ``_foliage`` and
 ``_free_space``, which trust their callers. Each scalar entry computes only
 the frequency terms it uses; sweeps, solvers and scenario batches build one
-``_LossCore``, which hoists them all, and evaluate every point through it.
+``_LossCore``, which hoists them all, and evaluate every point through its
+``at``. The solvers take the model's closed-form slopes from the same core
+(``log_d_slope``, ``delta_slope``).
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ WEISSBERGER_MAX_DEPTH_M = 400.0
 
 #: Default cover-factor ceiling of sweeps and solves, short of singular full cover.
 DEFAULT_DELTA_CAP = 0.95
+
+#: Exponent of the decay model's power branch in the foliage depth.
+_POWER_EXPONENT = 0.588
+
+#: Decibels per neper: the derivative of 20 log10(x) is this over x.
+_DB_PER_NEPER = 20.0 / math.log(10.0)
 
 _DELTA_SOURCE_TOL = 1e-12
 
@@ -317,7 +325,7 @@ def _foliage(d_f_m: float, linear: float, power: float) -> tuple[float, Regime, 
     if d_f_m <= LINEAR_BRANCH_MAX_M:
         return linear * d_f_m, _LINEAR, _IN_DOMAIN
     validity = _EXTRAPOLATED if d_f_m > WEISSBERGER_MAX_DEPTH_M else _IN_DOMAIN
-    return power * d_f_m**0.588, _POWER, validity
+    return power * d_f_m**_POWER_EXPONENT, _POWER, validity
 
 
 def _free_space(d_km: float, log_f: float) -> float:
@@ -360,6 +368,30 @@ class _LossCore:
         l_foliage, regime, validity = _foliage(d_f_m, self._linear, self._power)
         l_fsp = _free_space(d_fsp_km, self._log_f)
         return d_f_m, d_fsp_m, l_foliage, l_fsp, l_foliage + l_fsp, regime, validity
+
+    def log_d_slope(self, l_foliage: float, regime: Regime) -> float:
+        """Slope of the total loss in ``ln d`` at a fixed cover factor, in dB.
+
+        Takes the foliage loss and regime that ``at`` returned for the path.
+        On each branch the total is ``c d^p + 20 log10(d) + const``, whose
+        slope in ``ln d`` is ``p c d^p + 20 / ln 10``: ``p`` times the
+        foliage loss, plus the free-space term's constant slope.
+        """
+        return _DB_PER_NEPER + (_POWER_EXPONENT * l_foliage if regime is _POWER else l_foliage)
+
+    def delta_slope(self, d_km: float, delta: float, l_foliage: float, regime: Regime) -> float:
+        """Slope of the total loss in the cover factor at a fixed path length, dB per unit.
+
+        Takes the foliage loss and regime that ``at`` returned for the path.
+        The free-space term ``20 log10(1 - delta)`` falls by
+        ``20 / ln 10 / (1 - delta)``; the foliage term rises by its depth
+        slope times the path length, ``p`` times its loss over ``delta`` on
+        the power branch.
+        """
+        fsp = _DB_PER_NEPER / (1.0 - delta)
+        if regime is _POWER:
+            return _POWER_EXPONENT * l_foliage / delta - fsp
+        return self._linear * (d_km * 1000.0) - fsp
 
 
 def delta_bounds(delta_min: float, delta_max: float, sigma: float) -> DeltaBounds:

@@ -219,6 +219,8 @@ def _scenario_head(text: str) -> tuple[str, float, float, RadioConfig, list]:
         raise ParseError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError("JSON nesting is too deep to parse") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"scenario: top level must be an object, got {doc!r}")
     _check_keys(doc, _SCENARIO_KEYS, "scenario")
@@ -263,7 +265,8 @@ def parse_scenario(text: str) -> Scenario:
 
     Raises:
         ParseError: the text is not well-formed JSON (message carries the
-            position), or holds an integer literal too long to read.
+            position), nests arrays or objects too deep to parse, or holds
+            an integer literal too long to read.
         SchemaError: a missing, unknown or ill-typed field, a duplicate
             node id, a node id holding a lone surrogate, or a node with
             both / neither cover-factor source.

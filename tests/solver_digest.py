@@ -10,8 +10,13 @@ frequency, cover-factor cap and antenna height, and goes through
 covers each result's ``value`` and ``achieved_loss_db`` as exact hex floats,
 ``iterations``, ``converged`` and ``all_feasible``, or the raised error's type
 and message.
+
+A summary line follows the digest: per solver, the converged and unconverged
+counts, the count of each error type, and the mean and largest
+``iterations``.
 """
 
+import collections
 import hashlib
 import random
 import sys
@@ -25,18 +30,25 @@ from foliage_link import (
 )
 
 
-def digest(draws: int, seed: int = 20261018) -> str:
+def digest(draws: int, seed: int = 20261018) -> tuple[str, dict]:
+    """The digest, and per solver a count of each outcome and the ``iterations`` of each result."""
     rng = random.Random(seed)
     sha = hashlib.sha256()
+    outcomes = {solve.__name__: (collections.Counter(), [])
+                for solve in (max_range, max_foliage_factor, max_foliage_height)}
 
     def record(solve, *args, **kwargs):
+        counts, iterations = outcomes[solve.__name__]
         try:
             r = solve(*args, **kwargs)
         except FoliageLinkError as exc:
             line = f"{type(exc).__name__}:{exc}"
+            counts[type(exc).__name__] += 1
         else:
             line = (f"{r.value.hex()} {r.achieved_loss_db.hex()} {r.iterations} "
                     f"{r.converged} {r.all_feasible}")
+            counts["converged" if r.converged else "unconverged"] += 1
+            iterations.append(r.iterations)
         sha.update(line.encode() + b"\n")
 
     for _ in range(draws):
@@ -55,9 +67,23 @@ def digest(draws: int, seed: int = 20261018) -> str:
         record(max_range, radio, delta, f_mhz)
         record(max_foliage_factor, radio, d_km, f_mhz, cap)
         record(max_foliage_height, radio, d_km, h_m, f_mhz, cap)
-    return sha.hexdigest()
+    return sha.hexdigest(), outcomes
+
+
+def summary(outcomes: dict) -> str:
+    parts = []
+    for name, (counts, iterations) in outcomes.items():
+        tally = " ".join(f"{key} {counts[key]}" for key in ("converged", "unconverged"))
+        errors = "".join(f" {key} {value}" for key, value in sorted(counts.items())
+                         if key not in ("converged", "unconverged"))
+        mean = sum(iterations) / len(iterations) if iterations else 0.0
+        parts.append(f"{name}: {tally}{errors}, iterations mean {mean:.2f} max "
+                     f"{max(iterations, default=0)}")
+    return "; ".join(parts)
 
 
 if __name__ == "__main__":
     draws = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
-    print(draws, digest(draws))
+    hexdigest, outcomes = digest(draws)
+    print(draws, hexdigest)
+    print(summary(outcomes))

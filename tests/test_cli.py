@@ -343,6 +343,14 @@ class TestScenarioCommand:
         assert err == "error: nodes[0]: field 'id' holds a lone surrogate, got '\\ud800'\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_deep_nesting_exits_1(self, capsys, tmp_path, fmt):
+        path = tmp_path / "deep.json"
+        path.write_text('{"name": "x", "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                        encoding="utf-8")
+        code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", fmt)
+        assert (code, out, err) == (1, "", "error: JSON nesting is too deep to parse\n")
+
     def test_non_utf8_file_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -550,6 +558,16 @@ class TestOutputFile:
         assert err.startswith("error: ") and str(tmp_path) in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["directory", "missing-dir/out.json"])
+    def test_out_error_is_what_open_raises(self, capsys, tmp_path, target):
+        """The descriptor path reports a bad ``--out`` as a file object would."""
+        path = tmp_path if target == "directory" else tmp_path / target
+        with pytest.raises(OSError) as raised:
+            open(path, "wb", buffering=0)
+        code, out, err = invoke(capsys, "budget", "--solve", "range", "--delta", "0.5",
+                                *BUDGET_RADIO, "--format", "json", "--out", str(path))
+        assert (code, out, err) == (1, "", f"error: {raised.value}\n")
+
     def test_out_longer_than_one_slice_matches_stdout(self, capsys, tmp_path):
         argv = ["sweep", "--var", "distance", "--start", "0.1", "--stop", "20", "--steps",
                 "12000", "--delta", "0.3", "--f-mhz", "868", "--format", "csv"]
@@ -599,7 +617,7 @@ class TestOutputFile:
         text = "".join(f"é✓€𝄞 {i}\n" for i in range(50))
         monkeypatch.setattr(cli, "_SLICE", 16)
         raw = Trickle()
-        cli._write_all(raw, text)
+        cli._write_all(raw.write, text)
         assert bytes(raw.data) == text.encode("utf-8")
 
 
@@ -683,21 +701,21 @@ PINNED_OUTPUT = {
     ("budget", "table"): (
         "solve             delta\n"
         "value             0.1366950\n"
-        "achieved_loss_db  150.9999995\n"
-        "iterations        24\n"
+        "achieved_loss_db  151.0000000\n"
+        "iterations        3\n"
         "converged         true\n"
         "all_feasible      false\n"
     ),
     ("budget", "csv"): (
         "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
-        "delta,0.13669495539629756,150.99999946940568,24,true,false\n"
+        "delta,0.1366949582082093,150.99999999995288,3,true,false\n"
     ),
     ("budget", "json"): (
         "{\n"
         "  \"solve\": \"delta\",\n"
-        "  \"value\": 0.13669495539629756,\n"
-        "  \"achieved_loss_db\": 150.99999946940568,\n"
-        "  \"iterations\": 24,\n"
+        "  \"value\": 0.1366949582082093,\n"
+        "  \"achieved_loss_db\": 150.99999999995288,\n"
+        "  \"iterations\": 3,\n"
         "  \"converged\": true,\n"
         "  \"all_feasible\": false\n"
         "}\n"
@@ -705,21 +723,21 @@ PINNED_OUTPUT = {
     ("budget-range", "table"): (
         "solve             range\n"
         "value             2.0943479\n"
-        "achieved_loss_db  151.0000001\n"
-        "iterations        32\n"
+        "achieved_loss_db  151.0000000\n"
+        "iterations        5\n"
         "converged         true\n"
         "all_feasible      false\n"
     ),
     ("budget-range", "csv"): (
         "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
-        "range,2.0943478674760323,151.00000008810258,32,true,false\n"
+        "range,2.094347863077191,151.0000000001353,5,true,false\n"
     ),
     ("budget-range", "json"): (
         "{\n"
         "  \"solve\": \"range\",\n"
-        "  \"value\": 2.0943478674760323,\n"
-        "  \"achieved_loss_db\": 151.00000008810258,\n"
-        "  \"iterations\": 32,\n"
+        "  \"value\": 2.094347863077191,\n"
+        "  \"achieved_loss_db\": 151.0000000001353,\n"
+        "  \"iterations\": 5,\n"
         "  \"converged\": true,\n"
         "  \"all_feasible\": false\n"
         "}\n"
@@ -727,21 +745,21 @@ PINNED_OUTPUT = {
     ("budget-height", "table"): (
         "solve             height\n"
         "value             4.1008487\n"
-        "achieved_loss_db  150.9999995\n"
-        "iterations        24\n"
+        "achieved_loss_db  151.0000000\n"
+        "iterations        3\n"
         "converged         true\n"
         "all_feasible      false\n"
     ),
     ("budget-height", "csv"): (
         "solve,value,achieved_loss_db,iterations,converged,all_feasible\n"
-        "height,4.100848661888927,150.99999946940568,24,true,false\n"
+        "height,4.100848746246279,150.99999999995288,3,true,false\n"
     ),
     ("budget-height", "json"): (
         "{\n"
         "  \"solve\": \"height\",\n"
-        "  \"value\": 4.100848661888927,\n"
-        "  \"achieved_loss_db\": 150.99999946940568,\n"
-        "  \"iterations\": 24,\n"
+        "  \"value\": 4.100848746246279,\n"
+        "  \"achieved_loss_db\": 150.99999999995288,\n"
+        "  \"iterations\": 3,\n"
         "  \"converged\": true,\n"
         "  \"all_feasible\": false\n"
         "}\n"
@@ -926,7 +944,7 @@ class TestRenderDigest:
 
     def test_digest_of_300_points(self):
         digests = dict(render_digest.digest(300))
-        assert digests["all"] == "5d82ac52becb49351efcbccca3abbccc60f1c3fb8383d9c4a997cb001f32d2ce"
+        assert digests["all"] == "066f85cf27e6c0608ec1dec2ec15bd1cd6b54ac50de78dac1a676e4daf76b82f"
 
 
 FORMATS = ("table", "csv", "json")

@@ -22,14 +22,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from foliage_link import (
+    DeltaBounds,
     DomainError,
     FoliageLinkError,
+    FoliageLossResult,
     InvalidSpec,
     LinkGeometry,
+    LossBreakdown,
     NodeReport,
     NonPositiveDistance,
     NonPositiveFrequency,
     NonPositiveHeight,
+    PathSplit,
     RadioConfig,
     Regime,
     Scenario,
@@ -178,6 +182,126 @@ def test_solvers_are_finite_or_raise(tx, gain, d_km, delta, f_mhz, h_m, cap):
     finite_or_error(max_range, radio, delta, f_mhz)
     finite_or_error(max_foliage_factor, radio, d_km, f_mhz, cap)
     finite_or_error(max_foliage_height, radio, d_km, h_m, f_mhz, cap)
+
+
+#: a solve converges within this many dB of its budget
+LOSS_TOL_DB = 1e-6
+
+
+def _loss(d_km, delta, f_mhz):
+    return total_loss(LinkGeometry(d_km, delta=delta), f_mhz).l_total_db
+
+
+def _last_linear(x, depth_per_x):
+    """The largest ``y <= x`` whose foliage depth ``depth_per_x * y`` stays on the 14 m linear branch."""
+    while depth_per_x * x > 14.0:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def _concave_top(loss, lo, hi):
+    """Largest value of a concave ``loss`` on ``[lo, hi]``, by golden-section search."""
+    a, b, shrink = lo, hi, (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        left, right = b - shrink * (b - a), a + shrink * (b - a)
+        if loss(left) < loss(right):
+            a = left
+        else:
+            b = right
+    return max(loss(lo), loss(hi), loss(0.5 * (a + b)))
+
+
+def _cover_top(d_km, f_mhz, upto):
+    """Largest total loss over cover factors ``[0, upto]``, one concave branch piece at a time."""
+    loss = lambda delta: _loss(d_km, delta, f_mhz)  # noqa: E731
+    d_m = d_km * 1000.0
+    edge = _last_linear(min(14.0 / d_m, upto), d_m)
+    top = _concave_top(loss, 0.0, edge)
+    if edge < upto:
+        top = max(top, _concave_top(loss, math.nextafter(edge, 1.0), upto))
+    return top
+
+
+def _range_top(delta, f_mhz, upto):
+    """Largest total loss over distances ``[1e-4, upto]`` km, on a log grid and at the 14 m edge."""
+    points = [1e-4 * (upto / 1e-4) ** (i / 200) for i in range(201)]
+    if delta > 0.0 and (edge := 14.0 / 1000.0 / delta) < upto:
+        points.append(_last_linear(edge, delta * 1000.0))
+    return max(_loss(d_km, delta, f_mhz) for d_km in points if d_km <= upto)
+
+
+@CHECKED
+@given(d_km=st.floats(1e-3, 300.0), delta=st.floats(0.0, 0.999), f_mhz=st.floats(100.0, 3e4),
+       offset=st.floats(-3.0, 3.0), cap=st.floats(0.01, 0.999))
+@example(d_km=0.028, delta=0.5, f_mhz=2400.0, offset=71.04 - _loss(0.028, 0.5, 2400.0), cap=0.95)
+@example(d_km=5.0, delta=0.92516, f_mhz=868.0, offset=-5e-7, cap=0.95)  # a narrow peak window
+# the 14 m edge just short of 1000 km, where the loss is 0.019 dB above that at 1000 km
+@example(d_km=1000.0, delta=1.401e-5, f_mhz=2400.0, offset=5e-7, cap=0.95)
+def test_converged_solves_meet_the_budget_on_the_first_frontier(d_km, delta, f_mhz, offset, cap):
+    """A converged solve is within 1e-6 dB of its budget, and the loss exceeds it nowhere before."""
+    budget = _loss(d_km, delta, f_mhz) + offset
+    radio = RadioConfig(budget, 0.0, 0.0, 0.0)
+    try:
+        reach = max_range(radio, delta, f_mhz)
+    except FoliageLinkError:
+        pass
+    else:
+        assert reach.converged and not reach.all_feasible
+        assert abs(reach.achieved_loss_db - budget) <= LOSS_TOL_DB
+        assert _range_top(delta, f_mhz, reach.value) <= budget + LOSS_TOL_DB
+    try:
+        cover = max_foliage_factor(radio, d_km, f_mhz, cap)
+    except FoliageLinkError:
+        return
+    assert cover.converged
+    if cover.all_feasible:
+        assert cover.value == cap
+        assert _cover_top(d_km, f_mhz, cap) <= budget + LOSS_TOL_DB
+    else:
+        assert abs(cover.achieved_loss_db - budget) <= LOSS_TOL_DB
+        assert _cover_top(d_km, f_mhz, cover.value) <= budget + LOSS_TOL_DB
+
+
+@CHECKED
+@given(budget=st.floats(0.0, 3000.0), delta=st.floats(0.0, 0.99999), f_mhz=st.floats(1.0, 1e6))
+def test_range_solves_with_a_crossing_in_the_bracket_converge(budget, delta, f_mhz):
+    if not _loss(1e-4, delta, f_mhz) < budget < _loss(1000.0, delta, f_mhz):
+        return
+    assert max_range(RadioConfig(budget, 0.0, 0.0, 0.0), delta, f_mhz).converged
+
+
+def test_range_in_the_14_m_step_down_window():
+    """The loss steps down across d = 28 m at delta 0.5 and 2400 MHz; 71.04 dB lies in that step.
+
+    The first frontier is on the linear branch, just short of the edge.
+    """
+    assert _loss(0.028, 0.5, 2400.0) > 71.04 > _loss(math.nextafter(0.028, 1.0), 0.5, 2400.0)
+    result = max_range(RadioConfig(71.04, 0.0, 0.0, 0.0), 0.5, 2400.0)
+    assert result.converged
+    assert result.value < 0.028
+    assert abs(result.achieved_loss_db - 71.04) <= LOSS_TOL_DB
+    breakdown = total_loss(LinkGeometry(result.value, delta=0.5), 2400.0)
+    assert breakdown.foliage.regime is Regime.LINEAR
+
+
+@pytest.mark.parametrize("above_far_end", [5e-7, 0.01])
+def test_range_in_the_step_down_window_at_the_bracket_end(above_far_end):
+    """At delta 1.401e-5 the 14 m edge lies at 999.29 km, inside the bracket.
+
+    The loss there is 0.019 dB above the loss at 1000 km, so a budget
+    between the two has its first frontier on the linear branch short of
+    the edge: neither at 1000 km nor beyond the bracket.
+    """
+    delta, f_mhz = 1.401e-5, 2400.0
+    edge = _last_linear(14.0 / 1000.0 / delta, delta * 1000.0)
+    assert edge < 1000.0
+    budget = _loss(1000.0, delta, f_mhz) + above_far_end
+    assert budget < _loss(edge, delta, f_mhz)
+    result = max_range(RadioConfig(budget, 0.0, 0.0, 0.0), delta, f_mhz)
+    assert result.converged
+    assert result.value <= edge
+    assert abs(result.achieved_loss_db - budget) <= LOSS_TOL_DB
+    assert _range_top(delta, f_mhz, result.value) <= budget + LOSS_TOL_DB
 
 
 @CHECKED
@@ -359,6 +483,47 @@ def test_only_a_list_is_a_batch():
     ]
     assert render.to_csv(bounds, columns) == render.to_csv([bounds], columns)
     assert render.to_csv(bounds, columns).count("\n") == 2
+
+
+def _loss_record(cells):
+    delta, d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = cells
+    foliage = FoliageLossResult(l_foliage, regime, validity)
+    return LossBreakdown(l_foliage, l_fsp, l_total, foliage, PathSplit(d_f_m, d_fsp_m, delta))
+
+
+#: the lone records the CLI renders, built from their cells in column order
+LONE_RECORDS = [
+    (render.SOLVE_COLUMNS, cli._SolveRow._make),
+    (render.BOUNDS_COLUMNS, DeltaBounds._make),
+    (render.LOSS_COLUMNS, _loss_record),
+]
+
+
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(LONE_RECORDS) - 1))
+def test_render_of_a_lone_record_matches_json_dumps(data, which):
+    columns, build = LONE_RECORDS[which]
+    cells = data.draw(st.lists(CELL, min_size=len(columns), max_size=len(columns)))
+    obj = dict(zip(render._header(columns), cells))
+    try:
+        expected = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # a nan or inf cell
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render.render(build(cells), columns, "json")
+        return
+    assert render.render(build(cells), columns, "json") == expected
+
+
+@pytest.mark.parametrize("record, columns", [
+    (cli._SolveRow("range", *max_range(RADIO, 0.3, 868.0)), render.SOLVE_COLUMNS),
+    (cli._SolveRow("delta", *max_foliage_factor(RADIO, 2.0, 2400.0)), render.SOLVE_COLUMNS),
+    (delta_bounds(0.2, 0.8, 0.5), render.BOUNDS_COLUMNS),
+    (total_loss(LinkGeometry(2.0, delta=0.95), 2400.0), render.LOSS_COLUMNS),
+])
+def test_render_of_a_command_record_matches_json_dumps(record, columns):
+    cells = next(iter(render._rows([record], columns)))
+    expected = json.dumps(dict(zip(render._header(columns), cells)), indent=2, allow_nan=False)
+    assert render.render(record, columns, "json") == expected + "\n"
 
 
 #: node values: any float, and ints as a hand-built ``ScenarioNode`` may hold them

@@ -241,6 +241,12 @@ class TestParseScenario:
         with pytest.raises(DomainError, match="n7"):
             parse_scenario(scenario_doc([{"id": "n7", "d_km": 2, "delta": 1.2}]))
 
+    def test_deep_nesting_is_a_parse_error(self):
+        """100,000 levels overflow ``json``'s recursion guard at any stack depth."""
+        text = '{"name": "x", "nodes": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ParseError, match="^JSON nesting is too deep to parse$"):
+            parse_scenario(text)
+
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError, match="line"):
             parse_scenario("{ not json")
