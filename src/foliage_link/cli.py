@@ -42,18 +42,12 @@ from .render import (
     REPORT_COLUMNS,
     SOLVE_COLUMNS,
     SWEEP_COLUMNS,
-    csv_cells,
-    json_cells,
     render,
+    render_cells,
 )
-from .scenario import (
-    _REPORT_WIDTH,
-    _scenario_cells,
-    emit_csv,
-    emit_json,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
-    evaluate_scenario,
-    parse_scenario,
-)
+from .scenario import _REPORT_WIDTH, _scenario_cells
+# not called here; perfbench/spans.py wraps them by these names
+from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
 from .sweep import SweepSpec, SweepVariable, preset, run_sweep
 
 #: a solve as the ``budget`` command prints it: its kind, then its result
@@ -329,10 +323,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
             f_mhz=f_mhz,
             delta_cap=DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap,
         )
-    table = run_sweep(spec)
-    if args.format == "csv":
-        return emit_csv(table)
-    return render(table.rows, SWEEP_COLUMNS, args.format)
+    return render(run_sweep(spec).rows, SWEEP_COLUMNS, args.format)
 
 
 def _run_budget(args: argparse.Namespace) -> str:
@@ -367,13 +358,7 @@ def _run_scenario(args: argparse.Namespace) -> str:
             text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    if args.format == "table":
-        return render(evaluate_scenario(parse_scenario(text)), REPORT_COLUMNS, "table")
-    # CSV and JSON are written straight from the report cells
-    cells = _scenario_cells(text)
-    if args.format == "json":
-        return json_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, end="\n")
-    return csv_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH)
+    return render_cells(_scenario_cells(text), REPORT_COLUMNS, _REPORT_WIDTH, args.format)
 
 
 def _run_bounds(args: argparse.Namespace) -> str:

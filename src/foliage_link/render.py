@@ -16,10 +16,11 @@ Cell rules, table / CSV / JSON:
 
 A record whose ``error`` is set gets it as a last, JSON-only key.
 
-CSV and JSON text is written here by one writer per format, ``csv_cells``
-and ``json_cells``. Each takes one flat list of cells, row after row, and
-the row width; ``to_csv`` and ``to_json`` flatten their records into that
-list. The text is byte for byte what ``csv.writer`` and
+Each format has one writer, fed one flat list of cells, row after row, and
+the row width: ``_table_cells``, ``csv_cells`` and ``json_cells``, chosen
+by ``render_cells``. ``render`` flattens a list of records once and hands
+it to that writer; a lone record keeps its own shape. The CSV and JSON
+text is byte for byte what ``csv.writer`` and
 ``json.dumps(..., indent=2, allow_nan=False)`` would write: both run Python
 code per cell or per row, and ``json.dumps`` its whole pure-Python encoder
 whenever ``indent`` is set. A writer converts only the columns whose cells
@@ -66,19 +67,14 @@ SOLVE_COLUMNS = (
 BOUNDS_COLUMNS = ("delta_min", "delta_max", "sigma", "alpha_low_min", "alpha_high_max")
 
 
-#: Columns whose cells are bools: CSV writes them ``true``/``false``, where
-#: ``csv.writer`` would write Python's ``True``/``False``.
-_BOOL_COLUMNS = frozenset(("link_ok", "converged", "all_feasible"))
-
-
 @functools.cache
 def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
     """The printed column names: the last part of each attribute path."""
     return tuple(column.rpartition(".")[2] for column in columns)
 
 
-def _rows(records: list, columns: tuple[str, ...], error: bool = False):
-    """Each record's cells in column order, for a list of records of one type.
+def _rows(records: list, columns: tuple[str, ...], error: bool = False) -> list:
+    """The cells of a list of records of one type, in column order, as one flat list.
 
     With ``error``, each row ends with the record's ``error``, or None where
     it has none. A named tuple whose fields are the row is its own row, one
@@ -87,14 +83,16 @@ def _rows(records: list, columns: tuple[str, ...], error: bool = False):
     """
     names = (*columns, "error") if error else columns
     fields = getattr(type(records[0]), "_fields", ()) if records else ()
-    if fields == names:
-        return records
-    if fields[: len(names)] == names:
-        return map(itemgetter(slice(len(names))), records)
     get = attrgetter(*columns)
-    if error:
-        return ((*get(record), getattr(record, "error", None)) for record in records)
-    return map(get, records)
+    if fields == names:
+        rows = records
+    elif fields[: len(names)] == names:
+        rows = map(itemgetter(slice(len(names))), records)
+    elif error:
+        rows = ((*get(record), getattr(record, "error", None)) for record in records)
+    else:
+        rows = map(get, records)
+    return list(chain.from_iterable(rows))
 
 
 def _table_cell(value: object) -> str:
@@ -107,6 +105,19 @@ def _table_cell(value: object) -> str:
     if isinstance(value, Enum):
         return value.value
     return str(value)
+
+
+def _table_cells(cells: list, columns: tuple[str, ...], width: int) -> str:
+    """Column table of rows given as one flat list of ``width`` cells each.
+
+    Every cell is left-aligned in 13 characters. A row's cells past the
+    columns (its ``error``) go to ``%.0s``, which writes no text.
+    """
+    cell = "  ".join(["%-13s"] * len(columns))
+    line = cell + "%.0s" * (width - len(columns)) + "\n"
+    # the header holds attribute names, so no "%" that the template would read
+    head = cell % _header(columns) + "\n"
+    return (head + line * (len(cells) // width)) % tuple(map(_table_cell, cells))
 
 
 #: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
@@ -139,11 +150,10 @@ def _csv_text(value: str) -> str:
 #: CSV text of ``None``, and of the package's enums, which ``%s`` writes more slowly
 _CSV_CONSTANT = {None: "", **{flag: flag.value for flag in (*Regime, *Validity)}}
 #: CSV text of a cell that is not ``_PLAIN``, by the cell's exact type; any
-#: other type (a bool outside ``_BOOL_COLUMNS`` among them) goes to
-#: ``csv.writer`` through ``_csv_written``.
-_CSV_CELL = {str: _csv_text, type(None): _CSV_CONSTANT.__getitem__}
-#: The same for a column in ``_BOOL_COLUMNS``.
-_CSV_BOOL_CELL = {**_CSV_CELL, bool: ("false", "true").__getitem__}
+#: other type goes to ``csv.writer`` through ``_csv_written``.
+_CSV_CELL = {
+    str: _csv_text, type(None): _CSV_CONSTANT.__getitem__, bool: ("false", "true").__getitem__,
+}
 
 
 @functools.cache
@@ -159,11 +169,11 @@ def _csv_format(columns: tuple[str, ...], width: int) -> tuple[str, str]:
     return head, line
 
 
-def _csv_column(column: list, bools: bool) -> list | None:
+def _csv_column(column: list) -> list | None:
     """CSV text of one column's cells, or None when ``%s`` writes them all as they are.
 
     A column of strings is searched once, joined, for a character that
-    needs quoting; ``bools`` marks a column in ``_BOOL_COLUMNS``.
+    needs quoting.
     """
     kinds = set(map(type, column))
     if kinds <= _PLAIN:
@@ -172,9 +182,9 @@ def _csv_column(column: list, bools: bool) -> list | None:
         return list(map(_CSV_CONSTANT.get, column, column))
     if kinds == {str}:
         return list(map(_csv_text, column)) if _quoted("".join(column)) else None
-    if bools and kinds == {bool}:
-        return list(map(("false", "true").__getitem__, column))
-    get = (_CSV_BOOL_CELL if bools else _CSV_CELL).get
+    if kinds == {bool}:
+        return list(map(_CSV_CELL[bool], column))
+    get = _CSV_CELL.get
     return [
         value if type(value) in _PLAIN else get(type(value), _csv_written)(value)
         for value in column
@@ -187,24 +197,18 @@ def csv_cells(cells: list, columns: tuple[str, ...], width: int) -> str:
     A row holds the ``columns``' cells, then, when ``width`` is one more,
     its record's ``error``, which CSV does not write. The text is a header
     line and one line per row, what ``csv.writer`` writes (LF line endings),
-    except that a bool in ``_BOOL_COLUMNS`` is written ``true``/``false``.
+    except that a bool is written ``true``/``false``.
     All the cells go to one template in one ``%`` call: as they are when
     all are ``_PLAIN``, else each column that needs it is converted first,
     in ``cells`` itself.
     """
     head, line = _csv_format(columns, width)
     if not _PLAIN.issuperset(map(type, cells)):
-        for index, column in enumerate(columns):
-            text = _csv_column(cells[index::width], column in _BOOL_COLUMNS)
+        for index in range(len(columns)):
+            text = _csv_column(cells[index::width])
             if text is not None:
                 cells[index::width] = text
     return (head + line * (len(cells) // width)) % tuple(cells)
-
-
-def to_csv(records, columns: tuple[str, ...]) -> str:
-    """CSV text of one record or a list of records: a header line, then one line each."""
-    batch = records if isinstance(records, list) else [records]
-    return csv_cells(list(chain.from_iterable(_rows(batch, columns))), columns, len(columns))
 
 
 _JSON_NULL = {None: "null"}
@@ -266,18 +270,17 @@ def _json_cells(row) -> tuple:
     ])
 
 
-def _json_array(items: list[str], level: int, head: str = "", tail: str = "") -> str:
-    """``head``, a JSON array nested ``level`` deep of the ``items`` texts, ``tail``.
+def _json_array(items: list[str], tail: str) -> str:
+    """A top-level JSON array of the ``items`` texts, then ``tail``.
 
-    One join writes the whole text: the array's brackets, ``head`` and
-    ``tail`` go into the first and last items, which are replaced in place.
+    One join writes the whole text: the array's brackets and ``tail`` go
+    into the first and last items, which are replaced in place.
     """
     if not items:
-        return head + "[]" + tail
-    pad = "\n" + "  " * (level + 1)
-    items[0] = head + "[" + pad + items[0]
-    items[-1] += "\n" + "  " * level + "]" + tail
-    return ("," + pad).join(items)
+        return "[]" + tail
+    items[0] = "[\n  " + items[0]
+    items[-1] += "\n]" + tail
+    return ",\n  ".join(items)
 
 
 def _json_error(error: object, level: int) -> str:
@@ -329,39 +332,45 @@ def json_cells(cells: list, columns: tuple[str, ...], width: int, end: str = "")
         cells[len(columns)::width] = [_json_error(error, 1) for error in cells[len(columns)::width]]
     item = _json_template(_header(columns), 1, width > len(columns))
     # the whole array, its brackets and ``end`` among them, is one template
-    template = _json_array([item] * (len(cells) // width), 0, tail=end.replace("%", "%%"))
+    template = _json_array([item] * (len(cells) // width), end.replace("%", "%%"))
     return template % tuple(cells)
 
 
-def to_json(records, columns: tuple[str, ...], end: str = "") -> str:
-    """JSON text of one record (an object) or a list of records (an array), then ``end``.
+def render_cells(cells: list, columns: tuple[str, ...], width: int, fmt: str) -> str:
+    """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json`` text.
 
-    The text is what ``json.dumps(obj, indent=2, allow_nan=False)`` writes
-    for the same dicts: a non-finite float raises ``ValueError``.
+    A row holds the ``columns``' cells, then, when ``width`` is one more,
+    its record's ``error``, which only JSON writes. The text ends with a
+    newline in every format.
     """
-    if isinstance(records, list):
-        cells = list(chain.from_iterable(_rows(records, columns, error=True)))
-        return json_cells(cells, columns, len(columns) + 1, end)
-    row = next(iter(_rows([records], columns)))
-    template = _json_template(_header(columns), 0, True)
-    return template % (*_json_cells(row), _json_error(getattr(records, "error", None), 0)) + end
+    if fmt == "json":
+        return json_cells(cells, columns, width, end="\n")
+    if fmt == "csv":
+        return csv_cells(cells, columns, width)
+    return _table_cells(cells, columns, width)
 
 
 def render(records, columns: tuple[str, ...], fmt: str) -> str:
     """Render one record, or a list of records, as ``table``, ``csv`` or ``json`` text.
 
-    The text ends with a newline in every format.
+    A list is a column table, a CSV or a JSON array; a lone record is a
+    key/value table, a one-row CSV or a JSON object. The text ends with a
+    newline in every format, and in JSON a non-finite float raises
+    ``ValueError``.
     """
+    if isinstance(records, list):
+        error = fmt == "json"
+        return render_cells(_rows(records, columns, error), columns, len(columns) + error, fmt)
+    if getattr(type(records), "_fields", None) == columns:
+        row = records
+    else:
+        row = attrgetter(*columns)(records)
     if fmt == "json":
-        return to_json(records, columns, end="\n")
+        member = _json_error(getattr(records, "error", None), 0)
+        return _json_template(_header(columns), 0, True) % (*_json_cells(row), member) + "\n"
     if fmt == "csv":
-        return to_csv(records, columns)
-    single = not isinstance(records, list)
+        return csv_cells(list(row), columns, len(columns))
     names = _header(columns)
-    rows = _rows([records] if single else records, columns)
-    if single:
-        width = max(map(len, names))
-        pairs = zip(names, next(iter(rows)))
-        return "".join(f"{name.ljust(width)}  {_table_cell(value)}\n" for name, value in pairs)
-    lines = [names, *(map(_table_cell, row) for row in rows)]
-    return "".join("  ".join(cell.ljust(13) for cell in line) + "\n" for line in lines)
+    width = max(map(len, names))
+    pairs = zip(names, row)
+    return "".join(f"{name.ljust(width)}  {_table_cell(value)}\n" for name, value in pairs)

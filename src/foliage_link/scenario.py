@@ -10,13 +10,14 @@ Two loops do the work: ``_node_values`` validates each node to its
 ``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to one
 flat list of report cells. ``parse_scenario`` and ``evaluate_scenario``
 build their records from them, and ``_scenario_cells`` chains them for the
-CLI, whose CSV and JSON are rendered from the cells with no record built.
+CLI, which renders the cells in every format with no record built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .budget import RadioConfig
@@ -36,15 +37,7 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
-from .render import (
-    REPORT_COLUMNS,
-    SWEEP_COLUMNS,
-    _json_array,
-    _json_cells,
-    _json_template,
-    to_csv,
-    to_json,
-)
+from .render import REPORT_COLUMNS, SWEEP_COLUMNS, json_cells, render
 
 _SCENARIO_KEYS = ("name", "frequency_mhz", "base_height_m", "radio", "nodes")
 _RADIO_KEYS = (
@@ -328,8 +321,15 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     short that its free-space segment rounds to 0 km) produces an error
     report entry instead of aborting the batch.
 
+    Only the model's domain is checked here; ids and the radio are taken as
+    they are, so a non-string or repeated id gives a report.
+
     Raises:
-        FoliageLinkError: a node that ``parse_scenario`` would have rejected.
+        FoliageLinkError: a frequency that is not positive and finite, or a
+            node whose distance is not positive and finite in meters, whose
+            cover factor lies outside [0, 1], or whose foliage height lies
+            outside [0, base height] (or whose base height is not positive
+            and finite).
     """
     cells = _report_cells(
         scenario.nodes, scenario.frequency_mhz, scenario.base_height_m, scenario.radio
@@ -361,37 +361,31 @@ def emit_csv(data) -> str:
     if hasattr(data, "rows"):  # a SweepTable
         if not data.rows:
             raise EmptyInput("sweep table has no rows")
-        return to_csv(data.rows, SWEEP_COLUMNS)
-    return to_csv(list(data), REPORT_COLUMNS)
+        return render(data.rows, SWEEP_COLUMNS, "csv")
+    return render(list(data), REPORT_COLUMNS, "csv")
 
 
-def emit_json(reports: Sequence[NodeReport], end: str = "") -> str:
-    """Render node reports as a JSON array with stable field order, then ``end``."""
-    return to_json(list(reports), REPORT_COLUMNS, end)
+def emit_json(reports: Sequence[NodeReport]) -> str:
+    """Render node reports as a JSON array with stable field order."""
+    return json_cells(list(chain.from_iterable(reports)), REPORT_COLUMNS, _REPORT_WIDTH)
 
 
 def emit_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its JSON wire format.
 
     ``parse_scenario(emit_scenario(s))`` reproduces ``s`` exactly, and the
-    emitted text is a fixed point of a further parse/emit round trip. The
-    text is what ``json.dumps(doc, indent=2, allow_nan=False)`` writes for
-    the document; the nodes are written from one template per cover source.
+    emitted text is a fixed point of a further parse/emit round trip.
     """
-    head = {
+    doc = {
         "name": scenario.name,
         "frequency_mhz": scenario.frequency_mhz,
         "base_height_m": scenario.base_height_m,
         "radio": {key: getattr(scenario.radio, key) for key in _RADIO_KEYS},
+        "nodes": [
+            {"id": node.id, "d_km": node.d_km, "delta": node.delta}
+            if node.h_f_m is None
+            else {"id": node.id, "d_km": node.d_km, "h_f_m": node.h_f_m}
+            for node in scenario.nodes
+        ],
     }
-    # the head object without its closing "\n}", then the nodes array
-    opening = json.dumps(head, indent=2, allow_nan=False)[:-2] + ',\n  "nodes": '
-    by_height = _json_template(("id", "d_km", "h_f_m"), 2, False)
-    by_delta = _json_template(("id", "d_km", "delta"), 2, False)
-    nodes = [
-        by_delta % _json_cells((node.id, node.d_km, node.delta))
-        if node.h_f_m is None
-        else by_height % _json_cells((node.id, node.d_km, node.h_f_m))
-        for node in scenario.nodes
-    ]
-    return _json_array(nodes, 1, opening, "\n}")
+    return json.dumps(doc, indent=2, allow_nan=False)

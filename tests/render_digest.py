@@ -1,11 +1,11 @@
-"""SHA-256 digest of the CLI's CSV and JSON output over seeded inputs.
+"""SHA-256 digest of the CLI's table, CSV and JSON output over seeded inputs.
 
 Run it on two checkouts to show that a rendering change changes no byte:
 
     PYTHONPATH=src python tests/render_digest.py [POINTS]
 
 Each case runs ``foliage_link.cli.run`` with ``--out`` and hashes the file it
-writes, in both ``csv`` and ``json``:
+writes, in ``table``, ``csv`` and ``json``:
 
 * one seeded sweep of each variable, POINTS points each (default 20,000);
 * a seeded scenario of POINTS nodes that holds full-cover error rows and ids
@@ -102,7 +102,7 @@ def digest(points: int, seed: int = 20261018):
                 total.update(sha.digest())
                 yield "scenario-document", sha.hexdigest()
             sha = hashlib.sha256()
-            for fmt in ("csv", "json"):
+            for fmt in ("table", "csv", "json"):
                 code = run([*argv, "--format", fmt, "--out", str(out)])
                 text = out.read_bytes() if code == 0 else b""
                 sha.update(f"{fmt} {code} {len(text)}\n".encode() + text)

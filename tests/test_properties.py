@@ -454,14 +454,14 @@ def test_to_json_matches_json_dumps(data, which, single, count, named):
         expected = json.dumps(objects[0] if single else objects, indent=2, allow_nan=False)
     except ValueError:  # a nan or inf cell
         with pytest.raises(ValueError, match="not JSON compliant"):
-            render.to_json(records[0] if single else records, columns)
+            render.render(records[0] if single else records, columns, "json")
         return
-    assert render.to_json(records[0] if single else records, columns) == expected
+    assert render.render(records[0] if single else records, columns, "json") == expected + "\n"
 
 
 @pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
 def test_to_json_of_no_records(columns):
-    assert render.to_json([], columns) == json.dumps([], indent=2) == "[]"
+    assert render.render([], columns, "json") == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
 @pytest.mark.parametrize("value", [nan, inf, -inf])
@@ -469,20 +469,20 @@ def test_to_json_of_no_records(columns):
 def test_to_json_refuses_a_non_finite_cell(value, single):
     record = _record(render.BOUNDS_COLUMNS, [0.0, 1.0, value, 0.0, 1.0], None, None)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render.to_json(record if single else [record], render.BOUNDS_COLUMNS)
+        render.render(record if single else [record], render.BOUNDS_COLUMNS, "json")
 
 
 def test_only_a_list_is_a_batch():
     """A lone record is a named tuple, and still renders as one record."""
     bounds, columns = delta_bounds(0.1, 0.9, 0.5), render.BOUNDS_COLUMNS
-    assert json.loads(render.to_json(bounds, columns)) == bounds._asdict()
-    assert json.loads(render.to_json([bounds], columns)) == [bounds._asdict()]
+    assert json.loads(render.render(bounds, columns, "json")) == bounds._asdict()
+    assert json.loads(render.render([bounds], columns, "json")) == [bounds._asdict()]
     table = render.render(bounds, columns, "table").splitlines()
     assert [line.split() for line in table] == [
         [name, f"{value:.7f}"] for name, value in bounds._asdict().items()
     ]
-    assert render.to_csv(bounds, columns) == render.to_csv([bounds], columns)
-    assert render.to_csv(bounds, columns).count("\n") == 2
+    assert render.render(bounds, columns, "csv") == render.render([bounds], columns, "csv")
+    assert render.render(bounds, columns, "csv").count("\n") == 2
 
 
 def _loss_record(cells):
@@ -521,7 +521,7 @@ def test_render_of_a_lone_record_matches_json_dumps(data, which):
     (total_loss(LinkGeometry(2.0, delta=0.95), 2400.0), render.LOSS_COLUMNS),
 ])
 def test_render_of_a_command_record_matches_json_dumps(record, columns):
-    cells = next(iter(render._rows([record], columns)))
+    cells = render._rows([record], columns)
     expected = json.dumps(dict(zip(render._header(columns), cells)), indent=2, allow_nan=False)
     assert render.render(record, columns, "json") == expected + "\n"
 
@@ -563,9 +563,6 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
     assert emit_scenario(scenario) == expected
 
 
-#: the columns whose bools CSV writes ``true``/``false``; csv.writer writes any other bool
-#: as ``True``/``False``
-CSV_BOOL_COLUMNS = {"link_ok", "converged", "all_feasible"}
 #: cells for CSV: the JSON cells, strings that csv.writer quotes, and an enum that is not
 #: the package's own
 CSV_CELL = st.one_of(
@@ -577,21 +574,19 @@ PLAIN_CELL = st.one_of(st.floats(), st.integers(), st.sampled_from([*Regime, *Va
 
 
 def _reference_csv(columns, rows):
-    """What ``csv.writer`` writes for the rows, with LF line endings.
+    """What ``csv.writer`` writes for the rows, with LF line endings and bools as ``true``/``false``.
 
     Each row is written with a CRLF terminator, then given an LF one: before
     Python 3.13, ``csv.writer`` quotes a lone ``\\r`` or ``\\n`` only when the
-    line terminator holds it.
+    line terminator holds it. ``csv.writer`` itself would write a bool as
+    ``True``/``False``.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
     lines = []
     for cells in [[column.rpartition(".")[2] for column in columns], *rows]:
-        writer.writerow([
-            ("false", "true")[value] if type(value) is bool and column in CSV_BOOL_COLUMNS
-            else value
-            for column, value in zip(columns, cells)
-        ])
+        writer.writerow([("false", "true")[value] if type(value) is bool else value
+                         for value in cells])
         lines.append(out.getvalue()[:-2] + "\n")
         out.seek(0)
         out.truncate()
@@ -612,7 +607,6 @@ def test_csv_matches_csv_writer(data, which, single, count, named, plain):
     ]
     records = [_record(columns, cells, None, named_type) for cells in rows]
     expected = _reference_csv(columns, rows)
-    assert render.to_csv(records[0] if single else records, columns) == expected
     assert render.render(records[0] if single else records, columns, "csv") == expected
 
 
@@ -624,15 +618,15 @@ def test_to_csv_of_a_long_mixed_batch():
     rows[125][4] = None
     rows[-1][0] = "last,row"
     records = [SweepRow(*cells) for cells in rows]
-    assert render.to_csv(records, render.SWEEP_COLUMNS) == _reference_csv(
+    assert render.render(records, render.SWEEP_COLUMNS, "csv") == _reference_csv(
         render.SWEEP_COLUMNS, rows
     )
 
 
 @pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
 def test_to_csv_of_no_records(columns):
-    assert render.to_csv([], columns) == _reference_csv(columns, [])
-    assert render.to_csv([], columns) == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
+    assert render.render([], columns, "csv") == _reference_csv(columns, [])
+    assert render.render([], columns, "csv") == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
 
 
 #: a scenario node: id, d_km (an int goes through the field-by-field check), cover source
@@ -646,7 +640,7 @@ SCENARIO_NODE = st.tuples(
 
 
 @CHECKED
-@given(nodes=st.lists(SCENARIO_NODE, max_size=50), fmt=st.sampled_from(["csv", "json"]))
+@given(nodes=st.lists(SCENARIO_NODE, max_size=50), fmt=st.sampled_from(["table", "csv", "json"]))
 def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
     """The CLI writes straight from the report cells; the records are the reference."""
     doc_nodes = []
@@ -662,7 +656,10 @@ def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
         "radio": RADIO._asdict(), "nodes": doc_nodes,
     })
     reports = evaluate_scenario(parse_scenario(text))
-    expected = emit_csv(reports) if fmt == "csv" else emit_json(reports, end="\n")
+    if fmt == "table":
+        expected = render.render(reports, render.REPORT_COLUMNS, "table")
+    else:
+        expected = emit_csv(reports) if fmt == "csv" else emit_json(reports) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
         path.write_text(text, encoding="utf-8")

@@ -12,6 +12,7 @@ from foliage_link import (
     LinkGeometry,
     ParseError,
     SchemaError,
+    ScenarioNode,
     SweepSpec,
     SweepVariable,
     emit_csv,
@@ -24,7 +25,7 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
-from foliage_link.render import REPORT_COLUMNS, SWEEP_COLUMNS
+from foliage_link.render import REPORT_COLUMNS, SWEEP_COLUMNS, render
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -435,6 +436,14 @@ class TestEmitCsv:
 
     def test_empty_inputs(self):
         assert emit_csv([]) == ",".join(REPORT_COLUMNS) + "\n"
+
+    def test_a_bool_in_any_column_is_written_true(self):
+        """As in a table and in JSON: here the id of a hand-built node, which no parse checked."""
+        scenario = parse_scenario(scenario_doc())._replace(nodes=[ScenarioNode(True, 1.0, delta=0.5)])
+        reports = evaluate_scenario(scenario)
+        assert emit_csv(reports).splitlines()[1].split(",")[0] == "true"
+        assert render(reports, REPORT_COLUMNS, "table").splitlines()[1].split()[0] == "true"
+        assert emit_json(reports).splitlines()[2] == '    "id": true,'
 
 
 class TestEmitJson:
