@@ -46,9 +46,10 @@ from .render import (
     render_cells,
 )
 from .scenario import _REPORT_WIDTH, _scenario_cells
+from .sweep import SweepSpec, SweepVariable, _sweep_cells, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
-from .sweep import SweepSpec, SweepVariable, preset, run_sweep
+from .sweep import run_sweep  # noqa: F401
 
 #: a solve as the ``budget`` command prints it: its kind, then its result
 _SolveRow = namedtuple("_SolveRow", SOLVE_COLUMNS)
@@ -323,7 +324,9 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
             f_mhz=f_mhz,
             delta_cap=DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap,
         )
-    return render(run_sweep(spec).rows, SWEEP_COLUMNS, args.format)
+    cells, fixed, same = _sweep_cells(spec)
+    width = len(SWEEP_COLUMNS) - len(fixed)
+    return render_cells(cells, SWEEP_COLUMNS, width, args.format, fixed, same)
 
 
 def _run_budget(args: argparse.Namespace) -> str:

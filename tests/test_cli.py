@@ -183,6 +183,19 @@ class TestSweep:
         assert code == 1
         assert "0.95" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_point_error_names_its_x(self, capsys, fmt):
+        # the free-space segment of the first path rounds to 0 km
+        code, out, err = invoke(
+            capsys, "sweep", "--var", "distance", "--start", "5e-324", "--stop", "1",
+            "--steps", "2", "--delta", "0.5", "--f-mhz", "868", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: distance sweep failed at x = 5e-324: "
+            "d_km=5e-324 at delta=0.5 leaves a free-space segment of 0 km\n"
+        )
+
     def test_table_format(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "--preset", "figure4")
         assert code == 0
@@ -944,7 +957,7 @@ class TestRenderDigest:
 
     def test_digest_of_300_points(self):
         digests = dict(render_digest.digest(300))
-        assert digests["all"] == "e2920f1e605e9cbca54923af119e72486cdc7f7548e8bb1684a2a51e02296268"
+        assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
 
 
 FORMATS = ("table", "csv", "json")

@@ -65,7 +65,7 @@ def test_every_unused_import_is_a_tracer_binding():
 #: the imports that only the tracer reads; they go once it stops rebinding module attributes
 TRACER_ONLY = {
     "foliage_link.budget": {"LinkGeometry", "total_loss"},
-    "foliage_link.cli": {"emit_csv", "emit_json", "evaluate_scenario", "parse_scenario"},
+    "foliage_link.cli": {"emit_csv", "emit_json", "evaluate_scenario", "parse_scenario", "run_sweep"},
     "foliage_link.scenario": {"total_loss"},
     "foliage_link.sweep": {"total_loss"},
 }

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import tempfile
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -665,6 +665,129 @@ def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
         path.write_text(text, encoding="utf-8")
         assert run(["scenario", "--file", str(path), "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes().decode("utf-8") == expected
+
+
+#: the ``sweep --var`` value of each swept variable
+VAR_FLAG = {
+    SweepVariable.DELTA: "delta",
+    SweepVariable.FOLIAGE_HEIGHT: "foliage-height",
+    SweepVariable.DISTANCE: "distance",
+    SweepVariable.FREQUENCY_MHZ: "frequency-mhz",
+}
+
+
+@st.composite
+def sweep_args(draw):
+    """A custom sweep: variable, start, stop, steps, d_km, fixed cover factor and f_mhz.
+
+    A foliage-height sweep runs under a 30 m antenna. Start and stop can
+    be equal, which the spec refuses.
+    """
+    variable = draw(st.sampled_from(SweepVariable))
+    lo, hi = sorted(draw(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+    if variable is SweepVariable.DELTA:
+        start, stop = lo * 0.95, hi * 0.95
+    elif variable is SweepVariable.FOLIAGE_HEIGHT:
+        start, stop = lo * 29.97, hi * 29.97
+    else:  # distance or frequency: positive, over many magnitudes
+        scale = draw(st.floats(1e-300, 1e4))
+        start, stop = (lo + 1e-3) * scale, (hi + 1e-3) * scale
+    return (variable, start, stop, draw(st.integers(2, 60)), draw(st.floats(1e-3, 300.0)),
+            draw(st.floats(0.0, 0.999)), draw(st.floats(10.0, 1e5)))
+
+
+def _sweep_argv(variable, start, stop, steps, d_km, cover, f_mhz):
+    """The ``sweep`` argv, the ``LinkGeometry`` keywords of its base and its fixed frequency."""
+    argv = ["sweep", "--var", VAR_FLAG[variable], "--start", repr(start), "--stop", repr(stop),
+            "--steps", str(steps)]
+    if variable is SweepVariable.DELTA:
+        argv += ["--d-km", repr(d_km), "--f-mhz", repr(f_mhz)]
+        return argv, {"d_km": d_km, "delta": start}, f_mhz
+    if variable is SweepVariable.FOLIAGE_HEIGHT:
+        argv += ["--d-km", repr(d_km), "--h-m", "30.0", "--f-mhz", repr(f_mhz)]
+        return argv, {"d_km": d_km, "h_m": 30.0, "h_f_m": start}, f_mhz
+    if variable is SweepVariable.DISTANCE:
+        argv += ["--delta", repr(cover), "--f-mhz", repr(f_mhz)]
+        return argv, {"d_km": start, "delta": cover}, f_mhz
+    argv += ["--d-km", repr(d_km), "--delta", repr(cover)]
+    return argv, {"d_km": d_km, "delta": cover}, start
+
+
+V = SweepVariable
+
+
+@CHECKED
+@given(sweep=sweep_args())
+@example(sweep=(V.FREQUENCY_MHZ, 400.0, 6000.0, 7, 2.0, 0.0, 868.0))  # a fixed zero regime
+@example(sweep=(V.FREQUENCY_MHZ, 400.0, 6000.0, 7, 2.0, 0.5, 868.0))  # extrapolated, 1 km deep
+@example(sweep=(V.DISTANCE, 0.05, 20.0, 7, 2.0, 0.0, 868.0))  # a fixed cover factor of 0
+@example(sweep=(V.DELTA, 0.0, 5e-324, 4, 3.0, 0.0, 868.0))  # subnormal spans
+@example(sweep=(V.DELTA, 0.0, 1e-322, 50, 3.0, 0.0, 868.0))
+@example(sweep=(V.DELTA, 0.0, 1e-320, 5000, 3.0, 0.0, 868.0))
+@example(sweep=(V.DELTA, 0.0, 2.5e-308, 1000, 3.0, 0.0, 868.0))
+@example(sweep=(V.FOLIAGE_HEIGHT, 0.0, 15.0, 2, 2.0, 0.0, 2400.0))  # two points
+@example(sweep=(V.DISTANCE, 5e-324, 1.0, 2, 2.0, 0.5, 868.0))  # refused at its first point
+def test_cli_sweep_renders_what_its_records_render(sweep):
+    """The CLI writes straight from the sweep's cells; ``run_sweep``'s rows are the reference."""
+    variable, start, stop, steps = sweep[:4]
+    argv, geometry, f_mhz = _sweep_argv(*sweep)
+    formats = ("table", "csv", "json")
+    try:
+        spec = SweepSpec(variable, start, stop, steps, LinkGeometry(**geometry), f_mhz)
+        expected = [render.render(run_sweep(spec).rows, render.SWEEP_COLUMNS, fmt)
+                    for fmt in formats]
+    except FoliageLinkError as exc:
+        for fmt in formats:
+            assert _run([*argv, "--format", fmt]) == (1, "", f"error: {exc}\n")
+        return
+    for fmt, text in zip(formats, expected):
+        assert _run([*argv, "--format", fmt]) == (0, text, "")
+
+
+#: values a fixed column can hold, each written its own way by some format
+FIXED_VALUES = [
+    None, True, False, Regime.ZERO, Validity.EXTRAPOLATED, SweepVariable.DISTANCE, 7, 0.1, -0.0,
+    1e-320, 1e300, nan, inf, "50% off", 'row,"12"', "two\nlines", "cr\rlf", "é✓𝄞", "back\\slash",
+    "",
+]
+
+
+def _text_or_error(call):
+    try:
+        return call()
+    except ValueError as exc:  # JSON refuses a non-finite float
+        return repr(exc)
+
+
+@pytest.mark.parametrize("value", FIXED_VALUES, ids=repr)
+def test_a_fixed_column_renders_as_a_varying_one(value):
+    """A fixed column's text, written once into the row template, is the text of its cells.
+
+    The column is fixed at the third and at the last place, in 3 rows and
+    in none. With ``repeat``, column ``delta`` holds column ``x``'s cells
+    and is named as repeating them. With ``error``, each row ends with an
+    error cell, which only JSON writes.
+    """
+    columns = render.SWEEP_COLUMNS
+    cases = [(3, False, False), (3, True, True), (0, False, True)]
+    for fmt, column, (count, repeat, error) in product(["table", "csv", "json"], [2, 8], cases):
+        rows = []
+        for i in range(count):
+            row = [i / 7, i / 3, None, "x,y", True, 1e300, Regime.LINEAR, Validity.IN_DOMAIN, "%d"]
+            row[column] = value
+            if repeat:
+                row[1] = row[0]
+            rows.append(row + [("boom", None, "a\nb")[i]] * error)
+        varying = [cell for row in rows for index, cell in enumerate(row) if index != column]
+        width = len(columns) + error
+        expected = _text_or_error(
+            lambda: render.render_cells(list(chain.from_iterable(rows)), columns, width, fmt)
+        )
+        fixed = {columns[column]: value}
+        same = {"delta": "x"} if repeat else None
+        assert _text_or_error(
+            lambda: render.render_cells(varying, columns, width - 1, fmt, fixed, same)
+        ) == expected, (fmt, column, count, repeat, error)
 
 
 # ---------------------------------------------------------------- argv parsing
