@@ -256,11 +256,8 @@ def _reject_unused(args: argparse.Namespace, dests: tuple[str, ...], where: str)
     """A usage error naming the flag of the first of ``dests`` given: ``where`` would ignore it."""
     for dest in dests:
         if getattr(args, dest) is not None:
-            flag = next(
-                flag for flag, (name, *_) in _option_tables()[args.command][0].items()
-                if name == dest
-            )
-            raise _UsageError(f"{flag} does not apply to {where}")
+            # the inverse of ``_dest``: every flag is its dest, dashed
+            raise _UsageError(f"--{dest.replace('_', '-')} does not apply to {where}")
 
 
 def _geometry_from_args(args: argparse.Namespace) -> LinkGeometry:

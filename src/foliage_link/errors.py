@@ -94,7 +94,3 @@ class SchemaError(ScenarioError):
 
 class DomainError(ScenarioError):
     """A field value outside its physical domain."""
-
-
-class EmptyInput(FoliageLinkError):
-    """Emission was asked to render an empty table or report list."""

@@ -18,26 +18,29 @@ A record whose ``error`` is set gets it as a last, JSON-only key.
 
 Each format has one writer, fed one flat list of cells, row after row, and
 the row width: ``_table_cells``, ``csv_cells`` and ``json_cells``, chosen
-by ``render_cells``. ``render`` flattens a list of records once and hands
-it to that writer; a lone record keeps its own shape. A caller whose rows
-all hold one value in a column (a sweep's fixed columns) leaves it out of
-the cells and names it with its value in ``fixed``: each writer formats it
-once, by its own cell rule, into the row template. A column that repeats
-an earlier one (``same``: a cover-factor sweep's ``delta`` is its ``x``) is
-formatted once for both in CSV and JSON. The CSV and JSON text is byte for
-byte what ``csv.writer`` and ``json.dumps(..., indent=2, allow_nan=False)``
+by ``render_cells``. ``render`` reads every record attribute by attribute:
+a list once, into the cells it hands to that writer, and a lone record
+into its own shape. A caller whose rows all hold one value in a column (a
+sweep's fixed columns) leaves it out of the cells and names it with its
+value in ``fixed``: each writer formats it once, by its own cell rule, into
+the row template. A column that repeats an earlier one (``same``: a
+cover-factor sweep's ``delta`` is its ``x``) is formatted once for both in
+CSV and JSON. Each format has one cell rule, ``_table_cell``, ``_csv_cell``
+and ``_json_cell``, for a fixed column, a lone record, the ``error`` member
+and a column of mixed types alike. The CSV and JSON text is byte for byte
+what ``csv.writer`` and ``json.dumps(..., indent=2, allow_nan=False)``
 would write: both run Python code per cell or per row, and ``json.dumps``
 its whole pure-Python encoder whenever ``indent`` is set. A writer converts
 only the columns whose cells ``%s`` would not write as the format does
 (strings, bools and ``None``; in JSON the enums too), each in a few C-level
 passes, then writes the whole text in one ``%`` call on a template of one
-line or object per row. The row templates are built once per process, per
-column tuple (and, for JSON, per nesting level), or once per call where a
-column is fixed. A CSV string holding a comma, double quote or line break
-is handed to ``csv.writer`` itself, so quoting stays the ``csv`` module's;
-its row ends in CRLF, so that a lone carriage return is quoted on every
-Python version. One call builds the text in one growing buffer: no line or
-block strings are held until a join.
+line or object per row. A JSON object's template is built once per
+process, per column tuple and nesting level; a table or CSV line's once per
+call. A CSV string holding a comma, double quote or line break is handed to
+``csv.writer`` itself, so quoting stays the ``csv`` module's; its row ends
+in CRLF, so that a lone carriage return is quoted on every Python version.
+One call builds the text in one growing buffer: no line or block strings
+are held until a join.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .propagation import Regime, Validity
 
@@ -79,21 +82,13 @@ def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _rows(records: list, columns: tuple[str, ...], error: bool = False) -> list:
-    """The cells of a list of records of one type, in column order, as one flat list.
+    """The cells of a list of records, in column order, as one flat list.
 
-    With ``error``, each row ends with the record's ``error``, or None where
-    it has none. A named tuple whose fields are the row is its own row, one
-    whose fields start with them is sliced, and any other record is read
-    attribute by attribute.
+    Each record is read attribute by attribute. With ``error``, each row
+    ends with the record's ``error``, or None where it has none.
     """
-    names = (*columns, "error") if error else columns
-    fields = getattr(type(records[0]), "_fields", ()) if records else ()
     get = attrgetter(*columns)
-    if fields == names:
-        rows = records
-    elif fields[: len(names)] == names:
-        rows = map(itemgetter(slice(len(names))), records)
-    elif error:
+    if error:
         rows = ((*get(record), getattr(record, "error", None)) for record in records)
     else:
         rows = map(get, records)
@@ -112,14 +107,16 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, text) -> list[str]:
+def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
     """Each column's slot in a row template.
 
-    A column the cells hold gets ``slot``; a fixed column gets ``text`` of
-    its value, written once, with each ``%`` doubled.
+    A column the cells hold gets ``slot``; a fixed column gets ``slot``
+    written once with the ``cell`` rule's text of its value, each ``%``
+    doubled.
     """
     return [
-        text(fixed[name]).replace("%", "%%") if name in fixed else slot for name in columns
+        (slot % (cell(fixed[name]),)).replace("%", "%%") if name in fixed else slot
+        for name in columns
     ]
 
 
@@ -149,8 +146,7 @@ def _table_cells(
     fixed = fixed or {}
     # the header holds attribute names, so no "%" that the template would read
     head = "  ".join(["%-13s"] * len(columns)) % _header(columns) + "\n"
-    padded = lambda value: "%-13s" % _table_cell(value)  # noqa: E731
-    line = "  ".join(_fixed_slots(columns, fixed, "%-13s", padded))
+    line = "  ".join(_fixed_slots(columns, fixed, "%-13s", _table_cell))
     line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
     return (head + line * (len(cells) // width)) % tuple(map(_table_cell, cells))
 
@@ -184,24 +180,20 @@ def _csv_text(value: str) -> str:
 
 #: CSV text of ``None``, and of the package's enums, which ``%s`` writes more slowly
 _CSV_CONSTANT = {None: "", **{flag: flag.value for flag in (*Regime, *Validity)}}
-#: CSV text of a cell that is not ``_PLAIN``, by the cell's exact type; any
-#: other type goes to ``csv.writer`` through ``_csv_written``.
-_CSV_CELL = {
-    str: _csv_text, type(None): _CSV_CONSTANT.__getitem__, bool: ("false", "true").__getitem__,
-}
+#: the text of ``False`` and ``True``, by index
+_BOOL_TEXT = ("false", "true")
 
 
-@functools.cache
-def _csv_format(columns: tuple[str, ...], width: int) -> tuple[str, str]:
-    """Header line and ``%`` template of one row's line.
-
-    A row's cells past the columns (its ``error``) go to ``%.0s``, which
-    writes no text.
-    """
-    # the header holds attribute names, so no "%" that the template would read
-    head = ",".join(_header(columns)) + "\n"
-    line = ",".join(["%s"] * len(columns)) + "%.0s" * (width - len(columns)) + "\n"
-    return head, line
+def _csv_cell(value: object) -> str:
+    """CSV text of one cell; a type this rule does not know goes to ``csv.writer``."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return "%s" % (value,)
+    if kind is str:
+        return _csv_text(value)
+    if kind is bool:
+        return _BOOL_TEXT[value]
+    return "" if value is None else _csv_written(value)
 
 
 def _csv_column(column: list) -> list | None:
@@ -218,18 +210,8 @@ def _csv_column(column: list) -> list | None:
     if kinds == {str}:
         return list(map(_csv_text, column)) if _quoted("".join(column)) else None
     if kinds == {bool}:
-        return list(map(_CSV_CELL[bool], column))
-    get = _CSV_CELL.get
-    return [
-        value if type(value) in _PLAIN else get(type(value), _csv_written)(value)
-        for value in column
-    ]
-
-
-def _csv_cell(value: object) -> str:
-    """CSV text of one cell, as its column would write it."""
-    text = _csv_column([value])
-    return "%s" % (value,) if text is None else text[0]
+        return list(map(_BOOL_TEXT.__getitem__, column))
+    return list(map(_csv_cell, column))
 
 
 def csv_cells(
@@ -245,14 +227,16 @@ def csv_cells(
     line endings), except that a bool is written ``true``/``false``.
     All the cells go to one template in one ``%`` call: as they are when
     all are ``_PLAIN``, else each column that needs it is converted first,
-    in ``cells`` itself. A fixed column's text is written into the template,
-    and a column that ``same`` names gets the text of the one it repeats.
+    in ``cells`` itself. A row's cells past the columns (its ``error``) go
+    to ``%.0s``, which writes no text. A fixed column's text is written into
+    the template, and a column that ``same`` names gets the text of the one
+    it repeats.
     """
     fixed = fixed or {}
-    head, line = _csv_format(columns, width)
-    if fixed:
-        line = ",".join(_fixed_slots(columns, fixed, "%s", _csv_cell))
-        line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
+    # the header holds attribute names, so no "%" that the template would read
+    head = ",".join(_header(columns)) + "\n"
+    line = ",".join(_fixed_slots(columns, fixed, "%s", _csv_cell))
+    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
     if not _PLAIN.issuperset(map(type, cells)):
         for index in range(len(columns) - len(fixed)):
             text = _csv_column(cells[index::width])
@@ -264,19 +248,6 @@ def csv_cells(
 
 
 _JSON_NULL = {None: "null"}
-#: JSON text of a cell, by the cell's exact type (``bool`` is its own type,
-#: so it never reaches ``int``); any other type goes to ``_json_other``.
-#: ``float`` is absent: a finite float goes to its template as it is, and
-#: ``json.dumps`` raises ``ValueError`` for ``nan`` and ``inf``.
-_JSON_CELL = {
-    str: encode_basestring_ascii,
-    bool: ("false", "true").__getitem__,
-    int: int.__repr__,
-    type(None): _JSON_NULL.__getitem__,
-    # the package's enums mix in str, and their text is their value
-    Regime: encode_basestring_ascii,
-    Validity: encode_basestring_ascii,
-}
 #: Cell types that ``%s`` writes as ``json.dumps`` does, a float once it is finite.
 _JSON_PLAIN = frozenset((float, int))
 _JSON_PLAIN_OR_NONE = _JSON_PLAIN | {type(None)}
@@ -288,12 +259,21 @@ _JSON_CONSTANT = {
 _CONSTANT_KINDS = frozenset(map(type, _JSON_CONSTANT))
 
 
-def _json_other(value: object) -> str:
-    """JSON text of an enum (its value) or of a type ``_JSON_CELL`` lacks."""
+def _json_cell(value: object) -> object:
+    """JSON text of one cell, or a finite float as it is, since ``%s`` writes its repr.
+
+    An enum's text is its value's, and a non-finite float raises
+    ``ValueError``, both as in ``json.dumps``.
+    """
+    kind = type(value)
+    if kind is float and -math.inf < value < math.inf:
+        return value
+    if kind in _CONSTANT_KINDS:
+        return _JSON_CONSTANT[value]
+    if kind is str:
+        return encode_basestring_ascii(value)
     if isinstance(value, Enum):
         value = value.value
-    if type(value) is str:
-        return encode_basestring_ascii(value)
     return json.dumps(value, allow_nan=False)
 
 
@@ -307,19 +287,6 @@ def _json_template(names: tuple[str, ...], level: int, error: bool) -> str:
     pad = "\n" + "  " * (level + 1)
     members = ",".join(f"{pad}{encode_basestring_ascii(key)}: %s" for key in names)
     return "{" + members + ("%s" if error else "") + "\n" + "  " * level + "}"
-
-
-def _json_cells(row) -> tuple:
-    """A row's cells as its JSON template takes them.
-
-    A finite float stays as it is, since ``%s`` writes its repr.
-    """
-    cell, inf = _JSON_CELL.get, math.inf
-    return tuple([
-        value if type(value) is float and -inf < value < inf
-        else cell(type(value), _json_other)(value)
-        for value in row
-    ])
 
 
 def _json_array(items: list[str], tail: str) -> str:
@@ -339,10 +306,10 @@ def _json_error(error: object, level: int) -> str:
     """The ``error`` member of an object nested ``level`` deep, or no text for None."""
     if error is None:
         return ""
-    return f',\n{"  " * (level + 1)}"error": ' + _JSON_CELL.get(type(error), _json_other)(error)
+    return f',\n{"  " * (level + 1)}"error": {_json_cell(error)}'
 
 
-def _json_column(column: list, kinds: set) -> list | tuple | None:
+def _json_column(column: list, kinds: set) -> list | None:
     """JSON text of one column's cells, or None when ``%s`` writes them all as they are.
 
     ``kinds`` holds the cells' types, and every float among them is finite.
@@ -355,26 +322,11 @@ def _json_column(column: list, kinds: set) -> list | tuple | None:
         return list(map(encode_basestring_ascii, column))
     if kinds <= _CONSTANT_KINDS:
         return list(map(_JSON_CONSTANT.__getitem__, column))
-    return _json_cells(column)
+    return list(map(_json_cell, column))
 
 
 #: ``isinstance(value, float)`` as one C call, for ``filter``
 _is_float = float.__instancecheck__
-
-
-def _json_fixed_slots(cells: list, columns: tuple[str, ...], fixed: dict) -> list[str]:
-    """Each column's slot in a row's object template, for rows that hold ``fixed``.
-
-    The texts are those of the first row, so that a non-finite float among
-    them raises where ``json.dumps`` would: at the row's first.
-    """
-    first = iter(cells)
-    row = [fixed[name] if name in fixed else next(first) for name in columns]
-    texts = _json_cells(row)
-    return [
-        ("%s" % (text,)).replace("%", "%%") if name in fixed else "%s"
-        for name, text in zip(columns, texts)
-    ]
 
 
 def json_cells(
@@ -398,12 +350,12 @@ def json_cells(
     with_error = width > varying
     item = _json_template(_header(columns), 1, with_error)
     if fixed and cells:
-        item %= (*_json_fixed_slots(cells, columns, fixed), *["%s"] * with_error)
+        item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
     for index in range(varying):
         column = cells[index::width]
         kinds = set(map(type, column))
         if float in kinds and not all(map(math.isfinite, filter(_is_float, column))):
-            _json_cells(cells)  # raises at the first, row by row: no float is converted
+            list(map(_json_cell, cells))  # raises at the first, row by row
         text = _json_column(column, kinds)
         if text is not None:
             cells[index::width] = text
@@ -448,13 +400,10 @@ def render(records, columns: tuple[str, ...], fmt: str) -> str:
     if isinstance(records, list):
         error = fmt == "json"
         return render_cells(_rows(records, columns, error), columns, len(columns) + error, fmt)
-    if getattr(type(records), "_fields", None) == columns:
-        row = records
-    else:
-        row = attrgetter(*columns)(records)
+    row = attrgetter(*columns)(records)
     if fmt == "json":
         member = _json_error(getattr(records, "error", None), 0)
-        return _json_template(_header(columns), 0, True) % (*_json_cells(row), member) + "\n"
+        return _json_template(_header(columns), 0, True) % (*map(_json_cell, row), member) + "\n"
     if fmt == "csv":
         return csv_cells(list(row), columns, len(columns))
     names = _header(columns)

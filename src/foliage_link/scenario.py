@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 from .budget import RadioConfig
 from .errors import (
     DomainError,
-    EmptyInput,
     FoliageLinkError,
+    InconsistentGeometry,
     ParseError,
     SchemaError,
 )
@@ -325,12 +325,20 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     they are, so a non-string or repeated id gives a report.
 
     Raises:
+        InconsistentGeometry: a node that gives neither or both of
+            ``h_f_m`` and ``delta``.
         FoliageLinkError: a frequency that is not positive and finite, or a
             node whose distance is not positive and finite in meters, whose
             cover factor lies outside [0, 1], or whose foliage height lies
             outside [0, base height] (or whose base height is not positive
             and finite).
     """
+    for node in scenario.nodes:
+        if (node.h_f_m is None) == (node.delta is None):
+            raise InconsistentGeometry(
+                f"node '{node.id}': give exactly one of h_f_m and delta, "
+                f"got h_f_m={node.h_f_m}, delta={node.delta}"
+            )
     cells = _report_cells(
         scenario.nodes, scenario.frequency_mhz, scenario.base_height_m, scenario.radio
     )
@@ -355,12 +363,10 @@ def emit_csv(data) -> str:
     """Render a ``SweepTable`` or a sequence of ``NodeReport`` as CSV (LF line endings).
 
     Numeric fields use the shortest decimal form that parses back to the
-    identical float. No node reports give the header line alone, as an
-    empty scenario renders an empty table or JSON array.
+    identical float. A table of no rows, or no node reports, gives the
+    header line alone, as an empty table or JSON array renders.
     """
     if hasattr(data, "rows"):  # a SweepTable
-        if not data.rows:
-            raise EmptyInput("sweep table has no rows")
         return render(data.rows, SWEEP_COLUMNS, "csv")
     return render(list(data), REPORT_COLUMNS, "csv")
 

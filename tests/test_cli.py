@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line frontend via its run() entry point."""
 
+import argparse
 import csv
 import io
 import json
@@ -107,6 +108,47 @@ class TestUsage:
         first = invoke(capsys, "sweep", "--preset", "figure4", "--format", "csv")
         second = invoke(capsys, "sweep", "--preset", "figure4", "--format", "csv")
         assert first == second
+
+
+SWEEP_DELTA = ["sweep", "--var", "delta", "--start", "0", "--stop", "0.9", "--steps", "5"]
+SWEEP_HEIGHT = ["sweep", "--var", "foliage-height", "--start", "0", "--stop", "20", "--steps", "5"]
+RADIO_FLAGS = ["--tx-dbm", "14", "--sensitivity-dbm", "-137"]
+
+
+class TestErrorLines:
+    """Each refusal's exit code and the ``error:`` or ``usage error:`` line it prints first."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["loss", "--f-mhz", "868", "--delta", "0.3"], "--d-km is required here"),
+        ([*SWEEP_DELTA, "--f-mhz", "868"], "--d-km is required for a delta sweep"),
+        ([*SWEEP_HEIGHT, "--d-km", "2", "--f-mhz", "868"],
+         "--d-km and --h-m are required for a foliage-height sweep"),
+        ([*SWEEP_DELTA, "--d-km", "2"], "--f-mhz is required here"),
+        (["budget", "--solve", "delta", *RADIO_FLAGS, "--f-mhz", "868"],
+         "--d-km is required for --solve delta"),
+    ])
+    def test_usage_error_exits_2(self, capsys, argv, line):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.partition("\n")[0] == f"usage error: {line}"
+
+    def test_delta_cap_out_of_range_exits_1(self, capsys):
+        code, out, err = invoke(capsys, *SWEEP_DELTA, "--d-km", "2", "--f-mhz", "868",
+                                "--delta-cap", "1.5")
+        assert (code, out, err) == (1, "", "error: delta_cap must lie in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize("document, line", [
+        ([], "scenario: top level must be an object, got []"),
+        ({"name": "o", "frequency_mhz": 868, "base_height_m": 0, "radio": {}, "nodes": []},
+         "scenario: base_height_m must be > 0, got 0.0"),
+        ({"name": "o", "frequency_mhz": 868, "base_height_m": 30, "radio": [], "nodes": []},
+         "scenario: field 'radio' must be an object, got []"),
+    ])
+    def test_scenario_document_error_exits_1(self, capsys, tmp_path, document, line):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out, err = invoke(capsys, "scenario", "--file", str(path))
+        assert (code, out, err) == (1, "", f"error: {line}\n")
 
 
 class TestParserBuiltOnlyWhenNeeded:
@@ -472,6 +514,14 @@ class TestIgnoredFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag} does not apply to ")
         assert "usage:" in err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_names_every_flag_as_declared(self, command):
+        """The flag named is its dest, dashed: the inverse of ``_dest`` for every declared flag."""
+        for flag, _ in cli._COMMANDS[command][1]:
+            args = argparse.Namespace(command=command, **{cli._dest(flag): "given"})
+            with pytest.raises(cli._UsageError, match=f"^{flag} does not apply to here$"):
+                cli._reject_unused(args, (cli._dest(flag),), "here")
 
     def test_prints_the_subcommand_usage(self, capsys):
         """Under a usage error of ``run``'s own goes the usage block argparse

@@ -9,11 +9,14 @@ import pytest
 
 from foliage_link import (
     DomainError,
+    InconsistentGeometry,
     LinkGeometry,
+    NonPositiveDistance,
     ParseError,
     SchemaError,
     ScenarioNode,
     SweepSpec,
+    SweepTable,
     SweepVariable,
     emit_csv,
     emit_json,
@@ -346,6 +349,24 @@ class TestEvaluateScenario:
         assert ok.l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
         assert json.loads(emit_json([speck, ok]))[0]["error"] == speck.error
 
+    @pytest.mark.parametrize("node, got", [
+        (ScenarioNode("a", 1.0), "h_f_m=None, delta=None"),
+        (ScenarioNode("a", 1.0, 10.0, 0.9), "h_f_m=10.0, delta=0.9"),
+    ])
+    def test_hand_built_node_needs_exactly_one_cover_source(self, node, got):
+        """A node no parse checked: neither source, or both, is refused by name."""
+        scenario = parse_scenario(scenario_doc())._replace(nodes=[node])
+        message = f"node 'a': give exactly one of h_f_m and delta, got {got}"
+        with pytest.raises(InconsistentGeometry, match=re.escape(message)):
+            evaluate_scenario(scenario)
+
+    def test_hand_built_node_with_negative_distance(self):
+        scenario = parse_scenario(scenario_doc())._replace(
+            nodes=[ScenarioNode("a", -1.0, delta=0.5)]
+        )
+        with pytest.raises(NonPositiveDistance, match="got -1.0$"):
+            evaluate_scenario(scenario)
+
     #: the radio of ``scenario_doc``, and one whose sums round differently by order
     #: ((14.1 + 0.7) + 2.3 != 14.1 + (0.7 + 2.3))
     @pytest.mark.parametrize("radio", [
@@ -436,6 +457,7 @@ class TestEmitCsv:
 
     def test_empty_inputs(self):
         assert emit_csv([]) == ",".join(REPORT_COLUMNS) + "\n"
+        assert emit_csv(SweepTable("delta", [])) == ",".join(SWEEP_COLUMNS) + "\n"
 
     def test_a_bool_in_any_column_is_written_true(self):
         """As in a table and in JSON: here the id of a hand-built node, which no parse checked."""

@@ -186,6 +186,17 @@ class TestSpecValidation:
                 f_mhz=2400.0,
             )
 
+    def test_height_sweep_needs_non_negative_start(self):
+        with pytest.raises(InvalidSpec, match="foliage height must be >= 0, got -1.0$"):
+            SweepSpec(
+                variable=SweepVariable.FOLIAGE_HEIGHT,
+                start=-1.0,
+                stop=10.0,
+                steps=4,
+                base=LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=0.0),
+                f_mhz=2400.0,
+            )
+
     def test_height_sweep_excludes_full_cover(self):
         with pytest.raises(InvalidSpec):
             SweepSpec(
