@@ -54,12 +54,7 @@ from .sweep import run_sweep  # noqa: F401
 #: a solve as the ``budget`` command prints it: its kind, then its result
 _SolveRow = namedtuple("_SolveRow", SOLVE_COLUMNS)
 
-_SWEEP_VARS = {
-    "delta": SweepVariable.DELTA,
-    "foliage-height": SweepVariable.FOLIAGE_HEIGHT,
-    "distance": SweepVariable.DISTANCE,
-    "frequency-mhz": SweepVariable.FREQUENCY_MHZ,
-}
+_SWEEP_VARS = {v.value.replace("_", "-"): v for v in SweepVariable}
 
 
 class _UsageError(Exception):
@@ -182,16 +177,6 @@ def _dest(flag: str) -> str:
 _negative_number = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
-def _fast_type(keywords: dict):
-    """The conversion ``_fast_parse`` makes for a flag declared with ``keywords``.
-
-    A ``_finite_float`` flag converts with ``float`` itself, which saves a
-    call frame per flag; ``_fast_parse`` then checks that it is finite.
-    """
-    convert = keywords.get("type", str)
-    return float if convert is _finite_float else convert
-
-
 @functools.cache
 def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
     """Per subcommand, what ``_fast_parse`` reads, built from ``_COMMANDS``.
@@ -202,7 +187,7 @@ def _option_tables() -> dict[str, tuple[dict, dict, frozenset]]:
     """
     return {
         name: (
-            {flag: (_dest(flag), _fast_type(kw), kw.get("choices")) for flag, kw in flags},
+            {flag: (_dest(flag), kw.get("type", str), kw.get("choices")) for flag, kw in flags},
             {"command": name, **{_dest(flag): kw.get("default") for flag, kw in flags}},
             frozenset(_dest(flag) for flag, kw in flags if kw.get("required")),
         )
@@ -238,8 +223,6 @@ def _fast_parse(argv: list[str]) -> argparse.Namespace | None:
         try:
             value = convert(text)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if convert is float and not isfinite(value):
             return None
         if choices is not None and value not in choices:
             return None

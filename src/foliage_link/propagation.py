@@ -274,16 +274,16 @@ def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
 
     The free-space term is evaluated over the unobstructed remainder
     ``d * (1 - delta)``, so the cover factor must be strictly below 1.
-    ``geometry`` checked its own fields when it was built.
+    ``geometry`` checked its own fields when it was built, and the loss core
+    checks the rest: the frequency first, then the free-space segment.
 
     Raises:
+        NonPositiveFrequency: ``f_mhz`` is not positive and finite.
         FullFoliageCover: at ``delta = 1`` the free-space segment vanishes
             and its loss term is singular.
         NonPositiveDistance: the free-space segment rounds to 0 km.
     """
     delta = geometry.effective_delta
-    if delta >= 1.0:
-        raise FullFoliageCover(_FULL_COVER)
     d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(f_mhz).at(
         geometry.d_km, delta
     )

@@ -379,8 +379,16 @@ def emit_json(reports: Sequence[NodeReport]) -> str:
 def emit_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its JSON wire format.
 
+    Each node is written with the fields it holds, those that are not None.
+    The text is then read back by ``parse_scenario``, so only a document that
+    the parser accepts is returned.
     ``parse_scenario(emit_scenario(s))`` reproduces ``s`` exactly, and the
     emitted text is a fixed point of a further parse/emit round trip.
+
+    Raises:
+        FoliageLinkError: the error ``parse_scenario`` raises on the text,
+            naming the node where one is at fault.
+        ValueError: a value is NaN or infinite, which JSON cannot hold.
     """
     doc = {
         "name": scenario.name,
@@ -388,10 +396,10 @@ def emit_scenario(scenario: Scenario) -> str:
         "base_height_m": scenario.base_height_m,
         "radio": {key: getattr(scenario.radio, key) for key in _RADIO_KEYS},
         "nodes": [
-            {"id": node.id, "d_km": node.d_km, "delta": node.delta}
-            if node.h_f_m is None
-            else {"id": node.id, "d_km": node.d_km, "h_f_m": node.h_f_m}
+            {key: value for key, value in zip(ScenarioNode._fields, node) if value is not None}
             for node in scenario.nodes
         ],
     }
-    return json.dumps(doc, indent=2, allow_nan=False)
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    parse_scenario(text)
+    return text

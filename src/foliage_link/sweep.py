@@ -66,6 +66,8 @@ class SweepSpec(_SweepSpecFields):
     [2, ``MAX_STEPS``]. Cover-factor sweeps are capped at ``delta_cap``
     (``DEFAULT_DELTA_CAP`` by default) and full cover (delta = 1) is rejected
     outright for every variable, since the free-space term is singular there.
+    A distance sweep's ``stop`` must be finite in meters, as ``LinkGeometry``
+    requires of ``d_km``; every point of the grid then is too.
     Every way of building one (the constructor, ``_make`` and ``_replace``)
     checks the fields.
     """
@@ -111,6 +113,8 @@ class SweepSpec(_SweepSpecFields):
             raise InvalidSpec(f"{variable.value} sweep needs start > 0, got {start}")
         elif base.effective_delta >= 1.0:
             raise InvalidSpec("base cover factor must be below 1 (full cover)")
+        elif variable is SweepVariable.DISTANCE and not stop * 1000.0 < math.inf:
+            raise InvalidSpec(f"distance sweep needs stop finite in meters, got {stop}")
         return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz, delta_cap))
 
     _make = classmethod(_checked_make)
@@ -164,8 +168,7 @@ def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
     a field whose cells repeat an earlier one's: a cover-factor sweep's
     ``delta`` is its ``x``. Every point is one ``_LossCore.at`` call. An
     error is re-raised annotated with the offending x. ``spec`` checked
-    every swept value except a distance in meters, which is checked per
-    point.
+    every swept value.
     """
     grid = _grid(spec.start, spec.stop, spec.steps)
     variable, base = spec.variable, spec.base
@@ -205,14 +208,10 @@ def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
                 delta = base.effective_delta
                 fixed = {"delta": delta}
                 for x in grid:
-                    if not x * 1000.0 < math.inf:
-                        break  # refused below, by the geometry check, without annotation
                     append(x)
                     cells += at(x, delta)
     except FoliageLinkError as exc:
         raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
-    if variable is SweepVariable.DISTANCE and not x * 1000.0 < math.inf:
-        LinkGeometry(d_km=x, delta=base.effective_delta)  # raises NonPositiveDistance
     return cells, fixed, same
 
 

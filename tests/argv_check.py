@@ -4,20 +4,20 @@
 argparse parser from it, parses a canonical argv (``SUBCOMMAND (--flag
 value)*``) from a table built off the same declaration and hands everything
 else to ``argparse``. argparse's parsing rules differ between Python
-versions, so run this under each supported one; it needs only the standard
+versions, so the check runs under each supported one: ``tests/test_cli.py``
+runs it in the tier-1 suite, and it runs alone with only the standard
 library:
 
     PYTHONPATH=src python tests/argv_check.py
 
 The corpus is every argv of ``tests/render_digest.py`` (with the ``--format``
 and ``--out`` it adds), every ``foliage-link`` command in the README's CLI
-section, every argv literal in ``demos/``, and ``MALFORMED``, argvs the table
-must hand to argparse. Wherever the table accepts an argv, argparse must
-accept it too and give an equal ``Namespace``. It prints the accepted and
-declined counts per source and exits 1 on any mismatch.
+section, and ``MALFORMED``, argvs the table must hand to argparse. Wherever
+the table accepts an argv, argparse must accept it too and give an equal
+``Namespace``. It prints the accepted and declined counts per source and
+exits 1 on any mismatch or on an accepted ``MALFORMED`` argv.
 """
 
-import ast
 import contextlib
 import io
 import random
@@ -63,20 +63,6 @@ def readme_argvs() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in commands if line.startswith("foliage-link ")]
 
 
-def demo_argvs() -> list[list[str]]:
-    """Every list of string literals in ``demos/`` that starts with a subcommand name."""
-    commands = set(cli._COMMANDS)
-    found = []
-    for path in sorted(ROOT.joinpath("demos").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.List) and node.elts and all(
-                    isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
-                argv = [e.value for e in node.elts]
-                if argv[0] in commands:
-                    found.append(argv)
-    return found
-
-
 def digest_argvs() -> list[list[str]]:
     """The argvs ``tests/render_digest.py`` runs, each in both formats it runs them in."""
     sys.path.insert(0, str(ROOT / "tests"))
@@ -111,17 +97,20 @@ def check(argvs: list[list[str]]) -> tuple[int, int, list[list[str]]]:
     return accepted, len(argvs) - accepted, mismatched
 
 
+def sources() -> dict[str, list[list[str]]]:
+    """The corpus by source; the table must decline every argv of ``malformed``."""
+    return {"render_digest": digest_argvs(), "README": readme_argvs(), "malformed": MALFORMED}
+
+
 def main() -> int:
-    sources = {"render_digest": digest_argvs(), "README": readme_argvs(),
-               "demos": demo_argvs(), "malformed": MALFORMED}
     failed = False
     print(f"python {sys.version.split()[0]}")
-    for name, argvs in sources.items():
+    for name, argvs in sources().items():
         accepted, declined, mismatched = check(argvs)
         print(f"{name:14} {accepted:3} accepted {declined:3} declined {len(mismatched)} mismatched")
         for argv in mismatched:
             print(f"  mismatch: {argv}")
-        failed |= bool(mismatched)
+        failed |= bool(mismatched) or (name == "malformed" and accepted > 0)
     return int(failed)
 
 

@@ -35,6 +35,8 @@ from foliage_link import (
 )
 from foliage_link.propagation import _LossCore
 
+import solver_digest
+
 # mpmath-frozen forward values
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -389,3 +391,12 @@ class TestSolversMatchScalarPath:
             at_d, at_delta = x_of(result.value)
             expected = total_loss(LinkGeometry(d_km=at_d, delta=at_delta), f)
             assert result.achieved_loss_db == expected.l_total_db
+
+
+class TestSolverDigest:
+    """Every outcome of ``tests/solver_digest.py``'s seeded draws, on any Python."""
+
+    def test_digest_of_2000_draws(self):
+        hexdigest, outcomes = solver_digest.digest(2000)
+        assert hexdigest == "b77015ecae2b2e8f0671425d4482b6995120a67a1b7fbe6ec2dbf90dfb62a2d0"
+        assert [counts["unconverged"] for counts, _ in outcomes.values()] == [0, 0, 0]

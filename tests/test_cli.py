@@ -14,8 +14,8 @@ import pytest
 from foliage_link import FoliageLinkError, cli, parse_scenario
 from foliage_link.cli import run
 
+import argv_check
 import render_digest
-from argv_check import readme_argvs
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -136,6 +136,15 @@ class TestErrorLines:
         code, out, err = invoke(capsys, *SWEEP_DELTA, "--d-km", "2", "--f-mhz", "868",
                                 "--delta-cap", "1.5")
         assert (code, out, err) == (1, "", "error: delta_cap must lie in (0, 1), got 1.5\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_distance_sweep_stop_beyond_meters_exits_1(self, capsys, fmt):
+        code, out, err = invoke(capsys, "sweep", "--var", "distance", "--start", "1",
+                                "--stop", "1e306", "--steps", "3", "--delta", "0.5",
+                                "--f-mhz", "868", "--format", fmt)
+        assert (code, out, err) == (
+            1, "", "error: distance sweep needs stop finite in meters, got 1e+306\n"
+        )
 
     @pytest.mark.parametrize("document, line", [
         ([], "scenario: top level must be an object, got []"),
@@ -1010,6 +1019,18 @@ class TestRenderDigest:
         assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
 
 
+class TestArgvCorpus:
+    """``tests/argv_check.py``'s check, on every Python the suite runs under: wherever the
+    table parser accepts an argv, argparse gives the same ``Namespace``."""
+
+    @pytest.mark.parametrize("name", ["render_digest", "README", "malformed"])
+    def test_table_parser_agrees_with_argparse(self, name):
+        accepted, _, mismatched = argv_check.check(argv_check.sources()[name])
+        assert mismatched == []
+        if name == "malformed":
+            assert accepted == 0
+
+
 FORMATS = ("table", "csv", "json")
 
 
@@ -1024,14 +1045,14 @@ class TestFastParse:
         assert fast is not None
         assert vars(fast) == vars(cli._parser().parse_args(argv))
 
-    @pytest.mark.parametrize("argv", readme_argvs(), ids=" ".join)
+    @pytest.mark.parametrize("argv", argv_check.readme_argvs(), ids=" ".join)
     def test_readme_example_takes_the_fast_path(self, argv):
         fast = cli._fast_parse(argv)
         assert fast is not None
         assert vars(fast) == vars(cli._parser().parse_args(argv))
 
     def test_readme_examples_found(self):
-        assert {argv[0] for argv in readme_argvs()} == set(cli._option_tables())
+        assert {argv[0] for argv in argv_check.readme_argvs()} == set(cli._option_tables())
 
     def test_argparse_alone_gives_the_same_results(self, capsys, monkeypatch):
         argvs = [

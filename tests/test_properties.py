@@ -114,6 +114,11 @@ def finite_or_error(call, *args, **kwargs):
             InvalidSpec,
             r"got \[1, inf\]$",
         ),
+        (
+            lambda: SweepSpec(SweepVariable.DISTANCE, 1, 1e306, 3, LinkGeometry(2, delta=0.5), 868),
+            InvalidSpec,
+            r"^distance sweep needs stop finite in meters, got 1e\+306$",
+        ),
         (lambda: weissberger_delta_limit(inf), NonPositiveDistance, "got inf$"),
         (lambda: delta_from_heights(1, inf), NonPositiveHeight, "^h_m .* got inf$"),
         (
@@ -124,7 +129,7 @@ def finite_or_error(call, *args, **kwargs):
     ],
     ids=[
         "geometry-inf", "geometry-1e306", "total-f-inf", "height-h-inf",
-        "sweep-stop-inf", "delta-limit-inf", "heights-inf", "scenario-node-1e306",
+        "sweep-stop-inf", "sweep-stop-1e306", "delta-limit-inf", "heights-inf", "scenario-node-1e306",
     ],
 )
 def test_non_finite_input_names_itself(call, error, message):
@@ -533,32 +538,32 @@ NODE_VALUE = st.one_of(st.floats(), st.integers(-10**6, 10**6), SPECIAL)
 @CHECKED
 @given(name=TEXT, frequency_mhz=NODE_VALUE, base_height_m=NODE_VALUE,
        radio=st.lists(st.floats(0.0, 200.0), min_size=5, max_size=5),
-       nodes=st.lists(st.tuples(TEXT, NODE_VALUE, st.booleans(),
+       nodes=st.lists(st.builds(ScenarioNode, TEXT, NODE_VALUE, st.one_of(st.none(), NODE_VALUE),
                                 st.one_of(st.none(), NODE_VALUE)), max_size=4))
 def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, radio, nodes):
+    """The text is ``json.dumps`` of the fields that are not None, or the parser's error on it."""
     radio = RadioConfig(*radio)
-    nodes = [
-        ScenarioNode(node_id, d_km, value, None) if by_height and value is not None
-        else ScenarioNode(node_id, d_km, None, value)
-        for node_id, d_km, by_height, value in nodes
-    ]
     scenario = Scenario(name, frequency_mhz, base_height_m, radio, nodes)
     doc = {
         "name": name,
         "frequency_mhz": frequency_mhz,
         "base_height_m": base_height_m,
         "radio": radio._asdict(),
-        "nodes": [
-            {"id": node.id, "d_km": node.d_km,
-             **({"h_f_m": node.h_f_m} if node.h_f_m is not None else {"delta": node.delta})}
-            for node in nodes
-        ],
+        "nodes": [{key: value for key, value in node._asdict().items() if value is not None}
+                  for node in nodes],
     }
     try:
         expected = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:  # a nan or inf value
         with pytest.raises(ValueError, match="not JSON compliant"):
             emit_scenario(scenario)
+        return
+    try:
+        parse_scenario(expected)
+    except FoliageLinkError as exc:
+        with pytest.raises(type(exc)) as raised:
+            emit_scenario(scenario)
+        assert str(raised.value) == str(exc)
         return
     assert emit_scenario(scenario) == expected
 

@@ -503,6 +503,25 @@ class TestScenarioRoundTrip:
         assert reparsed == scenario
         assert emit_scenario(reparsed) == emitted
 
+    @pytest.mark.parametrize("change, error, message", [
+        ({"nodes": [ScenarioNode("a", 2.0)]}, SchemaError,
+         "node 'a': supply one of 'h_f_m' or 'delta'"),
+        ({"nodes": [ScenarioNode("a", 2.0, h_f_m=15.0, delta=0.5)]}, SchemaError,
+         "node 'a': fields 'h_f_m' and 'delta' are mutually exclusive"),
+        ({"nodes": [ScenarioNode("a", -1.0, delta=0.5)]}, DomainError,
+         "node 'a': d_km must be > 0 and finite in meters, got -1.0"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=1.5)]}, DomainError,
+         "node 'a': delta must lie in [0, 1], got 1.5"),
+        ({"base_height_m": -30.0}, DomainError, "scenario: base_height_m must be > 0, got -30.0"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=0.5)] * 2}, SchemaError,
+         "scenario: duplicate node id 'a'"),
+    ], ids=["no-cover", "both-covers", "negative-d", "delta-1.5", "negative-base", "repeated-id"])
+    def test_refuses_what_the_parser_refuses(self, change, error, message):
+        scenario = parse_scenario(scenario_doc())._replace(**change)
+        with pytest.raises(error) as raised:
+            emit_scenario(scenario)
+        assert str(raised.value) == message
+
     def test_evaluation_is_deterministic(self):
         text = scenario_doc([
             {"id": "a", "d_km": 2, "delta": 0.95},

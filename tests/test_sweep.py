@@ -1,8 +1,10 @@
 """Tests for sweep specs, presets and table generation."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foliage_link import (
@@ -16,11 +18,13 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
-from foliage_link.sweep import MAX_STEPS
+from foliage_link.sweep import MAX_STEPS, _grid
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
 TOTAL_D2_DELTA05 = 199.09901440038047
+#: the largest distance in km that is finite in meters
+LARGEST_STOP_KM = 1.7976931348623156e305
 
 
 def delta_spec(start=0.0, stop=0.95, steps=96, d_km=2.0, f_mhz=2400.0, **kwargs):
@@ -230,6 +234,13 @@ class TestSpecValidation:
                 f_mhz=868.0,
             )
 
+    def test_distance_sweep_stops_within_meters(self):
+        spec = SweepSpec(SweepVariable.DISTANCE, 1.0, LARGEST_STOP_KM, 3,
+                         LinkGeometry(1.0, delta=0.3), 868.0)
+        assert all(math.isfinite(row.l_total_db) for row in run_sweep(spec).rows)
+        with pytest.raises(InvalidSpec, match="stop finite in meters"):
+            spec._replace(stop=math.nextafter(LARGEST_STOP_KM, math.inf))
+
     def test_frequency_sweep_needs_positive_start(self):
         with pytest.raises(InvalidSpec):
             SweepSpec(
@@ -307,6 +318,20 @@ class TestFastPathMatchesScalarPath:
         # i / (steps - 1) by the span instead; the last has a subnormal step
         spec = SweepSpec(SweepVariable.DELTA, 0.0, stop, steps, LinkGeometry(3.0, delta=0.0), 868.0)
         assert_matches_scalar_path(spec)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        bounds=st.tuples(st.floats(5e-324, LARGEST_STOP_KM), st.floats(5e-324, LARGEST_STOP_KM)),
+        steps=st.integers(2, 3000),
+    )
+    @example(bounds=(5e-324, LARGEST_STOP_KM), steps=3)
+    @example(bounds=(1e305, LARGEST_STOP_KM), steps=MAX_STEPS // 1000)
+    def test_grid_peaks_at_stop(self, bounds, steps):
+        """No grid value passes ``stop``, so ``SweepSpec``'s rule that a distance
+        sweep's ``stop`` is finite in meters holds for every point."""
+        start, stop = sorted(bounds)
+        assume(start < stop)
+        assert max(_grid(start, stop, steps)) == stop
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
