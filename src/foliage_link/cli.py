@@ -27,7 +27,7 @@ import sys
 from collections import namedtuple
 from math import isfinite
 
-from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
+from .budget import RadioConfig, SolveResult, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
 from .propagation import (
     DEFAULT_DELTA_CAP,
@@ -36,23 +36,21 @@ from .propagation import (
     delta_from_heights,
     total_loss,
 )
-from .render import (
-    BOUNDS_COLUMNS,
-    LOSS_COLUMNS,
-    REPORT_COLUMNS,
-    SOLVE_COLUMNS,
-    SWEEP_COLUMNS,
-    render,
-    render_cells,
-)
-from .scenario import _REPORT_WIDTH, _scenario_cells
-from .sweep import SweepSpec, SweepVariable, _sweep_cells, preset
+from .render import render, render_cells
+from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _scenario_cells
+from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_cells, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
 from .sweep import run_sweep  # noqa: F401
 
 #: a solve as the ``budget`` command prints it: its kind, then its result
-_SolveRow = namedtuple("_SolveRow", SOLVE_COLUMNS)
+_SolveRow = namedtuple("_SolveRow", ("solve", *SolveResult._fields))
+#: the ``loss`` command's columns: ``LossBreakdown``'s losses, and the split and
+#: foliage fields it nests, each printed by its last name
+_LOSS_COLUMNS = (
+    "split.delta", "split.d_f_m", "split.d_fsp_m", "l_foliage_db", "l_fsp_db",
+    "l_total_db", "foliage.regime", "foliage.validity",
+)
 
 _SWEEP_VARS = {v.value.replace("_", "-"): v for v in SweepVariable}
 
@@ -261,7 +259,7 @@ def _delta_from_args(args: argparse.Namespace) -> float:
 
 def _run_loss(args: argparse.Namespace) -> str:
     breakdown = total_loss(_geometry_from_args(args), args.f_mhz)
-    return render(breakdown, LOSS_COLUMNS, args.format)
+    return render(breakdown, _LOSS_COLUMNS, args.format)
 
 
 def _run_sweep_cmd(args: argparse.Namespace) -> str:
@@ -332,7 +330,7 @@ def _run_budget(args: argparse.Namespace) -> str:
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
         result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, delta_cap)
-    return render(_SolveRow(args.solve, *result), SOLVE_COLUMNS, args.format)
+    return render(_SolveRow(args.solve, *result), _SolveRow._fields, args.format)
 
 
 def _run_scenario(args: argparse.Namespace) -> str:
@@ -346,7 +344,7 @@ def _run_scenario(args: argparse.Namespace) -> str:
 
 def _run_bounds(args: argparse.Namespace) -> str:
     bounds = delta_bounds(args.delta_min, args.delta_max, args.sigma)
-    return render(bounds, BOUNDS_COLUMNS, args.format)
+    return render(bounds, bounds._fields, args.format)
 
 
 #: characters per output slice: about 1 MB of UTF-8

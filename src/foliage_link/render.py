@@ -1,11 +1,11 @@
 """Table, CSV and JSON text for result records.
 
-Each record type has one column tuple: attribute names in output order,
-dotted where the value sits on a nested object (``split.delta`` prints as
-``delta``). One record renders as a key/value table or a JSON object, a
-list of records as a column table or a JSON array (indent 2). CSV is a
-header line plus one line per record either way. Only a ``list`` is a batch:
-every record is a named tuple, so a lone record is a tuple too.
+The caller names the columns: attribute names in output order, a record's
+own ``_fields`` or dotted where the value sits on a nested object
+(``split.delta`` prints as ``delta``). ``render`` writes one record as a
+key/value table, a one-row CSV or a JSON object; ``render_cells`` writes
+rows given as one flat list of cells as a column table, a CSV or a JSON
+array (indent 2). CSV is a header line plus one line per row either way.
 
 Cell rules, table / CSV / JSON:
 
@@ -14,13 +14,11 @@ Cell rules, table / CSV / JSON:
 * enum (``Regime``, ``Validity``): its value;
 * missing (``None``): ``-`` / empty cell / ``null``.
 
-A record whose ``error`` is set gets it as a last, JSON-only key.
+A row may end with its record's ``error``, which only JSON writes, as a last key.
 
-Each format has one writer, fed one flat list of cells, row after row, and
-the row width: ``_table_cells``, ``csv_cells`` and ``json_cells``, chosen
-by ``render_cells``. ``render`` reads every record attribute by attribute:
-a list once, into the cells it hands to that writer, and a lone record
-into its own shape. A caller whose rows all hold one value in a column (a
+Each format has one writer, fed one flat list of cells and the row width:
+``_table_cells``, ``csv_cells`` and ``json_cells``, chosen by
+``render_cells``. A caller whose rows all hold one value in a column (a
 sweep's fixed columns) leaves it out of the cells and names it with its
 value in ``fixed``: each writer formats it once, by its own cell rule, into
 the row template. A column that repeats an earlier one (``same``: a
@@ -51,48 +49,15 @@ import io
 import json
 import math
 from enum import Enum
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .propagation import Regime, Validity
 
-SWEEP_COLUMNS = (
-    "x", "delta", "d_f_m", "d_fsp_m", "l_foliage_db", "l_fsp_db", "l_total_db",
-    "regime", "validity",
-)
-REPORT_COLUMNS = (
-    "id", "delta", "d_f_m", "d_fsp_m", "l_foliage_db", "l_fsp_db", "l_total_db",
-    "regime", "validity", "margin_db", "required_tx_dbm", "link_ok",
-)
-LOSS_COLUMNS = (
-    "split.delta", "split.d_f_m", "split.d_fsp_m", "l_foliage_db", "l_fsp_db",
-    "l_total_db", "foliage.regime", "foliage.validity",
-)
-SOLVE_COLUMNS = (
-    "solve", "value", "achieved_loss_db", "iterations", "converged", "all_feasible",
-)
-BOUNDS_COLUMNS = ("delta_min", "delta_max", "sigma", "alpha_low_min", "alpha_high_max")
-
-
 @functools.cache
 def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
     """The printed column names: the last part of each attribute path."""
     return tuple(column.rpartition(".")[2] for column in columns)
-
-
-def _rows(records: list, columns: tuple[str, ...], error: bool = False) -> list:
-    """The cells of a list of records, in column order, as one flat list.
-
-    Each record is read attribute by attribute. With ``error``, each row
-    ends with the record's ``error``, or None where it has none.
-    """
-    get = attrgetter(*columns)
-    if error:
-        rows = ((*get(record), getattr(record, "error", None)) for record in records)
-    else:
-        rows = map(get, records)
-    return list(chain.from_iterable(rows))
 
 
 def _table_cell(value: object) -> str:
@@ -389,21 +354,17 @@ def render_cells(
     return _table_cells(cells, columns, width, fixed)
 
 
-def render(records, columns: tuple[str, ...], fmt: str) -> str:
-    """Render one record, or a list of records, as ``table``, ``csv`` or ``json`` text.
+def render(record, columns: tuple[str, ...], fmt: str) -> str:
+    """Render one record as ``table``, ``csv`` or ``json`` text.
 
-    A list is a column table, a CSV or a JSON array; a lone record is a
+    The record is read attribute by attribute, in ``columns`` order: a
     key/value table, a one-row CSV or a JSON object. The text ends with a
     newline in every format, and in JSON a non-finite float raises
     ``ValueError``.
     """
-    if isinstance(records, list):
-        error = fmt == "json"
-        return render_cells(_rows(records, columns, error), columns, len(columns) + error, fmt)
-    row = attrgetter(*columns)(records)
+    row = attrgetter(*columns)(record)
     if fmt == "json":
-        member = _json_error(getattr(records, "error", None), 0)
-        return _json_template(_header(columns), 0, True) % (*map(_json_cell, row), member) + "\n"
+        return _json_template(_header(columns), 0, False) % tuple(map(_json_cell, row)) + "\n"
     if fmt == "csv":
         return csv_cells(list(row), columns, len(columns))
     names = _header(columns)

@@ -8,9 +8,12 @@ factor, never both.
 
 Two loops do the work: ``_node_values`` validates each node to its
 ``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to one
-flat list of report cells. ``parse_scenario`` and ``evaluate_scenario``
-build their records from them, and ``_scenario_cells`` chains them for the
-CLI, which renders the cells in every format with no record built.
+flat list of report cells, checking nothing. ``parse_scenario`` and
+``evaluate_scenario`` build their records from them, and
+``_scenario_cells`` chains them for the CLI, which renders the cells in
+every format with no record built, as ``emit_csv`` and ``emit_json`` render
+a list of reports. ``emit_scenario`` checks the dict it writes by the
+parser's rules, and reads no text back.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
-from .render import REPORT_COLUMNS, SWEEP_COLUMNS, json_cells, render
+from .render import csv_cells, json_cells
+from .sweep import SWEEP_COLUMNS
 
 _SCENARIO_KEYS = ("name", "frequency_mhz", "base_height_m", "radio", "nodes")
 _RADIO_KEYS = (
@@ -134,8 +138,10 @@ def _number(obj: dict, key: str, context: str) -> float:
         raise SchemaError(f"{context}: field '{key}' must be a number, got {value!r}")
     try:
         number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
+    except OverflowError:  # an integer beyond the float range
         number = math.inf
+    if number != number:  # only a hand-built document holds one; no JSON literal is NaN
+        raise DomainError(f"{context}: field '{key}' is NaN, which JSON cannot hold")
     if not math.isfinite(number):  # a literal such as 1e400 parses as inf
         raise DomainError(f"{context}: field '{key}' overflows the float range")
     return number
@@ -204,16 +210,20 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> tuple:
     return node_id, d_km, h_f_m, delta
 
 
-def _scenario_head(text: str) -> tuple[str, float, float, RadioConfig, list]:
-    """The document's name, frequency, base height and radio, all checked, and its raw nodes."""
+def _load(text: str) -> object:
+    """The JSON value of ``text``, with no ``NaN`` or ``Infinity`` literal."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_read_int)
+        return json.loads(text, parse_constant=_reject_constant, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError:
         raise ParseError("JSON nesting is too deep to parse") from None
+
+
+def _scenario_head(doc: object) -> tuple[str, float, float, RadioConfig, list]:
+    """The document's name, frequency, base height and radio, all checked, and its raw nodes."""
     if not isinstance(doc, dict):
         raise SchemaError(f"scenario: top level must be an object, got {doc!r}")
     _check_keys(doc, _SCENARIO_KEYS, "scenario")
@@ -266,12 +276,14 @@ def parse_scenario(text: str) -> Scenario:
         DomainError: a value outside its physical domain, named by field
             (and node id where applicable).
     """
-    name, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(text)
+    name, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(_load(text))
     nodes = list(map(ScenarioNode._make, _node_values(raw_nodes, base_height_m)))
     _check_unique([node.id for node in nodes])
     return Scenario(name, frequency_mhz, base_height_m, radio, nodes)
 
 
+#: the output columns of a node's report: every field but ``error``, which only JSON writes
+REPORT_COLUMNS = NodeReport._fields[:-1]
 #: cells of one node's report: ``REPORT_COLUMNS``, then ``error``
 _REPORT_WIDTH = len(NodeReport._fields)
 
@@ -279,25 +291,23 @@ _REPORT_WIDTH = len(NodeReport._fields)
 def _report_cells(nodes, frequency_mhz: float, base_height_m: float, radio: RadioConfig) -> list:
     """Every node's report as one flat list, ``NodeReport``'s fields in order, node after node.
 
-    ``nodes`` gives each node's ``(id, d_km, h_f_m, delta)``. A node whose
-    loss cannot be evaluated (full foliage cover, or a path so short that
-    its free-space segment rounds to 0 km) gets an error row. The margin
-    and the required power are ``link_margin``'s and ``required_tx_power``'s
+    ``nodes`` gives each node's ``(id, d_km, h_f_m, delta)``, every value
+    inside the model's domain: no node is checked here. A node whose loss
+    cannot be evaluated (full foliage cover, or a path so short that its
+    free-space segment rounds to 0 km) gets an error row. The margin and
+    the required power are ``link_margin``'s and ``required_tx_power``'s
     sums, in their order, so every number is theirs to the bit.
 
     Raises:
-        FoliageLinkError: a node that ``_node_values`` would have rejected.
+        NonPositiveFrequency: ``frequency_mhz`` is not positive and finite.
     """
     at = _LossCore(frequency_mhz).at
     tx_power, tx_gain, rx_gain, sensitivity, required_margin = radio
     gains = tx_power + tx_gain + rx_gain  # link_margin's sum up to its loss term
-    inf = math.inf
     cells: list = []
     for node_id, d_km, h_f_m, delta in nodes:
         if delta is None:
-            delta = delta_from_heights(h_f_m, base_height_m)
-        if not (0.0 < d_km * 1000.0 < inf and 0.0 <= delta <= 1.0):
-            foliage_split(d_km, delta)  # a node no parse checked: raise its error
+            delta = h_f_m / base_height_m  # as LinkGeometry.effective_delta derives it
         try:
             d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = at(d_km, delta)
         except FoliageLinkError as exc:
@@ -312,6 +322,17 @@ def _report_cells(nodes, frequency_mhz: float, base_height_m: float, radio: Radi
             margin >= required_margin, None,
         )
     return cells
+
+
+def _checked_values(scenario: Scenario):
+    """Each node, its height, distance and cover factor checked as it is taken."""
+    for node in scenario.nodes:
+        _, d_km, h_f_m, delta = node
+        if delta is None:
+            delta = delta_from_heights(h_f_m, scenario.base_height_m)
+        if not (0.0 < d_km * 1000.0 < math.inf and 0.0 <= delta <= 1.0):
+            foliage_split(d_km, delta)  # a node no parse checked: raise its error
+        yield node
 
 
 def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
@@ -340,7 +361,7 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
                 f"got h_f_m={node.h_f_m}, delta={node.delta}"
             )
     cells = _report_cells(
-        scenario.nodes, scenario.frequency_mhz, scenario.base_height_m, scenario.radio
+        _checked_values(scenario), scenario.frequency_mhz, scenario.base_height_m, scenario.radio
     )
     return list(map(NodeReport._make, zip(*[iter(cells)] * _REPORT_WIDTH)))
 
@@ -351,7 +372,7 @@ def _scenario_cells(text: str) -> list:
     The document is checked as ``parse_scenario`` checks it, and raises the
     same first error, but no node or report record is built.
     """
-    _, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(text)
+    _, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(_load(text))
     cells = _report_cells(
         _node_values(raw_nodes, base_height_m), frequency_mhz, base_height_m, radio
     )
@@ -367,8 +388,9 @@ def emit_csv(data) -> str:
     header line alone, as an empty table or JSON array renders.
     """
     if hasattr(data, "rows"):  # a SweepTable
-        return render(data.rows, SWEEP_COLUMNS, "csv")
-    return render(list(data), REPORT_COLUMNS, "csv")
+        return csv_cells(list(chain.from_iterable(data.rows)), SWEEP_COLUMNS, len(SWEEP_COLUMNS))
+    # each report's last cell, its error, goes to ``%.0s``, as on the CLI path
+    return csv_cells(list(chain.from_iterable(data)), REPORT_COLUMNS, _REPORT_WIDTH)
 
 
 def emit_json(reports: Sequence[NodeReport]) -> str:
@@ -380,15 +402,16 @@ def emit_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its JSON wire format.
 
     Each node is written with the fields it holds, those that are not None.
-    The text is then read back by ``parse_scenario``, so only a document that
-    the parser accepts is returned.
+    The dict is checked by the parser's own rules before it is written, so
+    only a document that ``parse_scenario`` accepts is returned.
     ``parse_scenario(emit_scenario(s))`` reproduces ``s`` exactly, and the
     emitted text is a fixed point of a further parse/emit round trip.
 
     Raises:
-        FoliageLinkError: the error ``parse_scenario`` raises on the text,
-            naming the node where one is at fault.
-        ValueError: a value is NaN or infinite, which JSON cannot hold.
+        FoliageLinkError: the error ``parse_scenario`` would raise on the
+            text, naming the field, and the node where one is at fault. A
+            NaN is a ``DomainError``, as an infinite value is, and a value
+            that is no JSON number (a ``Decimal``, say) a ``SchemaError``.
     """
     doc = {
         "name": scenario.name,
@@ -400,6 +423,6 @@ def emit_scenario(scenario: Scenario) -> str:
             for node in scenario.nodes
         ],
     }
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    parse_scenario(text)
-    return text
+    _, _, base_height_m, _, raw_nodes = _scenario_head(doc)
+    _check_unique([values[0] for values in _node_values(raw_nodes, base_height_m)])
+    return json.dumps(doc, indent=2, allow_nan=False)

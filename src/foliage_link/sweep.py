@@ -134,6 +134,10 @@ class SweepRow(NamedTuple):
     validity: Validity
 
 
+#: a sweep's output columns, ``SweepRow``'s fields in order
+SWEEP_COLUMNS = SweepRow._fields
+
+
 class SweepTable(NamedTuple):
     variable: str
     rows: list[SweepRow]

@@ -73,3 +73,18 @@ TRACER_ONLY = {
 
 def test_the_tracer_only_imports_are_pinned():
     assert _unused_by_module() == TRACER_ONLY
+
+
+def test_the_writers_know_no_record():
+    """``render.py`` imports from the package only the enums it writes: each record's
+    columns are named beside the record, and reach the writers from their callers."""
+    tree = ast.parse((PACKAGE / "render.py").read_text(encoding="utf-8"))
+    from_package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("foliage_link")):
+            from_package.update((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            from_package.update(
+                (alias.name, None) for alias in node.names if alias.name.startswith("foliage_link")
+            )
+    assert from_package == {("propagation", "Regime"), ("propagation", "Validity")}

@@ -14,6 +14,7 @@ import json
 import math
 import tempfile
 from itertools import chain, product
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,7 +39,6 @@ from foliage_link import (
     Regime,
     Scenario,
     ScenarioNode,
-    SweepRow,
     SweepSpec,
     SweepVariable,
     Validity,
@@ -62,6 +62,8 @@ from foliage_link import (
 )
 from foliage_link import cli, render
 from foliage_link.cli import run
+from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
+from foliage_link.sweep import SWEEP_COLUMNS
 
 from render_digest import ODD_IDS
 
@@ -401,13 +403,9 @@ def test_emit_json_refuses_a_non_finite_report():
         emit_json([report])
 
 
-#: every column tuple render.py defines, with the named tuple that renders by it, if any
+#: every column tuple the package renders by
 COLUMN_SETS = [
-    (render.SWEEP_COLUMNS, SweepRow),
-    (render.REPORT_COLUMNS, NodeReport),
-    (render.LOSS_COLUMNS, None),
-    (render.SOLVE_COLUMNS, None),
-    (render.BOUNDS_COLUMNS, None),
+    SWEEP_COLUMNS, REPORT_COLUMNS, cli._LOSS_COLUMNS, cli._SolveRow._fields, DeltaBounds._fields,
 ]
 #: strings with quotes, backslashes, control and non-ASCII characters
 TEXT = st.one_of(
@@ -419,10 +417,8 @@ CELL = st.one_of(
 )
 
 
-def _record(columns, cells, error, named):
-    """A record whose ``columns`` hold ``cells``: a named tuple or nested namespaces."""
-    if named is not None:
-        return named(*cells, **({} if named is SweepRow else {"error": error}))
+def _record(columns, cells):
+    """A lone record whose ``columns`` hold ``cells``, nested namespaces for a dotted column."""
     record = SimpleNamespace()
     for column, value in zip(columns, cells):
         *parents, name = column.split(".")
@@ -430,8 +426,6 @@ def _record(columns, cells, error, named):
         for part in parents:
             node = node.__dict__.setdefault(part, SimpleNamespace())
         setattr(node, name, value)
-    if error is not None:
-        record.error = error
     return record
 
 
@@ -444,50 +438,47 @@ def _reference_object(columns, cells, error):
 
 @CHECKED
 @given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
-       count=st.integers(0, 3), named=st.booleans())
-def test_to_json_matches_json_dumps(data, which, single, count, named):
-    columns, named_type = COLUMN_SETS[which]
-    named_type = named_type if named and not single else None
+       count=st.integers(0, 3))
+def test_to_json_matches_json_dumps(data, which, single, count):
+    """A lone record renders as one object; rows of cells, each ending with its error, as an array."""
+    columns = COLUMN_SETS[which]
     rows = []
     for _ in range(1 if single else count):
         cells = data.draw(st.lists(CELL, min_size=len(columns), max_size=len(columns)))
-        error = None if named_type is SweepRow else data.draw(st.one_of(st.none(), TEXT))
+        error = None if single else data.draw(st.one_of(st.none(), TEXT))
         rows.append((cells, error))
-    records = [_record(columns, cells, error, named_type) for cells, error in rows]
     objects = [_reference_object(columns, cells, error) for cells, error in rows]
+
+    def text():
+        if single:
+            return render.render(_record(columns, rows[0][0]), columns, "json")
+        flat = [cell for cells, error in rows for cell in (*cells, error)]
+        return render.render_cells(flat, columns, len(columns) + 1, "json")
+
     try:
         expected = json.dumps(objects[0] if single else objects, indent=2, allow_nan=False)
     except ValueError:  # a nan or inf cell
         with pytest.raises(ValueError, match="not JSON compliant"):
-            render.render(records[0] if single else records, columns, "json")
+            text()
         return
-    assert render.render(records[0] if single else records, columns, "json") == expected + "\n"
+    assert text() == expected + "\n"
 
 
-@pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
+@pytest.mark.parametrize("columns", COLUMN_SETS)
 def test_to_json_of_no_records(columns):
-    assert render.render([], columns, "json") == json.dumps([], indent=2) + "\n" == "[]\n"
+    text = render.render_cells([], columns, len(columns), "json")
+    assert text == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
 @pytest.mark.parametrize("value", [nan, inf, -inf])
 @pytest.mark.parametrize("single", [True, False])
 def test_to_json_refuses_a_non_finite_cell(value, single):
-    record = _record(render.BOUNDS_COLUMNS, [0.0, 1.0, value, 0.0, 1.0], None, None)
+    cells, columns = [0.0, 1.0, value, 0.0, 1.0], DeltaBounds._fields
     with pytest.raises(ValueError, match="not JSON compliant"):
-        render.render(record if single else [record], render.BOUNDS_COLUMNS, "json")
-
-
-def test_only_a_list_is_a_batch():
-    """A lone record is a named tuple, and still renders as one record."""
-    bounds, columns = delta_bounds(0.1, 0.9, 0.5), render.BOUNDS_COLUMNS
-    assert json.loads(render.render(bounds, columns, "json")) == bounds._asdict()
-    assert json.loads(render.render([bounds], columns, "json")) == [bounds._asdict()]
-    table = render.render(bounds, columns, "table").splitlines()
-    assert [line.split() for line in table] == [
-        [name, f"{value:.7f}"] for name, value in bounds._asdict().items()
-    ]
-    assert render.render(bounds, columns, "csv") == render.render([bounds], columns, "csv")
-    assert render.render(bounds, columns, "csv").count("\n") == 2
+        if single:
+            render.render(DeltaBounds._make(cells), columns, "json")
+        else:
+            render.render_cells(cells, columns, len(columns), "json")
 
 
 def _loss_record(cells):
@@ -498,9 +489,9 @@ def _loss_record(cells):
 
 #: the lone records the CLI renders, built from their cells in column order
 LONE_RECORDS = [
-    (render.SOLVE_COLUMNS, cli._SolveRow._make),
-    (render.BOUNDS_COLUMNS, DeltaBounds._make),
-    (render.LOSS_COLUMNS, _loss_record),
+    (cli._SolveRow._fields, cli._SolveRow._make),
+    (DeltaBounds._fields, DeltaBounds._make),
+    (cli._LOSS_COLUMNS, _loss_record),
 ]
 
 
@@ -520,13 +511,13 @@ def test_render_of_a_lone_record_matches_json_dumps(data, which):
 
 
 @pytest.mark.parametrize("record, columns", [
-    (cli._SolveRow("range", *max_range(RADIO, 0.3, 868.0)), render.SOLVE_COLUMNS),
-    (cli._SolveRow("delta", *max_foliage_factor(RADIO, 2.0, 2400.0)), render.SOLVE_COLUMNS),
-    (delta_bounds(0.2, 0.8, 0.5), render.BOUNDS_COLUMNS),
-    (total_loss(LinkGeometry(2.0, delta=0.95), 2400.0), render.LOSS_COLUMNS),
+    (cli._SolveRow("range", *max_range(RADIO, 0.3, 868.0)), cli._SolveRow._fields),
+    (cli._SolveRow("delta", *max_foliage_factor(RADIO, 2.0, 2400.0)), cli._SolveRow._fields),
+    (delta_bounds(0.2, 0.8, 0.5), DeltaBounds._fields),
+    (total_loss(LinkGeometry(2.0, delta=0.95), 2400.0), cli._LOSS_COLUMNS),
 ])
 def test_render_of_a_command_record_matches_json_dumps(record, columns):
-    cells = render._rows([record], columns)
+    cells = attrgetter(*columns)(record)
     expected = json.dumps(dict(zip(render._header(columns), cells)), indent=2, allow_nan=False)
     assert render.render(record, columns, "json") == expected + "\n"
 
@@ -540,8 +531,21 @@ NODE_VALUE = st.one_of(st.floats(), st.integers(-10**6, 10**6), SPECIAL)
        radio=st.lists(st.floats(0.0, 200.0), min_size=5, max_size=5),
        nodes=st.lists(st.builds(ScenarioNode, TEXT, NODE_VALUE, st.one_of(st.none(), NODE_VALUE),
                                 st.one_of(st.none(), NODE_VALUE)), max_size=4))
+@example(name="farm", frequency_mhz=nan, base_height_m=30.0, radio=[14.0, 0.0, 0.0, 137.0, 0.0],
+         nodes=[])
+@example(name="farm", frequency_mhz=868.0, base_height_m=30.0, radio=[14.0, 0.0, 0.0, 137.0, 0.0],
+         nodes=[ScenarioNode("a", 2.0, delta=0.5), ScenarioNode("b", 2.0, h_f_m=nan)])
+@example(name="farm", frequency_mhz=868.0, base_height_m=-inf, radio=[14.0, 0.0, 0.0, 137.0, 0.0],
+         nodes=[ScenarioNode("a", nan, delta=0.5)])
 def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, radio, nodes):
-    """The text is ``json.dumps`` of the fields that are not None, or the parser's error on it."""
+    """The text is ``json.dumps`` of the fields that are not None, or the parser's error on it.
+
+    A NaN or infinite value has no JSON text. The parser reads an infinite
+    one as the integer beyond the float range it is written as here, and
+    reports it as it does the literal ``1e400``. A NaN is written as the
+    string ``"NaN"``, and the parser's type error on it, at the same field,
+    becomes ``emit_scenario``'s own ``DomainError``.
+    """
     radio = RadioConfig(*radio)
     scenario = Scenario(name, frequency_mhz, base_height_m, radio, nodes)
     doc = {
@@ -552,20 +556,34 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
         "nodes": [{key: value for key, value in node._asdict().items() if value is not None}
                   for node in nodes],
     }
-    try:
-        expected = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:  # a nan or inf value
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            emit_scenario(scenario)
-        return
+    expected = json.dumps(_as_json_text(doc), indent=2, allow_nan=False)
     try:
         parse_scenario(expected)
     except FoliageLinkError as exc:
-        with pytest.raises(type(exc)) as raised:
+        error, message = type(exc), str(exc)
+        if message.endswith(NAN_STAND_IN):
+            error = DomainError
+            message = message.replace(NAN_STAND_IN, "is NaN, which JSON cannot hold")
+        with pytest.raises(error) as raised:
             emit_scenario(scenario)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value) == message
         return
     assert emit_scenario(scenario) == expected
+
+
+#: the end of the parser's error on a NaN written as the string "NaN"
+NAN_STAND_IN = "must be a number, got 'NaN'"
+
+
+def _as_json_text(value):
+    """``value`` with each infinite float an integer beyond the float range, each NaN ``"NaN"``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else (10**400 if value > 0 else -10**400)
+    if isinstance(value, dict):
+        return {key: _as_json_text(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return list(map(_as_json_text, value))
+    return value
 
 
 #: cells for CSV: the JSON cells, strings that csv.writer quotes, and an enum that is not
@@ -600,19 +618,25 @@ def _reference_csv(columns, rows):
 
 @CHECKED
 @given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
-       count=st.integers(1, 3), named=st.booleans(), plain=st.booleans())
-def test_csv_matches_csv_writer(data, which, single, count, named, plain):
-    columns, named_type = COLUMN_SETS[which]
-    named_type = named_type if named and not single else None
+       count=st.integers(1, 3), plain=st.booleans())
+def test_csv_matches_csv_writer(data, which, single, count, plain):
+    """A lone record renders as one row, and so do the cells of each row of many."""
+    columns = COLUMN_SETS[which]
     # plain: floats, ints and the package's enums only, a batch that renders by template
     cell = PLAIN_CELL if plain else CSV_CELL
     rows = [
         data.draw(st.lists(cell, min_size=len(columns), max_size=len(columns)))
         for _ in range(1 if single else count)
     ]
-    records = [_record(columns, cells, None, named_type) for cells in rows]
     expected = _reference_csv(columns, rows)
-    assert render.render(records[0] if single else records, columns, "csv") == expected
+    if single:
+        assert render.render(_record(columns, rows[0]), columns, "csv") == expected
+        return
+    # a row of mixed cells ends with its error, which CSV does not write
+    flat = []
+    for cells in rows:
+        flat += cells if plain else [*cells, data.draw(st.one_of(st.none(), TEXT))]
+    assert render.render_cells(flat, columns, len(columns) + (not plain), "csv") == expected
 
 
 def test_to_csv_of_a_long_mixed_batch():
@@ -622,16 +646,17 @@ def test_to_csv_of_a_long_mixed_batch():
     rows[3][1:4] = [nan, inf, -inf]
     rows[125][4] = None
     rows[-1][0] = "last,row"
-    records = [SweepRow(*cells) for cells in rows]
-    assert render.render(records, render.SWEEP_COLUMNS, "csv") == _reference_csv(
-        render.SWEEP_COLUMNS, rows
+    cells = list(chain.from_iterable(rows))
+    assert render.render_cells(cells, SWEEP_COLUMNS, len(SWEEP_COLUMNS), "csv") == _reference_csv(
+        SWEEP_COLUMNS, rows
     )
 
 
-@pytest.mark.parametrize("columns", [columns for columns, _ in COLUMN_SETS])
+@pytest.mark.parametrize("columns", COLUMN_SETS)
 def test_to_csv_of_no_records(columns):
-    assert render.render([], columns, "csv") == _reference_csv(columns, [])
-    assert render.render([], columns, "csv") == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
+    text = render.render_cells([], columns, len(columns), "csv")
+    assert text == _reference_csv(columns, [])
+    assert text == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
 
 
 #: a scenario node: id, d_km (an int goes through the field-by-field check), cover source
@@ -662,7 +687,8 @@ def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
     })
     reports = evaluate_scenario(parse_scenario(text))
     if fmt == "table":
-        expected = render.render(reports, render.REPORT_COLUMNS, "table")
+        cells = list(chain.from_iterable(reports))
+        expected = render.render_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, "table")
     else:
         expected = emit_csv(reports) if fmt == "csv" else emit_json(reports) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
@@ -739,7 +765,8 @@ def test_cli_sweep_renders_what_its_records_render(sweep):
     formats = ("table", "csv", "json")
     try:
         spec = SweepSpec(variable, start, stop, steps, LinkGeometry(**geometry), f_mhz)
-        expected = [render.render(run_sweep(spec).rows, render.SWEEP_COLUMNS, fmt)
+        rows, width = run_sweep(spec).rows, len(SWEEP_COLUMNS)
+        expected = [render.render_cells(list(chain.from_iterable(rows)), SWEEP_COLUMNS, width, fmt)
                     for fmt in formats]
     except FoliageLinkError as exc:
         for fmt in formats:
@@ -773,7 +800,7 @@ def test_a_fixed_column_renders_as_a_varying_one(value):
     and is named as repeating them. With ``error``, each row ends with an
     error cell, which only JSON writes.
     """
-    columns = render.SWEEP_COLUMNS
+    columns = SWEEP_COLUMNS
     cases = [(3, False, False), (3, True, True), (0, False, True)]
     for fmt, column, (count, repeat, error) in product(["table", "csv", "json"], [2, 8], cases):
         rows = []

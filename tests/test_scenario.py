@@ -3,15 +3,22 @@
 import csv
 import io
 import json
+import math
 import re
+from decimal import Decimal
+from itertools import chain
 
 import pytest
 
 from foliage_link import (
+    DeltaOutOfRange,
     DomainError,
+    HeightOutOfRange,
     InconsistentGeometry,
     LinkGeometry,
     NonPositiveDistance,
+    NonPositiveFrequency,
+    NonPositiveHeight,
     ParseError,
     SchemaError,
     ScenarioNode,
@@ -28,7 +35,9 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
-from foliage_link.render import REPORT_COLUMNS, SWEEP_COLUMNS, render
+from foliage_link.render import render_cells
+from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
+from foliage_link.sweep import SWEEP_COLUMNS
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -367,6 +376,28 @@ class TestEvaluateScenario:
         with pytest.raises(NonPositiveDistance, match="got -1.0$"):
             evaluate_scenario(scenario)
 
+    @pytest.mark.parametrize("change, error, message", [
+        ({"frequency_mhz": -5.0, "nodes": [ScenarioNode("a", 2.0, delta=1.5)]},
+         NonPositiveFrequency, "f_mhz must be > 0 and finite, got -5.0"),
+        ({"nodes": [ScenarioNode("a", -1.0, h_f_m=40.0)]},
+         HeightOutOfRange, "h_f_m must lie in [0, h_m=30.0], got 40.0"),
+        ({"base_height_m": -3.0, "nodes": [ScenarioNode("a", -1.0, h_f_m=4.0)]},
+         NonPositiveHeight, "h_m must be > 0 and finite, got -3.0"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=1.5), ScenarioNode("b", -1.0, delta=0.5)]},
+         DeltaOutOfRange, "delta must lie in [0, 1], got 1.5"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=1.5), ScenarioNode("b", 1.0)]},
+         InconsistentGeometry, "node 'b': give exactly one of h_f_m and delta, "
+                               "got h_f_m=None, delta=None"),
+    ], ids=["frequency-then-cover", "height-then-distance", "base-then-distance",
+            "first-node-first", "no-source-first"])
+    def test_hand_built_errors_come_in_order(self, change, error, message):
+        """A scenario wrong in two ways raises the first: a node with no cover source
+        or two, then the frequency, then each node's height, distance and cover factor."""
+        scenario = parse_scenario(scenario_doc())._replace(**change)
+        with pytest.raises(error) as raised:
+            evaluate_scenario(scenario)
+        assert str(raised.value) == message
+
     #: the radio of ``scenario_doc``, and one whose sums round differently by order
     #: ((14.1 + 0.7) + 2.3 != 14.1 + (0.7 + 2.3))
     @pytest.mark.parametrize("radio", [
@@ -464,7 +495,8 @@ class TestEmitCsv:
         scenario = parse_scenario(scenario_doc())._replace(nodes=[ScenarioNode(True, 1.0, delta=0.5)])
         reports = evaluate_scenario(scenario)
         assert emit_csv(reports).splitlines()[1].split(",")[0] == "true"
-        assert render(reports, REPORT_COLUMNS, "table").splitlines()[1].split()[0] == "true"
+        table = render_cells(list(chain.from_iterable(reports)), REPORT_COLUMNS, _REPORT_WIDTH, "table")
+        assert table.splitlines()[1].split()[0] == "true"
         assert emit_json(reports).splitlines()[2] == '    "id": true,'
 
 
@@ -515,7 +547,19 @@ class TestScenarioRoundTrip:
         ({"base_height_m": -30.0}, DomainError, "scenario: base_height_m must be > 0, got -30.0"),
         ({"nodes": [ScenarioNode("a", 2.0, delta=0.5)] * 2}, SchemaError,
          "scenario: duplicate node id 'a'"),
-    ], ids=["no-cover", "both-covers", "negative-d", "delta-1.5", "negative-base", "repeated-id"])
+        # values JSON cannot hold, refused as the parser refuses the literal 1e400
+        ({"nodes": [ScenarioNode("a", math.nan, delta=0.5)]}, DomainError,
+         "node 'a': field 'd_km' is NaN, which JSON cannot hold"),
+        ({"base_height_m": math.inf}, DomainError,
+         "scenario: field 'base_height_m' overflows the float range"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=-math.inf)]}, DomainError,
+         "node 'a': field 'delta' overflows the float range"),
+        ({"nodes": [ScenarioNode("a", Decimal("2"), delta=0.5)]}, SchemaError,
+         "node 'a': field 'd_km' must be a number, got Decimal('2')"),
+        ({"frequency_mhz": 10**4999}, DomainError,
+         "scenario: field 'frequency_mhz' overflows the float range"),
+    ], ids=["no-cover", "both-covers", "negative-d", "delta-1.5", "negative-base", "repeated-id",
+            "nan-d", "inf-base", "minus-inf-delta", "decimal-d", "5000-digit-frequency"])
     def test_refuses_what_the_parser_refuses(self, change, error, message):
         scenario = parse_scenario(scenario_doc())._replace(**change)
         with pytest.raises(error) as raised:
