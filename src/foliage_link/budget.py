@@ -15,7 +15,6 @@ from .errors import (
     BracketExceeded,
     DeltaOutOfRange,
     InvalidRadioConfig,
-    NonPositiveHeight,
     NoSolution,
 )
 from .propagation import (
@@ -25,7 +24,9 @@ from .propagation import (
     _DB_PER_NEPER,
     _POWER,
     _POWER_EXPONENT,
+    _check_delta_cap,
     _check_distance,
+    _check_height,
     _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
@@ -255,8 +256,7 @@ def max_foliage_factor(
     Raises:
         NoSolution: the budget is exceeded already at cover factor 0.
     """
-    if not 0.0 < delta_cap < 1.0:
-        raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
+    _check_delta_cap(delta_cap)
     budget = max_loss_budget(radio)
     _check_distance(d_km)
     core = _LossCore(f_mhz)
@@ -367,7 +367,6 @@ def max_foliage_height(
     (``h_f = delta * h``). Inherits the cover-factor solver's contracts,
     including the ``delta_cap`` ceiling.
     """
-    if not 0.0 < h_m < math.inf:
-        raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
+    _check_height(h_m)
     result = max_foliage_factor(radio, d_km, f_mhz, delta_cap)
     return result._replace(value=result.value * h_m)

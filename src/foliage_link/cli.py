@@ -37,7 +37,7 @@ from .propagation import (
     total_loss,
 )
 from .render import render, render_cells
-from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _scenario_cells
+from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _load, _scenario_cells
 from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_cells, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
@@ -339,7 +339,7 @@ def _run_scenario(args: argparse.Namespace) -> str:
             text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    return render_cells(_scenario_cells(text), REPORT_COLUMNS, _REPORT_WIDTH, args.format)
+    return render_cells(_scenario_cells(_load(text)), REPORT_COLUMNS, _REPORT_WIDTH, args.format)
 
 
 def _run_bounds(args: argparse.Namespace) -> str:

@@ -94,3 +94,14 @@ class SchemaError(ScenarioError):
 
 class DomainError(ScenarioError):
     """A field value outside its physical domain."""
+
+
+def _checked_as(error: type[FoliageLinkError], prefix: str, check, *args):
+    """``check(*args)``, its ``FoliageLinkError`` raised as ``error``, the message after ``prefix``.
+
+    An entry whose contract names its own error class runs a model rule through this.
+    """
+    try:
+        return check(*args)
+    except FoliageLinkError as exc:
+        raise error(prefix + str(exc)) from exc

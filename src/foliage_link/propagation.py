@@ -17,8 +17,10 @@ Losses in dB:
 
 All functions are pure and stateless; they are safe to call concurrently.
 Public functions check their inputs once and return finite numbers. Each
-formula lives once, in the private ``_split``, ``_foliage`` and
-``_free_space``, which trust their callers. Each scalar entry computes only
+input rule lives once, in a ``_check_*`` function that every entry taking
+the input calls (``name`` is the field as that entry names it), and each
+formula once, in the private ``_split``, ``_foliage`` and ``_free_space``,
+which trust their callers. Each scalar entry computes only
 the frequency terms it uses; sweeps, solvers and scenario batches build one
 ``_LossCore``, which hoists them all, and evaluate every point through its
 ``at``. The solvers take the model's closed-form slopes from the same core
@@ -182,8 +184,8 @@ class LinkGeometry(_LinkGeometryFields):
             raise InconsistentGeometry(
                 "supply a cover-factor source: delta, or the pair (h_m, h_f_m)"
             )
-        if delta is not None and not 0.0 <= delta <= 1.0:
-            raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
+        if delta is not None:
+            _check_delta(delta)
         if has_h:
             derived = delta_from_heights(h_f_m, h_m)
             if delta is not None and abs(delta - derived) > _DELTA_SOURCE_TOL:
@@ -207,8 +209,7 @@ def foliage_split(d_km: float, delta: float) -> PathSplit:
     ``(1 - delta) * d``, both in meters.
     """
     _check_distance(d_km)
-    if not 0.0 <= delta <= 1.0:
-        raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
+    _check_delta(delta)
     d_f_m, d_fsp_m = _split(d_km, delta)
     return PathSplit(d_f_m, d_fsp_m, delta)
 
@@ -221,10 +222,8 @@ def _split(d_km: float, delta: float) -> tuple[float, float]:
 
 def delta_from_heights(h_f_m: float, h_m: float) -> float:
     """Cover factor from foliage height over antenna height (similar triangles)."""
-    if not 0.0 < h_m < math.inf:
-        raise NonPositiveHeight(f"h_m must be > 0 and finite, got {h_m}")
-    if not 0.0 <= h_f_m <= h_m:
-        raise HeightOutOfRange(f"h_f_m must lie in [0, h_m={h_m}], got {h_f_m}")
+    _check_height(h_m)
+    _check_foliage_height(h_f_m, h_m)
     return h_f_m / h_m
 
 
@@ -302,14 +301,34 @@ _ZERO, _LINEAR, _POWER = Regime.ZERO, Regime.LINEAR, Regime.POWER
 _IN_DOMAIN, _EXTRAPOLATED = Validity.IN_DOMAIN, Validity.EXTRAPOLATED
 
 
-def _check_distance(d_km: float) -> None:
+def _check_distance(d_km: float, name: str = "d_km") -> None:
     if not 0.0 < d_km * 1000.0 < math.inf:
-        raise NonPositiveDistance(f"d_km must be > 0 and finite in meters, got {d_km}")
+        raise NonPositiveDistance(f"{name} must be > 0 and finite in meters, got {d_km}")
 
 
-def _check_frequency(f_mhz: float) -> None:
+def _check_frequency(f_mhz: float, name: str = "f_mhz") -> None:
     if not 0.0 < f_mhz < math.inf:
-        raise NonPositiveFrequency(f"f_mhz must be > 0 and finite, got {f_mhz}")
+        raise NonPositiveFrequency(f"{name} must be > 0 and finite, got {f_mhz}")
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta <= 1.0:
+        raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
+
+
+def _check_delta_cap(delta_cap: float) -> None:
+    if not 0.0 < delta_cap < 1.0:
+        raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
+
+
+def _check_height(h_m: float, name: str = "h_m") -> None:
+    if not 0.0 < h_m < math.inf:
+        raise NonPositiveHeight(f"{name} must lie in (0, inf), got {h_m}")
+
+
+def _check_foliage_height(h_f_m: float, h_m: float) -> None:
+    if not 0.0 <= h_f_m <= h_m:
+        raise HeightOutOfRange(f"h_f_m must lie in [0, h_m={h_m}], got {h_f_m}")
 
 
 def _foliage_factors(f_mhz: float) -> tuple[float, float]:

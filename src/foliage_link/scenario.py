@@ -6,14 +6,14 @@ time. One gateway (frequency, antenna height, radio) serves many nodes;
 each node gives its distance and either a foliage height or a cover
 factor, never both.
 
-Two loops do the work: ``_node_values`` validates each node to its
-``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to one
-flat list of report cells, checking nothing. ``parse_scenario`` and
+One rule set checks a document and a hand-built ``Scenario`` alike:
+``_node_values`` checks each node, a JSON object or a ``ScenarioNode``, to
+its ``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to
+one flat list of report cells, checking nothing. ``parse_scenario`` and
 ``evaluate_scenario`` build their records from them, and
 ``_scenario_cells`` chains them for the CLI, which renders the cells in
-every format with no record built, as ``emit_csv`` and ``emit_json`` render
-a list of reports. ``emit_scenario`` checks the dict it writes by the
-parser's rules, and reads no text back.
+every format with no record built. ``emit_scenario`` checks the dict it
+writes by the same rules, and reads no text back.
 """
 
 from __future__ import annotations
@@ -24,33 +24,24 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .budget import RadioConfig
-from .errors import (
-    DomainError,
-    FoliageLinkError,
-    InconsistentGeometry,
-    ParseError,
-    SchemaError,
-)
+from .errors import DomainError, FoliageLinkError, ParseError, SchemaError, _checked_as
 from .propagation import (
-    LinkGeometry,
+    LinkGeometry,  # noqa: F401  not used here; perfbench/spans.py wraps it by this name
     Regime,
     Validity,
+    _check_delta,
+    _check_distance,
+    _check_foliage_height,
+    _check_frequency,
+    _check_height,
     _LossCore,
-    delta_from_heights,
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 from .render import csv_cells, json_cells
 from .sweep import SWEEP_COLUMNS
 
-_SCENARIO_KEYS = ("name", "frequency_mhz", "base_height_m", "radio", "nodes")
-_RADIO_KEYS = (
-    "tx_power_dbm",
-    "tx_gain_dbi",
-    "rx_gain_dbi",
-    "rx_sensitivity_dbm",
-    "required_margin_db",
-)
+_RADIO_KEYS = RadioConfig._fields
 
 
 class ScenarioNode(NamedTuple):
@@ -147,42 +138,54 @@ def _number(obj: dict, key: str, context: str) -> float:
     return number
 
 
-def _node_values(raw_nodes: list, base_height_m: float):
-    """Each node's ``(id, d_km, h_f_m, delta)``, validated, in document order.
+def _node_values(nodes: list, base_height_m: float):
+    """Each node's ``(id, d_km, h_f_m, delta)``, validated, in order.
 
-    A node of exactly ``id``, ``d_km`` and one cover-factor source, holding a
-    string that UTF-8 can carry and floats inside the model's domain, is
-    accepted by the first test; that test is ``LinkGeometry``'s domain rule
-    written inline, and it encodes only a non-ASCII id. Any other node goes
-    to ``_parse_node``, which accepts it or raises its error.
+    A node is a JSON object or a hand-built ``ScenarioNode``. One of exactly
+    ``id``, ``d_km`` and one cover-factor source, holding a string that UTF-8
+    can carry and floats inside the model's domain, is accepted by the first
+    test; that test is ``propagation``'s node rules written inline, their one
+    copy, and it encodes only a non-ASCII id. Any other node goes to
+    ``_parse_node``, which accepts it or raises its error.
     """
-    for index, raw in enumerate(raw_nodes):
+    for index, raw in enumerate(nodes):
         if type(raw) is dict and len(raw) == 3:
             node_id, d_km = raw.get("id"), raw.get("d_km")
             h_f_m, delta = raw.get("h_f_m"), raw.get("delta")
-            if (
-                type(node_id) is str
-                and (node_id.isascii() or _is_unicode(node_id))
-                and type(d_km) is float
-                and 0.0 < d_km * 1000.0 < math.inf
-                and (
-                    type(delta) is float and 0.0 <= delta <= 1.0
-                    if h_f_m is None
-                    else type(h_f_m) is float and 0.0 <= h_f_m <= base_height_m
-                )
-            ):
-                yield node_id, d_km, h_f_m, delta
-                continue
-        yield _parse_node(raw, index, base_height_m)
+        elif type(raw) is ScenarioNode:
+            node_id, d_km, h_f_m, delta = raw
+        else:
+            node_id = None  # the first test refuses it at once
+        if (
+            type(node_id) is str
+            and (node_id.isascii() or _is_unicode(node_id))
+            and type(d_km) is float
+            and 0.0 < d_km * 1000.0 < math.inf
+            and (
+                type(delta) is float and 0.0 <= delta <= 1.0
+                if h_f_m is None
+                else delta is None and type(h_f_m) is float and 0.0 <= h_f_m <= base_height_m
+            )
+        ):
+            yield node_id, d_km, h_f_m, delta
+        else:
+            yield _parse_node(raw, index, base_height_m)
+
+
+def _node_object(node: tuple) -> dict:
+    """A ``ScenarioNode`` as its JSON object: the fields it holds, those that are not None."""
+    return {key: value for key, value in zip(ScenarioNode._fields, node) if value is not None}
 
 
 def _parse_node(raw: object, index: int, base_height_m: float) -> tuple:
     """``(id, d_km, h_f_m, delta)`` of a node that ``_node_values``' first test refused.
 
-    The node is checked field by field, in a fixed order, so the first rule
-    it breaks names itself, and ``LinkGeometry`` raises the domain error, so
-    those messages are written once.
+    A record is read as the object ``emit_scenario`` writes for it. The node
+    is checked field by field, in a fixed order, so the first rule it breaks
+    names itself; ``propagation``'s checkers word the domain errors.
     """
+    if isinstance(raw, tuple):
+        raw = _node_object(raw)
     context = f"nodes[{index}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: each node must be an object, got {raw!r}")
@@ -202,11 +205,12 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> tuple:
     d_km = _number(raw, "d_km", context)
     h_f_m = _number(raw, "h_f_m", context) if has_height else None
     delta = None if has_height else _number(raw, "delta", context)
-    h_m = base_height_m if has_height else None
-    try:  # the model's own domain rule; a node of integer values also passes here
-        LinkGeometry(d_km, h_m=h_m, h_f_m=h_f_m, delta=delta)
-    except FoliageLinkError as exc:
-        raise DomainError(f"{context}: {exc}") from exc
+    prefix = f"{context}: "
+    _checked_as(DomainError, prefix, _check_distance, d_km)  # an int node also passes here
+    if has_height:
+        _checked_as(DomainError, prefix, _check_foliage_height, h_f_m, base_height_m)
+    else:
+        _checked_as(DomainError, prefix, _check_delta, delta)
     return node_id, d_km, h_f_m, delta
 
 
@@ -226,30 +230,30 @@ def _scenario_head(doc: object) -> tuple[str, float, float, RadioConfig, list]:
     """The document's name, frequency, base height and radio, all checked, and its raw nodes."""
     if not isinstance(doc, dict):
         raise SchemaError(f"scenario: top level must be an object, got {doc!r}")
-    _check_keys(doc, _SCENARIO_KEYS, "scenario")
+    _check_keys(doc, Scenario._fields, "scenario")
 
     name = _string(doc, "name", "scenario")
     frequency_mhz = _number(doc, "frequency_mhz", "scenario")
-    if not frequency_mhz > 0:
-        raise DomainError(f"scenario: frequency_mhz must be > 0, got {frequency_mhz}")
+    _checked_as(DomainError, "scenario: ", _check_frequency, frequency_mhz, "frequency_mhz")
     base_height_m = _number(doc, "base_height_m", "scenario")
-    if not base_height_m > 0:
-        raise DomainError(f"scenario: base_height_m must be > 0, got {base_height_m}")
+    _checked_as(DomainError, "scenario: ", _check_height, base_height_m, "base_height_m")
 
     raw_radio = doc["radio"]
     if not isinstance(raw_radio, dict):
         raise SchemaError(f"scenario: field 'radio' must be an object, got {raw_radio!r}")
     _check_keys(raw_radio, _RADIO_KEYS, "radio")
-    radio_values = {key: _number(raw_radio, key, "radio") for key in _RADIO_KEYS}
-    try:
-        radio = RadioConfig(**radio_values)
-    except FoliageLinkError as exc:
-        raise DomainError(f"radio: {exc}") from exc
+    radio_values = [_number(raw_radio, key, "radio") for key in _RADIO_KEYS]
+    radio = _checked_as(DomainError, "radio: ", RadioConfig, *radio_values)
 
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, list):
         raise SchemaError(f"scenario: field 'nodes' must be an array, got {raw_nodes!r}")
     return name, frequency_mhz, base_height_m, radio, raw_nodes
+
+
+def _record_doc(scenario: Scenario, nodes: list) -> dict:
+    """A ``Scenario`` as the document ``_scenario_head`` checks, holding ``nodes``."""
+    return {**scenario._asdict(), "radio": dict(zip(_RADIO_KEYS, scenario.radio)), "nodes": nodes}
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -324,17 +328,6 @@ def _report_cells(nodes, frequency_mhz: float, base_height_m: float, radio: Radi
     return cells
 
 
-def _checked_values(scenario: Scenario):
-    """Each node, its height, distance and cover factor checked as it is taken."""
-    for node in scenario.nodes:
-        _, d_km, h_f_m, delta = node
-        if delta is None:
-            delta = delta_from_heights(h_f_m, scenario.base_height_m)
-        if not (0.0 < d_km * 1000.0 < math.inf and 0.0 <= delta <= 1.0):
-            foliage_split(d_km, delta)  # a node no parse checked: raise its error
-        yield node
-
-
 def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     """Evaluate every node, preserving input order.
 
@@ -342,40 +335,23 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     short that its free-space segment rounds to 0 km) produces an error
     report entry instead of aborting the batch.
 
-    Only the model's domain is checked here; ids and the radio are taken as
-    they are, so a non-string or repeated id gives a report.
-
     Raises:
-        InconsistentGeometry: a node that gives neither or both of
-            ``h_f_m`` and ``delta``.
-        FoliageLinkError: a frequency that is not positive and finite, or a
-            node whose distance is not positive and finite in meters, whose
-            cover factor lies outside [0, 1], or whose foliage height lies
-            outside [0, base height] (or whose base height is not positive
-            and finite).
+        ScenarioError: the ``SchemaError`` or ``DomainError`` that
+            ``parse_scenario`` raises on the scenario's JSON text, first
+            error first: a non-string or repeated id among them.
     """
-    for node in scenario.nodes:
-        if (node.h_f_m is None) == (node.delta is None):
-            raise InconsistentGeometry(
-                f"node '{node.id}': give exactly one of h_f_m and delta, "
-                f"got h_f_m={node.h_f_m}, delta={node.delta}"
-            )
-    cells = _report_cells(
-        _checked_values(scenario), scenario.frequency_mhz, scenario.base_height_m, scenario.radio
-    )
+    cells = _scenario_cells(_record_doc(scenario, list(scenario.nodes)))
     return list(map(NodeReport._make, zip(*[iter(cells)] * _REPORT_WIDTH)))
 
 
-def _scenario_cells(text: str) -> list:
-    """The cells of ``evaluate_scenario(parse_scenario(text))``'s reports, as one flat list.
+def _scenario_cells(doc: object) -> list:
+    """Every node's report cells, ``NodeReport``'s fields node after node, as one flat list.
 
-    The document is checked as ``parse_scenario`` checks it, and raises the
-    same first error, but no node or report record is built.
+    ``doc`` is a document's JSON value or a ``_record_doc``, checked as
+    ``parse_scenario`` checks a document, but no node or report is built.
     """
-    _, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(_load(text))
-    cells = _report_cells(
-        _node_values(raw_nodes, base_height_m), frequency_mhz, base_height_m, radio
-    )
+    _, frequency_mhz, base_height_m, radio, nodes = _scenario_head(doc)
+    cells = _report_cells(_node_values(nodes, base_height_m), frequency_mhz, base_height_m, radio)
     _check_unique(cells[::_REPORT_WIDTH])
     return cells
 
@@ -413,16 +389,7 @@ def emit_scenario(scenario: Scenario) -> str:
             NaN is a ``DomainError``, as an infinite value is, and a value
             that is no JSON number (a ``Decimal``, say) a ``SchemaError``.
     """
-    doc = {
-        "name": scenario.name,
-        "frequency_mhz": scenario.frequency_mhz,
-        "base_height_m": scenario.base_height_m,
-        "radio": {key: getattr(scenario.radio, key) for key in _RADIO_KEYS},
-        "nodes": [
-            {key: value for key, value in zip(ScenarioNode._fields, node) if value is not None}
-            for node in scenario.nodes
-        ],
-    }
+    doc = _record_doc(scenario, list(map(_node_object, scenario.nodes)))
     _, _, base_height_m, _, raw_nodes = _scenario_head(doc)
     _check_unique([values[0] for values in _node_values(raw_nodes, base_height_m)])
     return json.dumps(doc, indent=2, allow_nan=False)

@@ -22,12 +22,15 @@ from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
-from .errors import FoliageLinkError, InvalidSpec, UnknownPreset
+from .errors import FoliageLinkError, InvalidSpec, UnknownPreset, _checked_as
 from .propagation import (
     DEFAULT_DELTA_CAP,
     LinkGeometry,
     Regime,
     Validity,
+    _check_delta_cap,
+    _check_distance,
+    _check_frequency,
     _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
@@ -90,11 +93,9 @@ class SweepSpec(_SweepSpecFields):
             raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
         if not -math.inf < start < stop < math.inf:
             raise InvalidSpec(f"need finite start < stop, got [{start}, {stop}]")
-        if not 0.0 < f_mhz < math.inf:
-            raise InvalidSpec(f"f_mhz must be > 0 and finite, got {f_mhz}")
+        _checked_as(InvalidSpec, "", _check_frequency, f_mhz)
         if variable is SweepVariable.DELTA:
-            if not 0.0 < delta_cap < 1.0:
-                raise InvalidSpec(f"delta_cap must lie in (0, 1), got {delta_cap}")
+            _checked_as(InvalidSpec, "", _check_delta_cap, delta_cap)
             if start < 0.0 or stop > delta_cap:
                 raise InvalidSpec(
                     f"cover-factor sweep must stay in [0, {delta_cap}], got [{start}, {stop}]"
@@ -113,8 +114,8 @@ class SweepSpec(_SweepSpecFields):
             raise InvalidSpec(f"{variable.value} sweep needs start > 0, got {start}")
         elif base.effective_delta >= 1.0:
             raise InvalidSpec("base cover factor must be below 1 (full cover)")
-        elif variable is SweepVariable.DISTANCE and not stop * 1000.0 < math.inf:
-            raise InvalidSpec(f"distance sweep needs stop finite in meters, got {stop}")
+        elif variable is SweepVariable.DISTANCE:
+            _checked_as(InvalidSpec, "", _check_distance, stop, "stop")
         return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz, delta_cap))
 
     _make = classmethod(_checked_make)

@@ -143,13 +143,13 @@ class TestErrorLines:
                                 "--stop", "1e306", "--steps", "3", "--delta", "0.5",
                                 "--f-mhz", "868", "--format", fmt)
         assert (code, out, err) == (
-            1, "", "error: distance sweep needs stop finite in meters, got 1e+306\n"
+            1, "", "error: stop must be > 0 and finite in meters, got 1e+306\n"
         )
 
     @pytest.mark.parametrize("document, line", [
         ([], "scenario: top level must be an object, got []"),
         ({"name": "o", "frequency_mhz": 868, "base_height_m": 0, "radio": {}, "nodes": []},
-         "scenario: base_height_m must be > 0, got 0.0"),
+         "scenario: base_height_m must lie in (0, inf), got 0.0"),
         ({"name": "o", "frequency_mhz": 868, "base_height_m": 30, "radio": [], "nodes": []},
          "scenario: field 'radio' must be an object, got []"),
     ])

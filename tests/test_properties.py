@@ -61,6 +61,7 @@ from foliage_link import (
     weissberger_loss,
 )
 from foliage_link import cli, render
+from foliage_link import scenario as scenario_module
 from foliage_link.cli import run
 from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
 from foliage_link.sweep import SWEEP_COLUMNS
@@ -119,7 +120,7 @@ def finite_or_error(call, *args, **kwargs):
         (
             lambda: SweepSpec(SweepVariable.DISTANCE, 1, 1e306, 3, LinkGeometry(2, delta=0.5), 868),
             InvalidSpec,
-            r"^distance sweep needs stop finite in meters, got 1e\+306$",
+            r"^stop must be > 0 and finite in meters, got 1e\+306$",
         ),
         (lambda: weissberger_delta_limit(inf), NonPositiveDistance, "got inf$"),
         (lambda: delta_from_heights(1, inf), NonPositiveHeight, "^h_m .* got inf$"),
@@ -544,7 +545,9 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
     one as the integer beyond the float range it is written as here, and
     reports it as it does the literal ``1e400``. A NaN is written as the
     string ``"NaN"``, and the parser's type error on it, at the same field,
-    becomes ``emit_scenario``'s own ``DomainError``.
+    becomes ``emit_scenario``'s own ``DomainError``. ``evaluate_scenario``
+    meets the same rules: it raises that error, or reports what the
+    emitted text reports.
     """
     radio = RadioConfig(*radio)
     scenario = Scenario(name, frequency_mhz, base_height_m, radio, nodes)
@@ -567,8 +570,70 @@ def test_emit_scenario_matches_json_dumps(name, frequency_mhz, base_height_m, ra
         with pytest.raises(error) as raised:
             emit_scenario(scenario)
         assert str(raised.value) == message
+        with pytest.raises(FoliageLinkError) as evaluated:
+            evaluate_scenario(scenario)
+        assert (type(evaluated.value), str(evaluated.value)) == (type(raised.value), message)
         return
     assert emit_scenario(scenario) == expected
+    assert evaluate_scenario(scenario) == evaluate_scenario(parse_scenario(expected))
+
+
+#: a base height, and node values at and around each edge of the node rules: zero of
+#: either sign, the smallest subnormal, the largest distance finite in meters, a cover
+#: factor of 1, the base height itself, ints, NaN and the infinities
+BASE_HEIGHT = 30.0
+EDGE_VALUE = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        1e306, 1.7976931348623156e305, 1.7976931348623158e305, BASE_HEIGHT,
+        math.nextafter(BASE_HEIGHT, 0.0), math.nextafter(BASE_HEIGHT, inf), inf, -inf, nan,
+        0, 1, 30, 31, -1,
+    ]),
+    st.floats(0.0, BASE_HEIGHT),
+    st.floats(),
+)
+#: a node's ``(h_f_m, delta)``: mostly one source, as the fast test takes it, sometimes
+#: neither or both
+COVER = st.one_of(
+    st.tuples(st.none(), EDGE_VALUE),
+    st.tuples(EDGE_VALUE, st.none()),
+    st.tuples(st.one_of(st.none(), EDGE_VALUE), st.one_of(st.none(), EDGE_VALUE)),
+)
+
+
+class _Refused(Exception):
+    """``_node_values``' first test sent the node on to ``_parse_node``."""
+
+
+def _refuse(raw, index, base_height_m):
+    raise _Refused
+
+
+@CHECKED
+@given(node_id=st.one_of(st.sampled_from(["a", "é✓", "\ud800"]), TEXT, st.integers()),
+       d_km=EDGE_VALUE, cover=COVER, as_record=st.booleans())
+@example(node_id="a", d_km=5e-324, cover=(None, 1.0), as_record=False)
+@example(node_id="a", d_km=1.7976931348623156e305, cover=(BASE_HEIGHT, None), as_record=True)
+@example(node_id="a", d_km=2.0, cover=(-0.0, None), as_record=False)
+# just past each edge: a looser first test would take these, and the parser refuses them
+@example(node_id="a", d_km=2.0, cover=(math.nextafter(BASE_HEIGHT, inf), None), as_record=False)
+@example(node_id="a", d_km=2.0, cover=(None, math.nextafter(1.0, 2.0)), as_record=True)
+@example(node_id="a", d_km=1.7976931348623158e305, cover=(None, 0.5), as_record=False)
+@example(node_id="a", d_km=-0.0, cover=(None, 0.5), as_record=True)
+@example(node_id="\ud800", d_km=2.0, cover=(None, 0.5), as_record=False)
+def test_the_fast_node_test_accepts_what_parse_node_accepts(node_id, d_km, cover, as_record):
+    """``_node_values``' first test is the node rules written inline: whatever it
+    accepts, from a document's object or a record, ``_parse_node`` accepts too,
+    with the same values to the bit."""
+    node = ScenarioNode(node_id, d_km, *cover)
+    raw = node if as_record else scenario_module._node_object(node)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_parse_node", _refuse)
+        try:
+            fast = next(scenario_module._node_values([raw], BASE_HEIGHT))
+        except _Refused:
+            return
+    assert repr(scenario_module._parse_node(raw, 0, BASE_HEIGHT)) == repr(fast)
 
 
 #: the end of the parser's error on a NaN written as the string "NaN"

@@ -11,14 +11,8 @@ from itertools import chain
 import pytest
 
 from foliage_link import (
-    DeltaOutOfRange,
     DomainError,
-    HeightOutOfRange,
-    InconsistentGeometry,
     LinkGeometry,
-    NonPositiveDistance,
-    NonPositiveFrequency,
-    NonPositiveHeight,
     ParseError,
     SchemaError,
     ScenarioNode,
@@ -358,41 +352,64 @@ class TestEvaluateScenario:
         assert ok.l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
         assert json.loads(emit_json([speck, ok]))[0]["error"] == speck.error
 
-    @pytest.mark.parametrize("node, got", [
-        (ScenarioNode("a", 1.0), "h_f_m=None, delta=None"),
-        (ScenarioNode("a", 1.0, 10.0, 0.9), "h_f_m=10.0, delta=0.9"),
+    @pytest.mark.parametrize("node, message", [
+        (ScenarioNode("a", 1.0), "node 'a': supply one of 'h_f_m' or 'delta'"),
+        (ScenarioNode("a", 1.0, 10.0, 0.9),
+         "node 'a': fields 'h_f_m' and 'delta' are mutually exclusive"),
     ])
-    def test_hand_built_node_needs_exactly_one_cover_source(self, node, got):
-        """A node no parse checked: neither source, or both, is refused by name."""
+    def test_hand_built_node_needs_exactly_one_cover_source(self, node, message):
+        """A node no parse checked: neither source, or both, is refused as the parser refuses it."""
         scenario = parse_scenario(scenario_doc())._replace(nodes=[node])
-        message = f"node 'a': give exactly one of h_f_m and delta, got {got}"
-        with pytest.raises(InconsistentGeometry, match=re.escape(message)):
+        with pytest.raises(SchemaError) as raised:
             evaluate_scenario(scenario)
+        assert str(raised.value) == message
 
     def test_hand_built_node_with_negative_distance(self):
         scenario = parse_scenario(scenario_doc())._replace(
             nodes=[ScenarioNode("a", -1.0, delta=0.5)]
         )
-        with pytest.raises(NonPositiveDistance, match="got -1.0$"):
+        with pytest.raises(DomainError) as raised:
             evaluate_scenario(scenario)
+        assert str(raised.value) == "node 'a': d_km must be > 0 and finite in meters, got -1.0"
+
+    @pytest.mark.parametrize("nodes, error, message", [
+        ([ScenarioNode("a", "2", delta=0.5)], SchemaError,
+         "node 'a': field 'd_km' must be a number, got '2'"),
+        ([ScenarioNode("a", Decimal("2"), delta=0.5)], SchemaError,
+         "node 'a': field 'd_km' must be a number, got Decimal('2')"),
+        ([ScenarioNode(7, 2.0, delta=0.5)], SchemaError,
+         "nodes[0]: field 'id' must be a string, got 7"),
+        ([ScenarioNode("a", 2.0, delta=0.5)] * 2, SchemaError, "scenario: duplicate node id 'a'"),
+    ], ids=["string-d", "decimal-d", "int-id", "repeated-id"])
+    def test_refuses_what_the_parser_refuses(self, nodes, error, message):
+        """A value that is no number, an id that is no string, and a repeated id raise
+        the parser's error, not a bare ``TypeError`` from the arithmetic, nor a report."""
+        scenario = parse_scenario(scenario_doc())._replace(nodes=nodes)
+        with pytest.raises(error) as raised:
+            evaluate_scenario(scenario)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("change, error, message", [
         ({"frequency_mhz": -5.0, "nodes": [ScenarioNode("a", 2.0, delta=1.5)]},
-         NonPositiveFrequency, "f_mhz must be > 0 and finite, got -5.0"),
+         DomainError, "scenario: frequency_mhz must be > 0 and finite, got -5.0"),
         ({"nodes": [ScenarioNode("a", -1.0, h_f_m=40.0)]},
-         HeightOutOfRange, "h_f_m must lie in [0, h_m=30.0], got 40.0"),
+         DomainError, "node 'a': d_km must be > 0 and finite in meters, got -1.0"),
         ({"base_height_m": -3.0, "nodes": [ScenarioNode("a", -1.0, h_f_m=4.0)]},
-         NonPositiveHeight, "h_m must be > 0 and finite, got -3.0"),
+         DomainError, "scenario: base_height_m must lie in (0, inf), got -3.0"),
         ({"nodes": [ScenarioNode("a", 2.0, delta=1.5), ScenarioNode("b", -1.0, delta=0.5)]},
-         DeltaOutOfRange, "delta must lie in [0, 1], got 1.5"),
-        ({"nodes": [ScenarioNode("a", 2.0, delta=1.5), ScenarioNode("b", 1.0)]},
-         InconsistentGeometry, "node 'b': give exactly one of h_f_m and delta, "
-                               "got h_f_m=None, delta=None"),
-    ], ids=["frequency-then-cover", "height-then-distance", "base-then-distance",
-            "first-node-first", "no-source-first"])
+         DomainError, "node 'a': delta must lie in [0, 1], got 1.5"),
+        ({"nodes": [ScenarioNode("a", 1.0), ScenarioNode("b", 2.0, delta=1.5)]},
+         SchemaError, "node 'a': supply one of 'h_f_m' or 'delta'"),
+        ({"nodes": [ScenarioNode("a", -1.0, delta="x")]},
+         SchemaError, "node 'a': field 'delta' must be a number, got 'x'"),
+        ({"nodes": [ScenarioNode("a", 2.0, delta=0.5)] * 2 + [ScenarioNode("b", 2.0, delta=1.5)]},
+         DomainError, "node 'b': delta must lie in [0, 1], got 1.5"),
+    ], ids=["frequency-then-cover", "distance-then-height", "base-then-distance",
+            "first-node-first", "no-source-first", "type-then-distance", "node-then-duplicate"])
     def test_hand_built_errors_come_in_order(self, change, error, message):
-        """A scenario wrong in two ways raises the first: a node with no cover source
-        or two, then the frequency, then each node's height, distance and cover factor."""
+        """A scenario wrong in two ways raises the first, in the parser's order: the
+        frequency, then the base height, then each node in turn (its fields' types, then
+        its distance, then its height or cover factor), then a repeated id."""
         scenario = parse_scenario(scenario_doc())._replace(**change)
         with pytest.raises(error) as raised:
             evaluate_scenario(scenario)
@@ -491,9 +508,8 @@ class TestEmitCsv:
         assert emit_csv(SweepTable("delta", [])) == ",".join(SWEEP_COLUMNS) + "\n"
 
     def test_a_bool_in_any_column_is_written_true(self):
-        """As in a table and in JSON: here the id of a hand-built node, which no parse checked."""
-        scenario = parse_scenario(scenario_doc())._replace(nodes=[ScenarioNode(True, 1.0, delta=0.5)])
-        reports = evaluate_scenario(scenario)
+        """As in a table and in JSON: here a report's id, which no scenario can hold."""
+        reports = [evaluate_scenario(parse_scenario(scenario_doc()))[0]._replace(id=True)]
         assert emit_csv(reports).splitlines()[1].split(",")[0] == "true"
         table = render_cells(list(chain.from_iterable(reports)), REPORT_COLUMNS, _REPORT_WIDTH, "table")
         assert table.splitlines()[1].split()[0] == "true"
@@ -544,7 +560,8 @@ class TestScenarioRoundTrip:
          "node 'a': d_km must be > 0 and finite in meters, got -1.0"),
         ({"nodes": [ScenarioNode("a", 2.0, delta=1.5)]}, DomainError,
          "node 'a': delta must lie in [0, 1], got 1.5"),
-        ({"base_height_m": -30.0}, DomainError, "scenario: base_height_m must be > 0, got -30.0"),
+        ({"base_height_m": -30.0}, DomainError,
+         "scenario: base_height_m must lie in (0, inf), got -30.0"),
         ({"nodes": [ScenarioNode("a", 2.0, delta=0.5)] * 2}, SchemaError,
          "scenario: duplicate node id 'a'"),
         # values JSON cannot hold, refused as the parser refuses the literal 1e400

@@ -238,7 +238,7 @@ class TestSpecValidation:
         spec = SweepSpec(SweepVariable.DISTANCE, 1.0, LARGEST_STOP_KM, 3,
                          LinkGeometry(1.0, delta=0.3), 868.0)
         assert all(math.isfinite(row.l_total_db) for row in run_sweep(spec).rows)
-        with pytest.raises(InvalidSpec, match="stop finite in meters"):
+        with pytest.raises(InvalidSpec, match="^stop must be > 0 and finite in meters"):
             spec._replace(stop=math.nextafter(LARGEST_STOP_KM, math.inf))
 
     def test_frequency_sweep_needs_positive_start(self):
