@@ -16,29 +16,31 @@ Cell rules, table / CSV / JSON:
 
 A row may end with its record's ``error``, which only JSON writes, as a last key.
 
-Each format has one writer, fed one flat list of cells and the row width:
-``_table_cells``, ``csv_cells`` and ``json_cells``, chosen by
-``render_cells``. A caller whose rows all hold one value in a column (a
-sweep's fixed columns) leaves it out of the cells and names it with its
-value in ``fixed``: each writer formats it once, by its own cell rule, into
-the row template. A column that repeats an earlier one (``same``: a
-cover-factor sweep's ``delta`` is its ``x``) is formatted once for both in
-CSV and JSON. Each format has one cell rule, ``_table_cell``, ``_csv_cell``
-and ``_json_cell``, for a fixed column, a lone record, the ``error`` member
-and a column of mixed types alike. The CSV and JSON text is byte for byte
-what ``csv.writer`` and ``json.dumps(..., indent=2, allow_nan=False)``
-would write: both run Python code per cell or per row, and ``json.dumps``
-its whole pure-Python encoder whenever ``indent`` is set. A writer converts
-only the columns whose cells ``%s`` would not write as the format does
-(strings, bools and ``None``; in JSON the enums too), each in a few C-level
-passes, then writes the whole text in one ``%`` call on a template of one
-line or object per row. A JSON object's template is built once per
-process, per column tuple and nesting level; a table or CSV line's once per
-call. A CSV string holding a comma, double quote or line break is handed to
-``csv.writer`` itself, so quoting stays the ``csv`` module's; its row ends
-in CRLF, so that a lone carriage return is quoted on every Python version.
-One call builds the text in one growing buffer: no line or block strings
-are held until a join.
+Each format has one writer, fed one flat list of cells and the row width
+(``_table_cells``, ``csv_cells``, ``json_cells``, chosen by
+``render_cells``); one cell rule, for a fixed column, a lone record, the
+``error`` member and a column of mixed types alike (``_table_cell``,
+``_csv_cell``, ``_json_cell``); and one column rule, which converts a
+whole column in a few C-level passes, or leaves cells that ``%s`` writes
+as the format does (``_table_column``, ``_csv_column``, ``_json_column``):
+
+* table: floats become ``.7f`` text in one pass, strings stay, and
+  ``None``, bools and the package's enums map through one dict;
+* CSV: floats, ints and the package's enums stay, or map through one dict
+  with ``None`` among them; bools map by index; strings stay unless one
+  needs quoting, and such a one goes to ``csv.writer`` itself;
+* JSON: finite floats and ints stay, strings are escaped in one pass, and
+  ``None``, bools and enums map through one dict.
+
+Any other column goes through the cell rule. One loop, ``_converted``,
+runs a writer's column rule over each column, in the cells list itself;
+the writer then writes the whole text in one ``%`` call on a template of
+one line or object per row. A column that the caller holds ``fixed`` (one
+value in every row) is written into the template once, by the cell rule,
+and one that repeats an earlier one (``same``: a cover-factor sweep's
+``delta`` is its ``x``) is formatted once for both. The CSV and JSON text
+is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2,
+allow_nan=False)`` would write, without their Python code per cell or row.
 """
 
 from __future__ import annotations
@@ -60,6 +62,46 @@ def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(column.rpartition(".")[2] for column in columns)
 
 
+def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
+    """Each column's slot in a row template: ``slot``, or for a fixed column ``slot``
+    filled once with the ``cell`` rule's text of its value, each ``%`` doubled."""
+    return [
+        (slot % (cell(fixed[name]),)).replace("%", "%%") if name in fixed else slot
+        for name in columns
+    ]
+
+
+def _converted(cells: list, columns: tuple, width: int, fixed: dict, same, column) -> tuple:
+    """The cells for the row template, each column converted by the format's ``column`` rule.
+
+    A column that ``same`` names is left to the one it repeats: both get
+    the ``str()`` of that one's cells, converted, which is what ``%s`` writes.
+    """
+    same = same or {}
+    varying = [name for name in columns if name not in fixed]
+    for index, name in enumerate(varying):
+        if name not in same:
+            text = column(cells[index::width])
+            if text is not None:
+                cells[index::width] = text
+    for name, source in same.items():
+        index = varying.index(source)
+        text = list(map(str, cells[index::width]))
+        cells[index::width] = cells[varying.index(name)::width] = text
+    return tuple(cells)
+
+
+def _lines(cells, columns, width, fixed, same, head: str, sep: str, slot: str, cell, column):
+    """A header line, then a line of ``sep``-joined slots per row; a row's cells past its
+    varying columns (its ``error``) go to ``%.0s``, which writes no text."""
+    fixed = fixed or {}
+    line = sep.join(_fixed_slots(columns, fixed, slot, cell))
+    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
+    cells = _converted(cells, columns, width, fixed, same, column)
+    # the header holds attribute names, so no "%" that the template would read
+    return (head + "\n" + line * (len(cells) // width)) % cells
+
+
 def _table_cell(value: object) -> str:
     if value is None:
         return "-"
@@ -72,48 +114,31 @@ def _table_cell(value: object) -> str:
     return str(value)
 
 
-def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
-    """Each column's slot in a row template.
-
-    A column the cells hold gets ``slot``; a fixed column gets ``slot``
-    written once with the ``cell`` rule's text of its value, each ``%``
-    doubled.
-    """
-    return [
-        (slot % (cell(fixed[name]),)).replace("%", "%%") if name in fixed else slot
-        for name in columns
-    ]
+#: table text of every value of a column of ``_TABLE_CONSTANT_KINDS``
+_TABLE_CONSTANT = {
+    None: "-", False: "false", True: "true", **{flag: flag.value for flag in (*Regime, *Validity)},
+}
+_TABLE_CONSTANT_KINDS = frozenset(map(type, _TABLE_CONSTANT))
 
 
-def _share(cells: list, columns: tuple[str, ...], width: int, fixed: dict, same: dict) -> None:
-    """Give each column of ``same`` the text of the column whose cells it repeats.
-
-    The cells are those the template takes, converted where the format
-    needs it, so their ``str()`` is what ``%s`` writes: that column is
-    formatted once, and both get the same list of texts.
-    """
-    varying = [name for name in columns if name not in fixed]
-    for name, source in same.items():
-        index = varying.index(source)
-        cells[index::width] = cells[varying.index(name)::width] = list(
-            map(str, cells[index::width])
-        )
+def _table_column(column: list) -> list | None:
+    """Table text of one column's cells, or None when ``%s`` writes them all as they are."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return list(map("{:.7f}".format, column))
+    if kinds == {str}:
+        return None
+    if kinds <= _TABLE_CONSTANT_KINDS:
+        return list(map(_TABLE_CONSTANT.__getitem__, column))
+    return list(map(_table_cell, column))
 
 
-def _table_cells(
-    cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None
-) -> str:
-    """Column table of rows given as one flat list of ``width`` cells each.
-
-    Every cell is left-aligned in 13 characters. A row's cells past its
-    varying columns (its ``error``) go to ``%.0s``, which writes no text.
-    """
-    fixed = fixed or {}
-    # the header holds attribute names, so no "%" that the template would read
-    head = "  ".join(["%-13s"] * len(columns)) % _header(columns) + "\n"
-    line = "  ".join(_fixed_slots(columns, fixed, "%-13s", _table_cell))
-    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
-    return (head + line * (len(cells) // width)) % tuple(map(_table_cell, cells))
+def _table_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None,
+                 same: dict | None = None) -> str:
+    """Column table of rows given as ``csv_cells`` takes them, each cell left-aligned in 13."""
+    head = "  ".join(["%-13s"] * len(columns)) % _header(columns)
+    return _lines(cells, columns, width, fixed, same, head, "  ", "%-13s", _table_cell,
+                  _table_column)
 
 
 #: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
@@ -187,29 +212,13 @@ def csv_cells(
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, which CSV does not write.
-    ``fixed`` maps each other column to its value in every row. The text
+    ``fixed`` maps each other column to its value in every row, and
+    ``same`` a column to an earlier one whose cells it repeats. The text
     is a header line and one line per row, what ``csv.writer`` writes (LF
     line endings), except that a bool is written ``true``/``false``.
-    All the cells go to one template in one ``%`` call: as they are when
-    all are ``_PLAIN``, else each column that needs it is converted first,
-    in ``cells`` itself. A row's cells past the columns (its ``error``) go
-    to ``%.0s``, which writes no text. A fixed column's text is written into
-    the template, and a column that ``same`` names gets the text of the one
-    it repeats.
     """
-    fixed = fixed or {}
-    # the header holds attribute names, so no "%" that the template would read
-    head = ",".join(_header(columns)) + "\n"
-    line = ",".join(_fixed_slots(columns, fixed, "%s", _csv_cell))
-    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
-    if not _PLAIN.issuperset(map(type, cells)):
-        for index in range(len(columns) - len(fixed)):
-            text = _csv_column(cells[index::width])
-            if text is not None:
-                cells[index::width] = text
-    if same:
-        _share(cells, columns, width, fixed, same)
-    return (head + line * (len(cells) // width)) % tuple(cells)
+    head = ",".join(_header(columns))
+    return _lines(cells, columns, width, fixed, same, head, ",", "%s", _csv_cell, _csv_column)
 
 
 _JSON_NULL = {None: "null"}
@@ -225,13 +234,13 @@ _CONSTANT_KINDS = frozenset(map(type, _JSON_CONSTANT))
 
 
 def _json_cell(value: object) -> object:
-    """JSON text of one cell, or a finite float as it is, since ``%s`` writes its repr.
+    """JSON text of one cell, or an int or finite float as it is, since ``%s`` writes its repr.
 
     An enum's text is its value's, and a non-finite float raises
     ``ValueError``, both as in ``json.dumps``.
     """
     kind = type(value)
-    if kind is float and -math.inf < value < math.inf:
+    if kind is int or kind is float and -math.inf < value < math.inf:
         return value
     if kind in _CONSTANT_KINDS:
         return _JSON_CONSTANT[value]
@@ -274,11 +283,10 @@ def _json_error(error: object, level: int) -> str:
     return f',\n{"  " * (level + 1)}"error": {_json_cell(error)}'
 
 
-def _json_column(column: list, kinds: set) -> list | None:
-    """JSON text of one column's cells, or None when ``%s`` writes them all as they are.
-
-    ``kinds`` holds the cells' types, and every float among them is finite.
-    """
+def _json_column(column: list) -> list | None:
+    """JSON text of one column's cells, every float among them finite, or None when
+    ``%s`` writes them all as they are."""
+    kinds = set(map(type, column))
     if kinds <= _JSON_PLAIN:
         return None
     if kinds <= _JSON_PLAIN_OR_NONE:
@@ -302,13 +310,10 @@ def json_cells(
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, a last key where it is
-    not None. ``fixed`` maps each other column to its value in every row.
-    The text is what ``json.dumps(objects, indent=2, allow_nan=False)``
-    writes for the rows' dicts: a non-finite float raises ``ValueError``,
-    for the first one row by row. Each column that needs it is converted
-    in ``cells`` itself, then all the cells go to one template in one ``%``
-    call. A fixed column's text is written into the template, and a column
-    that ``same`` names gets the text of the one it repeats.
+    not None. ``fixed`` and ``same`` are as ``csv_cells`` takes them. The
+    text is what ``json.dumps(objects, indent=2, allow_nan=False)`` writes
+    for the rows' dicts: a non-finite float raises ``ValueError``, for the
+    first one row by row.
     """
     fixed = fixed or {}
     varying = len(columns) - len(fixed)
@@ -316,21 +321,13 @@ def json_cells(
     item = _json_template(_header(columns), 1, with_error)
     if fixed and cells:
         item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
-    for index in range(varying):
-        column = cells[index::width]
-        kinds = set(map(type, column))
-        if float in kinds and not all(map(math.isfinite, filter(_is_float, column))):
-            list(map(_json_cell, cells))  # raises at the first, row by row
-        text = _json_column(column, kinds)
-        if text is not None:
-            cells[index::width] = text
-    if same:
-        _share(cells, columns, width, fixed, same)
+    if not all(map(math.isfinite, filter(_is_float, cells))):
+        list(map(_json_cell, cells))  # raises at the first, row by row
     if with_error:
         cells[varying::width] = [_json_error(error, 1) for error in cells[varying::width]]
     # the whole array, its brackets and ``end`` among them, is one template
     template = _json_array([item] * (len(cells) // width), end.replace("%", "%%"))
-    return template % tuple(cells)
+    return template % _converted(cells, columns, width, fixed, same, _json_column)
 
 
 def render_cells(
@@ -344,14 +341,14 @@ def render_cells(
     only JSON writes. ``fixed`` maps each other column to its value in
     every row; its text is formatted once, by the format's own cell rule.
     ``same`` maps a column to an earlier one whose cells it repeats, so
-    that CSV and JSON format them once for both. The text ends with a
+    that each format formats them once for both. The text ends with a
     newline in every format.
     """
     if fmt == "json":
         return json_cells(cells, columns, width, "\n", fixed, same)
     if fmt == "csv":
         return csv_cells(cells, columns, width, fixed, same)
-    return _table_cells(cells, columns, width, fixed)
+    return _table_cells(cells, columns, width, fixed, same)
 
 
 def render(record, columns: tuple[str, ...], fmt: str) -> str:

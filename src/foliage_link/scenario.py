@@ -172,8 +172,10 @@ def _node_values(nodes: list, base_height_m: float):
             yield _parse_node(raw, index, base_height_m)
 
 
-def _node_object(node: tuple) -> dict:
-    """A ``ScenarioNode`` as its JSON object: the fields it holds, those that are not None."""
+def _node_object(node: object) -> object:
+    """A record or tuple node as its JSON object, the fields not None; any other as it is."""
+    if not isinstance(node, tuple):
+        return node
     return {key: value for key, value in zip(ScenarioNode._fields, node) if value is not None}
 
 
@@ -184,8 +186,7 @@ def _parse_node(raw: object, index: int, base_height_m: float) -> tuple:
     is checked field by field, in a fixed order, so the first rule it breaks
     names itself; ``propagation``'s checkers word the domain errors.
     """
-    if isinstance(raw, tuple):
-        raw = _node_object(raw)
+    raw = _node_object(raw)
     context = f"nodes[{index}]"
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: each node must be an object, got {raw!r}")
@@ -377,11 +378,12 @@ def emit_json(reports: Sequence[NodeReport]) -> str:
 def emit_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its JSON wire format.
 
-    Each node is written with the fields it holds, those that are not None.
-    The dict is checked by the parser's own rules before it is written, so
-    only a document that ``parse_scenario`` accepts is returned.
-    ``parse_scenario(emit_scenario(s))`` reproduces ``s`` exactly, and the
-    emitted text is a fixed point of a further parse/emit round trip.
+    Each node is written with the fields it holds, those that are not None,
+    and a dict node as it is. The dict is checked by the parser's own rules
+    before it is written, so only a document that ``parse_scenario``
+    accepts is returned. ``parse_scenario(emit_scenario(s))`` reproduces a
+    parsed ``s`` exactly, and the emitted text is a fixed point of a further
+    parse/emit round trip.
 
     Raises:
         FoliageLinkError: the error ``parse_scenario`` would raise on the

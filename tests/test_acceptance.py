@@ -18,7 +18,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from foliage_link import (
@@ -60,6 +59,7 @@ def _total(d_km: float, delta: float, f_mhz: float) -> float:
 
 def oracle_total_grid(d_km, delta, f_mhz):
     """The loss formulas rebuilt in numpy, independent of the package path."""
+    import numpy as np
     d_f = np.asarray(delta, dtype=float) * np.asarray(d_km, dtype=float) * 1000.0
     f_ghz = np.asarray(f_mhz, dtype=float) / 1000.0
     foliage = np.where(
@@ -215,6 +215,7 @@ def test_criterion_6_property_suite():
 
 
 def test_criterion_7_solver_oracle_equivalence():
+    import numpy as np
     failures: list[str] = []
     rng = random.Random(31)
 

@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +57,7 @@ def forward_total(d_km: float, delta: float, f_mhz: float) -> float:
 
 def oracle_total_grid(d_km, delta, f_mhz):
     """Model formulas rebuilt in numpy; independent of the package internals."""
+    import numpy as np
     d_f = np.asarray(delta) * np.asarray(d_km) * 1000.0
     f_ghz = np.asarray(f_mhz) / 1000.0
     foliage = np.where(
@@ -151,6 +151,13 @@ class TestMaxRange:
         result = max_range(radio_with_budget(budget), 0.3, 868)
         assert result.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_budget_equal_to_the_loss_at_10_cm(self):
+        """The bracket's near end meets a budget of exactly its loss, with no iteration."""
+        loss = forward_total(1e-4, 0.3, 868)
+        result = max_range(RadioConfig(0.0, 0.0, 0.0, -loss), 0.3, 868)
+        assert (result.value, result.achieved_loss_db, result.iterations) == (1e-4, loss, 0)
+        assert result.converged
+
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             max_range(radio_with_budget(-500.0), 0.2, 2400)
@@ -165,6 +172,7 @@ class TestMaxRange:
             max_range(radio_with_budget(150.0), 1.0, 2400)
 
     def test_agrees_with_grid_oracle(self):
+        import numpy as np
         rng = random.Random(13)
         for _ in range(20):
             d_true = rng.uniform(0.8, 4.0)
@@ -211,6 +219,7 @@ class TestMaxFoliageFactor:
             max_foliage_factor(radio_with_budget(150.0), 2.0, 2400, delta_cap=1.0)
 
     def test_round_trip_unique_frontier(self):
+        import numpy as np
         rng = random.Random(14)
         for _ in range(20):
             d = rng.uniform(0.8, 4.0)
@@ -250,6 +259,7 @@ class TestCoverSolverShape:
     where a uniform scan or a rounded branch edge would go wrong."""
 
     def test_narrow_peak_window_is_found(self):
+        import numpy as np
         # at 5 km and 868 MHz the loss peaks near delta = 0.92516; 5e-7 dB
         # below the peak the infeasible window is only ~5e-5 wide
         grid = np.linspace(0.92, 0.93, 100_001)

@@ -297,6 +297,12 @@ class TestLinkGeometry:
         with pytest.raises(InconsistentGeometry):
             LinkGeometry(d_km=2, h_m=30, h_f_m=15, delta=0.6)
 
+    def test_both_sources_agree_to_1e_12(self):
+        """The two sources may differ by rounding, not by more than 1e-12."""
+        assert LinkGeometry(d_km=2, h_m=30, h_f_m=15, delta=0.5 + 5e-13).delta == 0.5 + 5e-13
+        with pytest.raises(InconsistentGeometry):
+            LinkGeometry(d_km=2, h_m=30, h_f_m=15, delta=0.5 + 2e-12)
+
     def test_partial_heights(self):
         with pytest.raises(InconsistentGeometry):
             LinkGeometry(d_km=2, h_m=30)

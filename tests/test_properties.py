@@ -724,6 +724,30 @@ def test_to_csv_of_no_records(columns):
     assert text == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
 
 
+#: the kinds of table column: floats (subnormals, zeros, infinities and NaN among them),
+#: one-dict values, strings, and mixed cells, which the cell rule converts one by one
+TABLE_COLUMN = st.sampled_from([
+    st.floats(), st.sampled_from([None, False, True, *Regime, *Validity]), TEXT, CSV_CELL,
+])
+
+
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), count=st.integers(0, 4))
+def test_table_matches_its_cell_rule(data, which, count):
+    """Each table column, converted whole, reads as ``_table_cell`` of each of its cells.
+
+    Every cell is left-aligned in 13 characters, two spaces apart, and a
+    row's error is not written.
+    """
+    columns = COLUMN_SETS[which]
+    kinds = [data.draw(TABLE_COLUMN) for _ in columns]
+    rows = [[data.draw(kind) for kind in kinds] for _ in range(count)]
+    flat = [cell for cells in rows for cell in (*cells, data.draw(st.one_of(st.none(), TEXT)))]
+    lines = [render._header(columns), *([render._table_cell(v) for v in cells] for cells in rows)]
+    expected = "".join("  ".join(f"{text:<13}" for text in line) + "\n" for line in lines)
+    assert render.render_cells(flat, columns, len(columns) + 1, "table") == expected
+
+
 #: a scenario node: id, d_km (an int goes through the field-by-field check), cover source
 #: ("full" is delta 1, an error row) and cover share; a share of 1 by height is full cover too
 SCENARIO_NODE = st.tuples(

@@ -583,6 +583,40 @@ class TestScenarioRoundTrip:
             emit_scenario(scenario)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("node", [
+        ScenarioNode("a", 2.0, delta=0.5),
+        ("a", 2.0, None, 0.5),
+        {"id": "a", "d_km": 2.0, "delta": 0.5},
+        {"delta": 0.5, "id": "a", "d_km": 2},  # another key order, an integer distance
+        {"id": "a", "d_km": 2.0, "h_f_m": 15.0},
+    ], ids=["record", "tuple", "dict", "reordered-dict", "height-dict"])
+    def test_hand_built_node_of_every_kind(self, node):
+        """A record, a plain tuple and a dict node are each evaluated, and emitted as text
+        that re-parses to the same reports."""
+        nodes = [node, ScenarioNode("b", 1.5, h_f_m=12.25)]
+        scenario = parse_scenario(scenario_doc())._replace(nodes=nodes)
+        reports = evaluate_scenario(scenario)
+        assert reports[0].l_total_db == pytest.approx(TOTAL_D2_DELTA05, rel=1e-12)
+        assert evaluate_scenario(parse_scenario(emit_scenario(scenario))) == reports
+
+    @pytest.mark.parametrize("node, error", [
+        ({"id": "a", "d_km": "2", "delta": 0.5}, SchemaError),
+        ({"id": "a", "d_km": 2.0}, SchemaError),
+        ({"id": "a", "d_km": 2.0, "delta": 0.5, "x": 1}, SchemaError),
+        ({"id": "a", "d_km": -1.0, "delta": 0.5}, DomainError),
+        ({"id": 7, "d_km": 2.0, "delta": 0.5}, SchemaError),
+        ("a", SchemaError),
+    ], ids=["string-d", "no-cover", "unknown-field", "negative-d", "int-id", "not-an-object"])
+    def test_malformed_dict_node_gets_the_parsers_message(self, node, error):
+        """Both entries refuse a hand-built node with what the parser says of its JSON."""
+        with pytest.raises(error) as parsed:
+            parse_scenario(scenario_doc([node]))
+        scenario = parse_scenario(scenario_doc())._replace(nodes=[node])
+        for entry in (evaluate_scenario, emit_scenario):
+            with pytest.raises(error) as raised:
+                entry(scenario)
+            assert str(raised.value) == str(parsed.value)
+
     def test_evaluation_is_deterministic(self):
         text = scenario_doc([
             {"id": "a", "d_km": 2, "delta": 0.95},

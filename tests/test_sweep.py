@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -278,6 +277,7 @@ def scalar_row(spec, x):
 def assert_matches_scalar_path(spec):
     """Every row equals the checked path at its x, and the x column equals
     ``np.linspace``, both bit for bit (0 ulp)."""
+    import numpy as np
     rows = run_sweep(spec).rows
     expected_x = np.linspace(spec.start, spec.stop, spec.steps).tolist()
     assert [row.x.hex() for row in rows] == [x.hex() for x in expected_x]
