@@ -11,12 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import (
-    BracketExceeded,
-    DeltaOutOfRange,
-    InvalidRadioConfig,
-    NoSolution,
-)
+from .errors import BracketExceeded, InvalidRadioConfig, NoSolution
 from .propagation import (
     DEFAULT_DELTA_CAP,
     LINEAR_BRANCH_MAX_M,
@@ -27,6 +22,7 @@ from .propagation import (
     _check_delta_cap,
     _check_distance,
     _check_height,
+    _check_partial_cover,
     _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
@@ -165,8 +161,7 @@ def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
             the 14 m edge, where that lies inside the bracket: the link
             holds over all of it.
     """
-    if not 0.0 <= delta < 1.0:
-        raise DeltaOutOfRange(f"delta must lie in [0, 1) for a range solve, got {delta}")
+    _check_partial_cover(delta)
     budget = max_loss_budget(radio)
     lo, hi = _RANGE_BRACKET_KM
     core = _LossCore(f_mhz)

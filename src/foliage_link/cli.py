@@ -96,10 +96,6 @@ _COMMANDS = {
         ("--start", dict(type=_finite_float, help="first swept value")),
         ("--stop", dict(type=_finite_float, help="last swept value")),
         ("--steps", dict(type=int, help="number of points, endpoints included")),
-        ("--delta-cap", dict(
-            type=_finite_float,
-            help=f"upper cap for cover-factor sweeps (default {DEFAULT_DELTA_CAP})",
-        )),
         *_GEOMETRY_FLAGS,
         ("--f-mhz", dict(type=_finite_float, help="fixed frequency in MHz")),
         *_OUTPUT_FLAGS,
@@ -114,7 +110,8 @@ _COMMANDS = {
         ("--margin-db", dict(type=_finite_float, default=0.0, help="required fade margin, dB")),
         ("--delta-cap", dict(
             type=_finite_float,
-            help=f"cover-factor ceiling for delta/height solves (default {DEFAULT_DELTA_CAP})",
+            help="cover-factor ceiling of a delta or height solve, in (0, 1) "
+                 f"(default {DEFAULT_DELTA_CAP})",
         )),
         *_GEOMETRY_FLAGS,
         ("--f-mhz", dict(type=_finite_float, required=True, help="frequency in MHz")),
@@ -267,7 +264,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
             raise _UsageError("--preset is exclusive of --var/--start/--stop/--steps")
-        _reject_unused(args, ("d_km", "delta", "h_m", "h_f_m", "f_mhz", "delta_cap"), "--preset")
+        _reject_unused(args, ("d_km", "delta", "h_m", "h_f_m", "f_mhz"), "--preset")
         spec = preset(args.preset)
     else:
         if any(flag is None for flag in custom_flags):
@@ -280,15 +277,15 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
                 raise _UsageError("--d-km is required for a delta sweep")
             base = LinkGeometry(d_km=args.d_km, delta=args.start)
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
-            _reject_unused(args, ("delta", "h_f_m", "delta_cap"), where)
+            _reject_unused(args, ("delta", "h_f_m"), where)
             if args.d_km is None or args.h_m is None:
                 raise _UsageError("--d-km and --h-m are required for a foliage-height sweep")
             base = LinkGeometry(d_km=args.d_km, h_m=args.h_m, h_f_m=args.start)
         elif variable is SweepVariable.DISTANCE:
-            _reject_unused(args, ("d_km", "delta_cap"), where)
+            _reject_unused(args, ("d_km",), where)
             base = LinkGeometry(d_km=args.start, delta=_delta_from_args(args))
         else:  # frequency sweep
-            _reject_unused(args, ("f_mhz", "delta_cap"), where)
+            _reject_unused(args, ("f_mhz",), where)
             base = _geometry_from_args(args)
         f_mhz = args.start if variable is SweepVariable.FREQUENCY_MHZ else args.f_mhz
         if f_mhz is None:
@@ -300,7 +297,6 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
             steps=args.steps,
             base=base,
             f_mhz=f_mhz,
-            delta_cap=DEFAULT_DELTA_CAP if args.delta_cap is None else args.delta_cap,
         )
     cells, fixed, same = _sweep_cells(spec)
     width = len(SWEEP_COLUMNS) - len(fixed)

@@ -56,7 +56,7 @@ LINEAR_BRANCH_MAX_M = 14.0
 #: results are extrapolations.
 WEISSBERGER_MAX_DEPTH_M = 400.0
 
-#: Default cover-factor ceiling of sweeps and solves, short of singular full cover.
+#: Default cover-factor ceiling of the cover solves, short of singular full cover.
 DEFAULT_DELTA_CAP = 0.95
 
 #: Exponent of the decay model's power branch in the foliage depth.
@@ -314,6 +314,11 @@ def _check_frequency(f_mhz: float, name: str = "f_mhz") -> None:
 def _check_delta(delta: float) -> None:
     if not 0.0 <= delta <= 1.0:
         raise DeltaOutOfRange(f"delta must lie in [0, 1], got {delta}")
+
+
+def _check_partial_cover(delta: float, name: str = "delta") -> None:
+    if not 0.0 <= delta < 1.0:
+        raise DeltaOutOfRange(f"{name} must lie in [0, 1), short of full cover, got {delta}")
 
 
 def _check_delta_cap(delta_cap: float) -> None:

@@ -2,8 +2,10 @@
 
 A sweep varies exactly one of: cover factor, foliage height, distance or
 frequency, holding everything else fixed, and evaluates the full loss
-breakdown at uniformly spaced points (endpoints included). Presets
-regenerate the bundled reference scenarios.
+breakdown at uniformly spaced points (endpoints included). Every point
+stops short of full cover, where the free-space term is singular, and
+nothing else bounds a sweep: its range is its ``start`` and ``stop``.
+Presets regenerate the bundled reference scenarios.
 
 One loop per swept variable, in ``_sweep_cells``, evaluates the grid
 straight into one flat list of cells, with no per-point record. It leaves
@@ -24,13 +26,12 @@ from typing import NamedTuple
 
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset, _checked_as
 from .propagation import (
-    DEFAULT_DELTA_CAP,
     LinkGeometry,
     Regime,
     Validity,
-    _check_delta_cap,
     _check_distance,
     _check_frequency,
+    _check_partial_cover,
     _checked_make,
     _LossCore,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
@@ -58,7 +59,6 @@ class _SweepSpecFields(NamedTuple):
     steps: int
     base: LinkGeometry
     f_mhz: float
-    delta_cap: float = DEFAULT_DELTA_CAP
 
 
 class SweepSpec(_SweepSpecFields):
@@ -66,9 +66,10 @@ class SweepSpec(_SweepSpecFields):
 
     ``base`` fixes every parameter that is not swept; the field of ``base``
     corresponding to ``variable`` is ignored. ``steps`` lies in
-    [2, ``MAX_STEPS``]. Cover-factor sweeps are capped at ``delta_cap``
-    (``DEFAULT_DELTA_CAP`` by default) and full cover (delta = 1) is rejected
-    outright for every variable, since the free-space term is singular there.
+    [2, ``MAX_STEPS``]. Every point stops short of full cover, where the
+    free-space term is singular: a cover-factor sweep and the fixed cover
+    factor of a distance or frequency sweep lie in [0, 1), and a
+    foliage-height sweep stops below ``base.h_m``.
     A distance sweep's ``stop`` must be finite in meters, as ``LinkGeometry``
     requires of ``d_km``; every point of the grid then is too.
     Every way of building one (the constructor, ``_make`` and ``_replace``)
@@ -85,7 +86,6 @@ class SweepSpec(_SweepSpecFields):
         steps: int,
         base: LinkGeometry,
         f_mhz: float,
-        delta_cap: float = DEFAULT_DELTA_CAP,
     ) -> SweepSpec:
         if not isinstance(steps, int) or isinstance(steps, bool):
             raise InvalidSpec(f"steps must be an integer, got {steps!r}")
@@ -95,11 +95,8 @@ class SweepSpec(_SweepSpecFields):
             raise InvalidSpec(f"need finite start < stop, got [{start}, {stop}]")
         _checked_as(InvalidSpec, "", _check_frequency, f_mhz)
         if variable is SweepVariable.DELTA:
-            _checked_as(InvalidSpec, "", _check_delta_cap, delta_cap)
-            if start < 0.0 or stop > delta_cap:
-                raise InvalidSpec(
-                    f"cover-factor sweep must stay in [0, {delta_cap}], got [{start}, {stop}]"
-                )
+            _checked_as(InvalidSpec, "", _check_partial_cover, start, "start")
+            _checked_as(InvalidSpec, "", _check_partial_cover, stop, "stop")
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
             if base.h_m is None:
                 raise InvalidSpec("foliage-height sweep needs base geometry with h_m")
@@ -112,11 +109,11 @@ class SweepSpec(_SweepSpecFields):
                 )
         elif start <= 0.0:  # a distance or frequency sweep from here on
             raise InvalidSpec(f"{variable.value} sweep needs start > 0, got {start}")
-        elif base.effective_delta >= 1.0:
-            raise InvalidSpec("base cover factor must be below 1 (full cover)")
-        elif variable is SweepVariable.DISTANCE:
-            _checked_as(InvalidSpec, "", _check_distance, stop, "stop")
-        return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz, delta_cap))
+        else:
+            _checked_as(InvalidSpec, "", _check_partial_cover, base.effective_delta, "base delta")
+            if variable is SweepVariable.DISTANCE:
+                _checked_as(InvalidSpec, "", _check_distance, stop, "stop")
+        return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz))
 
     _make = classmethod(_checked_make)
 

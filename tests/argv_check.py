@@ -52,6 +52,8 @@ MALFORMED = [
     ["loss", "--d-km", "2", "--delta", "0"],  # a required flag missing
     ["budget", "--solve", "range", "--tx-dbm", "14", "--f-mhz", "868", "--delta", "0.5"],
     ["scenario", "--format", "csv"],
+    ["sweep", "--var", "delta", "--start", "0", "--stop", "0.5", "--steps", "3",
+     "--d-km", "2", "--f-mhz", "868", "--delta-cap", "0.9"],  # a flag only budget takes
 ]
 
 

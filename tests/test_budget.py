@@ -32,6 +32,7 @@ from foliage_link import (
     required_tx_power,
     total_loss,
 )
+from foliage_link.budget import _power_peak
 from foliage_link.propagation import _LossCore
 
 import solver_digest
@@ -292,6 +293,45 @@ class TestCoverSolverShape:
         assert 0.27 < result.value <= edge
         breakdown = total_loss(LinkGeometry(d_km=d_km, delta=result.value), f)
         assert breakdown.foliage.regime.value == "linear"
+
+    def test_power_peak_matches_a_bisection_on_its_slope(self):
+        """``_power_peak`` is within the 1e-11 relative its docstring states.
+
+        The reference bisects to adjacent floats on the sign of the total's
+        slope, ``0.588 c delta^-0.412 - 20 / ln 10 / (1 - delta)``, written
+        from the model rather than from the solver's ratio. Stopping Newton's
+        method at a step of 1e-5 instead of 1e-7 puts peaks off by up to
+        1.3e-9 relative.
+        """
+
+        def slope(delta, c):
+            return 0.588 * c * delta**-0.412 - 20.0 / math.log(10.0) / (1.0 - delta)
+
+        rng = random.Random(20261020)
+        interior = 0
+        for _ in range(20_000):
+            start = rng.uniform(1e-4, 0.9)
+            l_start = rng.uniform(1.0, 400.0)  # foliage loss at start, on the power branch
+            cap = rng.uniform(start + 1e-3, 0.999)
+            c = l_start / start**0.588
+            if slope(cap, c) >= 0.0:
+                expected = cap
+            elif slope(start, c) <= 0.0:
+                expected = start
+            else:
+                interior += 1
+                lo, hi = start, cap
+                mid = 0.5 * (lo + hi)
+                while lo < mid < hi:
+                    if slope(mid, c) > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+                    mid = 0.5 * (lo + hi)
+                expected = lo
+            peak = _power_peak(start, l_start, cap)
+            assert abs(peak - expected) <= 1e-11 * expected, (start, l_start, cap)
+        assert interior > 2000
 
     @pytest.mark.parametrize(
         "budget, d_km, f",

@@ -133,8 +133,8 @@ class TestErrorLines:
         assert err.partition("\n")[0] == f"usage error: {line}"
 
     def test_delta_cap_out_of_range_exits_1(self, capsys):
-        code, out, err = invoke(capsys, *SWEEP_DELTA, "--d-km", "2", "--f-mhz", "868",
-                                "--delta-cap", "1.5")
+        code, out, err = invoke(capsys, "budget", "--solve", "delta", *RADIO_FLAGS, "--d-km", "2",
+                                "--f-mhz", "868", "--delta-cap", "1.5")
         assert (code, out, err) == (1, "", "error: delta_cap must lie in (0, 1), got 1.5\n")
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
@@ -227,12 +227,13 @@ class TestSweep:
         assert invoke(capsys, "sweep", "--var", "delta", "--start", "0")[0] == 2
 
     def test_invalid_spec_exits_1(self, capsys):
-        code, _, err = invoke(
-            capsys, "sweep", "--var", "delta", "--start", "0", "--stop", "0.99",
+        code, out, err = invoke(
+            capsys, "sweep", "--var", "delta", "--start", "0", "--stop", "1",
             "--steps", "3", "--d-km", "2", "--f-mhz", "2400",
         )
-        assert code == 1
-        assert "0.95" in err
+        assert (code, out, err) == (
+            1, "", "error: stop must lie in [0, 1), short of full cover, got 1.0\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_point_error_names_its_x(self, capsys, fmt):
@@ -503,15 +504,6 @@ class TestIgnoredFlags:
               "--delta", "0.3", "--f-mhz", "868", "--d-km", "2"], "--d-km"),
             (["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
               "--d-km", "2", "--delta", "0.3", "--f-mhz", "868"], "--f-mhz"),
-            (["sweep", "--preset", "figure2", "--delta-cap", "0.1", "--format", "csv"],
-             "--delta-cap"),
-            (["sweep", "--var", "foliage-height", "--start", "0", "--stop", "5", "--steps", "3",
-              "--d-km", "2", "--h-m", "30", "--f-mhz", "868", "--delta-cap", "0.2"],
-             "--delta-cap"),
-            (["sweep", "--var", "distance", "--start", "1", "--stop", "5", "--steps", "3",
-              "--delta", "0.3", "--f-mhz", "868", "--delta-cap", "0.2"], "--delta-cap"),
-            (["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
-              "--d-km", "2", "--delta", "0.3", "--delta-cap", "0.2"], "--delta-cap"),
             (["budget", "--solve", "range", "--delta", "0.3", "--delta-cap", "0.3"],
              "--delta-cap"),
         ],
@@ -523,6 +515,24 @@ class TestIgnoredFlags:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {flag} does not apply to ")
         assert "usage:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "figure2", "--format", "csv"],
+            [*SWEEP_DELTA, "--d-km", "2", "--f-mhz", "868"],
+            [*SWEEP_HEIGHT, "--d-km", "2", "--h-m", "30", "--f-mhz", "868"],
+            ["sweep", "--var", "distance", "--start", "1", "--stop", "5", "--steps", "3",
+             "--delta", "0.3", "--f-mhz", "868"],
+            ["sweep", "--var", "frequency-mhz", "--start", "400", "--stop", "900", "--steps", "3",
+             "--d-km", "2", "--delta", "0.3"],
+        ],
+    )
+    def test_sweep_has_no_delta_cap(self, capsys, argv):
+        """A sweep has no cover-factor cap: argparse refuses the flag as unknown."""
+        code, out, err = invoke(capsys, *argv, "--delta-cap", "0.2")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --delta-cap 0.2\n")
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_names_every_flag_as_declared(self, command):
@@ -558,12 +568,18 @@ class TestIgnoredFlags:
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == value
 
-    def test_delta_cap_bounds_a_delta_sweep(self, capsys):
-        code, out, err = invoke(capsys, "sweep", "--var", "delta", "--start", "0", "--stop", "0.6",
-                                "--steps", "3", "--d-km", "2", "--f-mhz", "2400",
-                                "--delta-cap", "0.5")
-        assert (code, out) == (1, "")
-        assert "[0, 0.5]" in err
+    def test_delta_sweep_stops_anywhere_short_of_full_cover(self, capsys):
+        """A delta sweep reaches the cover factors a foliage-height sweep does."""
+        common = ["--steps", "2", "--d-km", "2", "--f-mhz", "868", "--format", "csv"]
+        height = invoke(capsys, "sweep", "--var", "foliage-height", "--start", "0",
+                        "--stop", "29.9", "--h-m", "30", *common)
+        delta = invoke(capsys, "sweep", "--var", "delta", "--start", "0",
+                       "--stop", "0.9966666666666666", *common)
+        assert (height[0], height[2], delta[0], delta[2]) == (0, "", 0, "")
+        # every column but x, the swept value
+        rows = [line.partition(",")[2] for line in delta[1].splitlines()]
+        assert rows == [line.partition(",")[2] for line in height[1].splitlines()]
+        assert delta[1].splitlines()[-1].startswith("0.9966666666666666,0.9966666666666666,")
 
 
 class TestFiniteFlags:
@@ -578,8 +594,8 @@ class TestFiniteFlags:
                 "--steps", "3", "--delta", "0.5", "--f-mhz", "2400",
             ],
             [
-                "sweep", "--var", "delta", "--start", "0", "--stop", "0.5", "--steps", "3",
-                "--d-km", "2", "--f-mhz", "2400", "--delta-cap", "nan",
+                "budget", "--solve", "height", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
+                "--d-km", "2", "--h-m", "30", "--f-mhz", "2400", "--delta-cap", "nan",
             ],
             [
                 "budget", "--solve", "delta", "--tx-dbm", "14", "--sensitivity-dbm", "-137",
@@ -1060,10 +1076,11 @@ class TestFastParse:
               for fmt in FORMATS),
             ["loss", "--d-km", "two", "--delta", "0", "--f-mhz", "2400"],  # argparse's error
             ["loss", "--d-km", "2", "--f-mhz", "2400"],  # a usage error of run's own
-            ["sweep", "--preset", "figure2", "--delta-cap", "0.1"],  # an unused --delta-cap
+            ["sweep", "--preset", "figure2", "--d-km", "5"],  # an unused --d-km
+            ["sweep", "--preset", "figure2", "--delta-cap", "0.1"],  # a flag sweep lacks
         ]
         expected = [invoke(capsys, *argv) for argv in argvs]
-        assert [code for code, _, _ in expected[-3:]] == [2, 2, 2]
+        assert [code for code, _, _ in expected[-4:]] == [2, 2, 2, 2]
         monkeypatch.setattr(cli, "_fast_parse", lambda argv: None)
         assert [invoke(capsys, *argv) for argv in argvs] == expected
 

@@ -166,16 +166,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             delta_spec(start=0.5, stop=0.2)
 
-    def test_delta_above_cap(self):
-        with pytest.raises(InvalidSpec):
-            delta_spec(stop=0.96)
+    def test_delta_at_full_cover(self):
+        message = r"^stop must lie in \[0, 1\), short of full cover, got 1.0$"
+        with pytest.raises(InvalidSpec, match=message):
+            delta_spec(stop=1.0)
 
-    def test_delta_cap_raises_the_ceiling(self):
-        spec = delta_spec(stop=0.97, delta_cap=0.97)
-        assert run_sweep(spec).rows[-1].x == 0.97
+    @pytest.mark.parametrize("stop", [0.96, 0.9966666666666666, math.nextafter(1.0, 0.0)])
+    def test_delta_sweep_stops_anywhere_below_full_cover(self, stop):
+        rows = run_sweep(delta_spec(stop=stop, steps=3)).rows
+        assert rows[-1].x == rows[-1].delta == stop
+        assert all(math.isfinite(row.l_total_db) for row in rows)
+
+    def test_sweep_has_no_delta_cap(self):
+        assert "delta_cap" not in SweepSpec._fields
+        with pytest.raises(TypeError):
+            delta_spec(delta_cap=0.97)
 
     def test_negative_delta(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=r"^start must lie in \[0, 1\)"):
             delta_spec(start=-0.1)
 
     def test_height_sweep_needs_h(self):
@@ -223,7 +231,7 @@ class TestSpecValidation:
             )
 
     def test_distance_sweep_excludes_full_cover_base(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match=r"^base delta must lie in \[0, 1\)"):
             SweepSpec(
                 variable=SweepVariable.DISTANCE,
                 start=0.5,
