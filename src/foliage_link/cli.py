@@ -10,8 +10,10 @@ table that parses a canonical argv, ``SUBCOMMAND (--flag value)*`` with every
 flag spelled in full, to the same ``Namespace`` without argparse's per-call
 token matching. Everything else (abbreviated flags, ``--flag=value``, ``--``,
 help, and every error) goes through argparse itself, so help, usage and
-error text are argparse's own; the parser is built only then, or to print
-the usage line under a usage error of ``run``'s own.
+error text are argparse's own; the parser is built only then. A parser of
+the one subcommand, ``_subparser``, prints its usage line under a usage
+error of ``run``'s own, and refuses an argument that subcommand lacks,
+which the full parser would refuse under the top-level usage line.
 
 Output goes out in slices of about 1 MB: to stdout as text, to ``--out``
 as UTF-8 bytes through one file descriptor.
@@ -157,9 +159,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _usage(command: str) -> str:
-    """The usage line argparse prints above an error of the subcommand ``command``."""
-    return _add_flags(argparse.ArgumentParser(prog=f"{_PROG} {command}"), command).format_usage()
+def _subparser(command: str) -> argparse.ArgumentParser:
+    """A parser of the subcommand ``command`` alone: its usage line and errors are argparse's."""
+    return _add_flags(argparse.ArgumentParser(prog=f"{_PROG} {command}"), command)
 
 
 def _dest(flag: str) -> str:
@@ -290,14 +292,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
         f_mhz = args.start if variable is SweepVariable.FREQUENCY_MHZ else args.f_mhz
         if f_mhz is None:
             raise _UsageError("--f-mhz is required here")
-        spec = SweepSpec(
-            variable=variable,
-            start=args.start,
-            stop=args.stop,
-            steps=args.steps,
-            base=base,
-            f_mhz=f_mhz,
-        )
+        spec = SweepSpec(variable, args.stop, args.steps, base, f_mhz)
     cells, fixed, same = _sweep_cells(spec)
     width = len(SWEEP_COLUMNS) - len(fixed)
     return render_cells(cells, SWEEP_COLUMNS, width, args.format, fixed, same)
@@ -370,7 +365,9 @@ def run(argv: list[str] | None = None) -> int:
     args = _fast_parse(argv)
     if args is None:
         try:
-            args = _parser().parse_args(argv)
+            args, extra = _parser().parse_known_args(argv)
+            if extra:  # argparse's parse_args refuses them under the top-level usage line
+                _subparser(args.command).error(f"unrecognized arguments: {' '.join(extra)}")
         except SystemExit as exc:  # argparse already printed usage/help
             return int(exc.code or 0)
     try:
@@ -397,7 +394,7 @@ def run(argv: list[str] | None = None) -> int:
                 os.close(fd)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        print(_usage(args.command), end="", file=sys.stderr)
+        _subparser(args.command).print_usage(sys.stderr)
         return 2
     except (FoliageLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,6 +403,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    sys.stdout.reconfigure(encoding="utf-8")  # as ``--out`` is written
     sys.exit(run())
 
 

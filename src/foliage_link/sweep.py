@@ -2,10 +2,11 @@
 
 A sweep varies exactly one of: cover factor, foliage height, distance or
 frequency, holding everything else fixed, and evaluates the full loss
-breakdown at uniformly spaced points (endpoints included). Every point
-stops short of full cover, where the free-space term is singular, and
-nothing else bounds a sweep: its range is its ``start`` and ``stop``.
-Presets regenerate the bundled reference scenarios.
+breakdown at uniformly spaced points (endpoints included). A sweep starts
+at its base link's own value of the swept variable, checked where that
+value lives, and runs to its ``stop``. Every point stops short of full
+cover, where the free-space term is singular, and nothing else bounds a
+sweep. Presets regenerate the bundled reference scenarios.
 
 One loop per swept variable, in ``_sweep_cells``, evaluates the grid
 straight into one flat list of cells, with no per-point record. It leaves
@@ -54,7 +55,6 @@ class SweepVariable(str, Enum):
 
 class _SweepSpecFields(NamedTuple):
     variable: SweepVariable
-    start: float
     stop: float
     steps: int
     base: LinkGeometry
@@ -64,12 +64,14 @@ class _SweepSpecFields(NamedTuple):
 class SweepSpec(_SweepSpecFields):
     """One-variable sweep definition.
 
-    ``base`` fixes every parameter that is not swept; the field of ``base``
-    corresponding to ``variable`` is ignored. ``steps`` lies in
-    [2, ``MAX_STEPS``]. Every point stops short of full cover, where the
-    free-space term is singular: a cover-factor sweep and the fixed cover
-    factor of a distance or frequency sweep lie in [0, 1), and a
-    foliage-height sweep stops below ``base.h_m``.
+    The sweep runs from the link ``base`` at ``f_mhz`` to ``stop``: its
+    ``start`` is the swept variable's value there, checked by
+    ``LinkGeometry`` or the frequency rule, and ``base`` fixes every other
+    parameter. ``steps`` lies in [2, ``MAX_STEPS``]. Every point stops
+    short of full cover, where the free-space term is singular: a
+    cover-factor sweep and the fixed cover factor of a distance or
+    frequency sweep lie in [0, 1), and a foliage-height sweep stops below
+    ``base.h_m``.
     A distance sweep's ``stop`` must be finite in meters, as ``LinkGeometry``
     requires of ``d_km``; every point of the grid then is too.
     Every way of building one (the constructor, ``_make`` and ``_replace``)
@@ -81,7 +83,6 @@ class SweepSpec(_SweepSpecFields):
     def __new__(
         cls,
         variable: SweepVariable,
-        start: float,
         stop: float,
         steps: int,
         base: LinkGeometry,
@@ -91,31 +92,37 @@ class SweepSpec(_SweepSpecFields):
             raise InvalidSpec(f"steps must be an integer, got {steps!r}")
         if not 2 <= steps <= MAX_STEPS:
             raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
-        if not -math.inf < start < stop < math.inf:
-            raise InvalidSpec(f"need finite start < stop, got [{start}, {stop}]")
         _checked_as(InvalidSpec, "", _check_frequency, f_mhz)
+        if variable is SweepVariable.FOLIAGE_HEIGHT and base.h_m is None:
+            raise InvalidSpec("foliage-height sweep needs base geometry with h_m")
+        spec = tuple.__new__(cls, (variable, stop, steps, base, f_mhz))
+        if not -math.inf < spec.start < stop < math.inf:
+            raise InvalidSpec(f"need finite start < stop, got [{spec.start}, {stop}]")
         if variable is SweepVariable.DELTA:
-            _checked_as(InvalidSpec, "", _check_partial_cover, start, "start")
             _checked_as(InvalidSpec, "", _check_partial_cover, stop, "stop")
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
-            if base.h_m is None:
-                raise InvalidSpec("foliage-height sweep needs base geometry with h_m")
-            if start < 0.0:
-                raise InvalidSpec(f"foliage height must be >= 0, got {start}")
             if stop >= base.h_m:
                 raise InvalidSpec(
                     f"foliage-height sweep must stop below h_m = {base.h_m} "
                     "(full cover is singular)"
                 )
-        elif start <= 0.0:  # a distance or frequency sweep from here on
-            raise InvalidSpec(f"{variable.value} sweep needs start > 0, got {start}")
-        else:
+        else:  # a distance or frequency sweep
             _checked_as(InvalidSpec, "", _check_partial_cover, base.effective_delta, "base delta")
             if variable is SweepVariable.DISTANCE:
                 _checked_as(InvalidSpec, "", _check_distance, stop, "stop")
-        return tuple.__new__(cls, (variable, start, stop, steps, base, f_mhz))
+        return spec
 
     _make = classmethod(_checked_make)
+
+    @property
+    def start(self) -> float:
+        """The first swept value: the base link's own, or ``f_mhz`` in a frequency sweep."""
+        variable, _, _, base, f_mhz = self
+        if variable is SweepVariable.FREQUENCY_MHZ:
+            return f_mhz
+        if variable is SweepVariable.DISTANCE:
+            return base.d_km
+        return base.effective_delta if variable is SweepVariable.DELTA else base.h_f_m
 
 
 class SweepRow(NamedTuple):
@@ -245,7 +252,6 @@ def preset(name: str) -> SweepSpec:
     if key in ("figure2", "figure3"):
         return SweepSpec(
             variable=SweepVariable.DELTA,
-            start=0.0,
             stop=0.95,
             steps=96,
             base=LinkGeometry(d_km=2.0, delta=0.0),
@@ -254,7 +260,6 @@ def preset(name: str) -> SweepSpec:
     if key == "figure4":
         return SweepSpec(
             variable=SweepVariable.FOLIAGE_HEIGHT,
-            start=0.0,
             stop=15.0,
             steps=16,
             base=LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=0.0),

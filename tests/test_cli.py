@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from foliage_link import FoliageLinkError, cli, parse_scenario
+from foliage_link import FoliageLinkError, LinkGeometry, SweepSpec, SweepVariable, cli
+from foliage_link import parse_scenario
 from foliage_link.cli import run
 
 import argv_check
@@ -146,6 +148,33 @@ class TestErrorLines:
             1, "", "error: stop must be > 0 and finite in meters, got 1e+306\n"
         )
 
+    @pytest.mark.parametrize("spec, argv, line", [
+        (lambda: SweepSpec(SweepVariable.DELTA, 0.5, 3, LinkGeometry(2.0, delta=-0.1), 868.0),
+         ["--var", "delta", "--start", "-0.1", "--stop", "0.5", "--d-km", "2", "--f-mhz", "868"],
+         "delta must lie in [0, 1], got -0.1"),
+        (lambda: SweepSpec(SweepVariable.FOLIAGE_HEIGHT, 5.0, 3,
+                           LinkGeometry(2.0, h_m=30.0, h_f_m=-1.0), 868.0),
+         ["--var", "foliage-height", "--start", "-1", "--stop", "5", "--d-km", "2", "--h-m", "30",
+          "--f-mhz", "868"],
+         "h_f_m must lie in [0, h_m=30.0], got -1.0"),
+        (lambda: SweepSpec(SweepVariable.DISTANCE, 5.0, 3, LinkGeometry(-1.0, delta=0.3), 868.0),
+         ["--var", "distance", "--start", "-1", "--stop", "5", "--delta", "0.3", "--f-mhz", "868"],
+         "d_km must be > 0 and finite in meters, got -1.0"),
+        (lambda: SweepSpec(SweepVariable.FREQUENCY_MHZ, 900.0, 3,
+                           LinkGeometry(2.0, delta=0.3), -5.0),
+         ["--var", "frequency-mhz", "--start", "-5", "--stop", "900", "--d-km", "2",
+          "--delta", "0.3"],
+         "f_mhz must be > 0 and finite, got -5.0"),
+    ])
+    def test_bad_first_point_gets_its_rule(self, capsys, spec, argv, line):
+        """A sweep starts at its base link, so the rule of the swept value refuses a bad start
+        in the same words through the API and through ``--start``."""
+        with pytest.raises(FoliageLinkError) as raised:
+            spec()
+        assert str(raised.value) == line
+        code, out, err = invoke(capsys, "sweep", *argv, "--steps", "3")
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
     @pytest.mark.parametrize("document, line", [
         ([], "scenario: top level must be an object, got []"),
         ({"name": "o", "frequency_mhz": 868, "base_height_m": 0, "radio": {}, "nodes": []},
@@ -165,7 +194,7 @@ class TestParserBuiltOnlyWhenNeeded:
     def test_usage_line_is_argparse_own(self, capsys, command):
         code, out, _ = invoke(capsys, command, "--help")
         assert code == 0
-        assert cli._usage(command) == out.partition("\n\n")[0] + "\n"
+        assert cli._subparser(command).format_usage() == out.partition("\n\n")[0] + "\n"
 
     def test_canonical_argv_never_builds_the_parser(self):
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -556,6 +585,22 @@ class TestIgnoredFlags:
         assert usage == argparse_err.partition("foliage-link budget: error: ")[0]
 
     @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (["sweep", "--preset", "figure2", "--delta-cap", "0.1"], "--delta-cap 0.1"),
+            (["loss", "--d-km", "2", "--delta", "0", "--f-mhz", "2400", "--foo", "1"], "--foo 1"),
+            (["loss", "--d-km", "2", "--foo", "1", "--delta", "0", "--f-mhz", "2400"], "--foo 1"),
+        ],
+    )
+    def test_unknown_flag_prints_the_subcommand_usage(self, capsys, argv, unknown):
+        """argparse's own refusal of a flag the subcommand lacks, under that subcommand's usage."""
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: foliage-link {argv[0]} ")
+        assert err == (f"{cli._subparser(argv[0]).format_usage()}foliage-link {argv[0]}: error: "
+                       f"unrecognized arguments: {unknown}\n")
+
+    @pytest.mark.parametrize(
         "argv, value",
         [
             (["budget", "--solve", "delta", "--d-km", "2"], 0.5),
@@ -707,6 +752,24 @@ class TestOutputFile:
         raw = Trickle()
         cli._write_all(raw.write, text)
         assert bytes(raw.data) == text.encode("utf-8")
+
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])  # JSON escapes non-ASCII text
+    def test_stdout_is_utf8_as_out_is(self, capsys, tmp_path, fmt):
+        """The command writes UTF-8 to stdout whatever encoding the environment names."""
+        path = TestScenarioCommand().make_file(tmp_path, [{"id": "café-中", "d_km": 2.0,
+                                                           "delta": 0.5}])
+        target = tmp_path / "out.txt"
+        argv = ["scenario", "--file", path, "--format", fmt]
+        assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONIOENCODING": "ascii",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "foliage_link.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == target.read_bytes()
+        assert "café-中".encode("utf-8") in proc.stdout
 
 
 class TestFsplConstantEnv:
@@ -1063,6 +1126,20 @@ class TestFastParse:
 
     @pytest.mark.parametrize("argv", argv_check.readme_argvs(), ids=" ".join)
     def test_readme_example_takes_the_fast_path(self, argv):
+        fast = cli._fast_parse(argv)
+        assert fast is not None
+        assert vars(fast) == vars(cli._parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["budget", "--solve", "range", "--tx-dbm", "14", "--sensitivity-dbm", "-120.5",
+             "--delta", "0.3", "--f-mhz", "868"],
+            ["loss", "--d-km", "2", "--delta", "-.5", "--f-mhz", "868"],
+        ],
+    )
+    def test_negative_decimal_takes_the_fast_path(self, argv):
+        """argparse takes ``-120.5`` and ``-.5`` as values, and so does the table parser."""
         fast = cli._fast_parse(argv)
         assert fast is not None
         assert vars(fast) == vars(cli._parser().parse_args(argv))

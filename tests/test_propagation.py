@@ -350,7 +350,7 @@ _RECORD = {
     "geometry": LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=15.0),
     # a transmit power near the float limit, so a second large term overflows the budget sum
     "radio": RadioConfig(1e308, 2.0, 3.0, -137.0, 10.0),
-    "spec": SweepSpec(SweepVariable.DELTA, 0.0, 0.5, 11, LinkGeometry(2.0, delta=0.0), 868.0),
+    "spec": SweepSpec(SweepVariable.DELTA, 0.5, 11, LinkGeometry(2.0, delta=0.0), 868.0),
 }
 
 

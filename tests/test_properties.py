@@ -113,12 +113,12 @@ def finite_or_error(call, *args, **kwargs):
         (lambda: total_loss(LinkGeometry(2, delta=0.5), inf), NonPositiveFrequency, "got inf$"),
         (lambda: max_foliage_height(RADIO, 2, inf, 2400), NonPositiveHeight, "got inf$"),
         (
-            lambda: SweepSpec(SweepVariable.DISTANCE, 1, inf, 3, LinkGeometry(2, delta=0.5), 868),
+            lambda: SweepSpec(SweepVariable.DISTANCE, inf, 3, LinkGeometry(1, delta=0.5), 868),
             InvalidSpec,
             r"got \[1, inf\]$",
         ),
         (
-            lambda: SweepSpec(SweepVariable.DISTANCE, 1, 1e306, 3, LinkGeometry(2, delta=0.5), 868),
+            lambda: SweepSpec(SweepVariable.DISTANCE, 1e306, 3, LinkGeometry(1, delta=0.5), 868),
             InvalidSpec,
             r"^stop must be > 0 and finite in meters, got 1e\+306$",
         ),
@@ -314,18 +314,19 @@ def test_range_in_the_step_down_window_at_the_bracket_end(above_far_end):
 
 @CHECKED
 @given(
-    variable=st.sampled_from(SweepVariable), start=NUMBER, stop=NUMBER,
+    variable=st.sampled_from(SweepVariable), stop=NUMBER,
     steps=st.integers(2, 5), d_km=NUMBER, delta=NUMBER, h_m=NUMBER, f_mhz=NUMBER,
 )
-@example(variable=SweepVariable.DISTANCE, start=1.0, stop=inf, steps=3, d_km=2.0,
+@example(variable=SweepVariable.DISTANCE, stop=inf, steps=3, d_km=1.0,
          delta=0.5, h_m=30.0, f_mhz=2400.0)
-@example(variable=SweepVariable.DISTANCE, start=1.0, stop=1e306, steps=3, d_km=2.0,
+@example(variable=SweepVariable.DISTANCE, stop=1e306, steps=3, d_km=1.0,
          delta=0.5, h_m=30.0, f_mhz=2400.0)
-def test_sweeps_are_finite_or_raise(variable, start, stop, steps, d_km, delta, h_m, f_mhz):
+def test_sweeps_are_finite_or_raise(variable, stop, steps, d_km, delta, h_m, f_mhz):
+    """A sweep starts at its base link: the swept field of ``base``, or ``f_mhz``."""
     base = finite_or_error(LinkGeometry, d_km, h_m=h_m, h_f_m=delta * h_m)
     if base is None:
         return
-    spec = finite_or_error(SweepSpec, variable, start, stop, steps, base, f_mhz)
+    spec = finite_or_error(SweepSpec, variable, stop, steps, base, f_mhz)
     if spec is not None:
         finite_or_error(run_sweep, spec)
 
@@ -849,11 +850,11 @@ V = SweepVariable
 @example(sweep=(V.DISTANCE, 5e-324, 1.0, 2, 2.0, 0.5, 868.0))  # refused at its first point
 def test_cli_sweep_renders_what_its_records_render(sweep):
     """The CLI writes straight from the sweep's cells; ``run_sweep``'s rows are the reference."""
-    variable, start, stop, steps = sweep[:4]
+    variable, _, stop, steps = sweep[:4]
     argv, geometry, f_mhz = _sweep_argv(*sweep)
     formats = ("table", "csv", "json")
     try:
-        spec = SweepSpec(variable, start, stop, steps, LinkGeometry(**geometry), f_mhz)
+        spec = SweepSpec(variable, stop, steps, LinkGeometry(**geometry), f_mhz)
         rows, width = run_sweep(spec).rows, len(SWEEP_COLUMNS)
         expected = [render.render_cells(list(chain.from_iterable(rows)), SWEEP_COLUMNS, width, fmt)
                     for fmt in formats]

@@ -463,7 +463,6 @@ class TestEmitCsv:
     def test_sweep_header_and_shape(self):
         spec = SweepSpec(
             variable=SweepVariable.DELTA,
-            start=0.0,
             stop=0.95,
             steps=2,
             base=LinkGeometry(d_km=2.0, delta=0.0),
@@ -478,7 +477,6 @@ class TestEmitCsv:
     def test_sweep_numbers_reparse_bit_exact(self):
         spec = SweepSpec(
             variable=SweepVariable.DELTA,
-            start=0.07,
             stop=0.93,
             steps=17,
             base=LinkGeometry(d_km=1.7, delta=0.07),

@@ -7,8 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from foliage_link import (
+    DeltaOutOfRange,
+    HeightOutOfRange,
     InvalidSpec,
     LinkGeometry,
+    NonPositiveDistance,
     Regime,
     SweepSpec,
     SweepVariable,
@@ -29,10 +32,9 @@ LARGEST_STOP_KM = 1.7976931348623156e305
 def delta_spec(start=0.0, stop=0.95, steps=96, d_km=2.0, f_mhz=2400.0, **kwargs):
     return SweepSpec(
         variable=SweepVariable.DELTA,
-        start=start,
         stop=stop,
         steps=steps,
-        base=LinkGeometry(d_km=d_km, delta=max(start, 0.0)),
+        base=LinkGeometry(d_km=d_km, delta=start),
         f_mhz=f_mhz,
         **kwargs,
     )
@@ -115,10 +117,9 @@ class TestRunSweep:
     def test_distance_sweep(self):
         spec = SweepSpec(
             variable=SweepVariable.DISTANCE,
-            start=0.5,
             stop=2.0,
             steps=4,
-            base=LinkGeometry(d_km=1.0, delta=0.3),
+            base=LinkGeometry(d_km=0.5, delta=0.3),
             f_mhz=868.0,
         )
         rows = run_sweep(spec).rows
@@ -130,7 +131,6 @@ class TestRunSweep:
     def test_frequency_sweep(self):
         spec = SweepSpec(
             variable=SweepVariable.FREQUENCY_MHZ,
-            start=433.0,
             stop=5800.0,
             steps=5,
             base=LinkGeometry(d_km=2.0, delta=0.4),
@@ -183,14 +183,13 @@ class TestSpecValidation:
             delta_spec(delta_cap=0.97)
 
     def test_negative_delta(self):
-        with pytest.raises(InvalidSpec, match=r"^start must lie in \[0, 1\)"):
+        with pytest.raises(DeltaOutOfRange, match=r"^delta must lie in \[0, 1\], got -0.1$"):
             delta_spec(start=-0.1)
 
     def test_height_sweep_needs_h(self):
         with pytest.raises(InvalidSpec):
             SweepSpec(
                 variable=SweepVariable.FOLIAGE_HEIGHT,
-                start=0.0,
                 stop=10.0,
                 steps=4,
                 base=LinkGeometry(d_km=2.0, delta=0.0),
@@ -198,13 +197,13 @@ class TestSpecValidation:
             )
 
     def test_height_sweep_needs_non_negative_start(self):
-        with pytest.raises(InvalidSpec, match="foliage height must be >= 0, got -1.0$"):
+        message = r"^h_f_m must lie in \[0, h_m=30.0\], got -1.0$"
+        with pytest.raises(HeightOutOfRange, match=message):
             SweepSpec(
                 variable=SweepVariable.FOLIAGE_HEIGHT,
-                start=-1.0,
                 stop=10.0,
                 steps=4,
-                base=LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=0.0),
+                base=LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=-1.0),
                 f_mhz=2400.0,
             )
 
@@ -212,7 +211,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             SweepSpec(
                 variable=SweepVariable.FOLIAGE_HEIGHT,
-                start=0.0,
                 stop=30.0,
                 steps=4,
                 base=LinkGeometry(d_km=2.0, h_m=30.0, h_f_m=0.0),
@@ -220,13 +218,13 @@ class TestSpecValidation:
             )
 
     def test_distance_sweep_needs_positive_start(self):
-        with pytest.raises(InvalidSpec):
+        message = "^d_km must be > 0 and finite in meters, got 0.0$"
+        with pytest.raises(NonPositiveDistance, match=message):
             SweepSpec(
                 variable=SweepVariable.DISTANCE,
-                start=0.0,
                 stop=2.0,
                 steps=4,
-                base=LinkGeometry(d_km=1.0, delta=0.3),
+                base=LinkGeometry(d_km=0.0, delta=0.3),
                 f_mhz=868.0,
             )
 
@@ -234,34 +232,64 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match=r"^base delta must lie in \[0, 1\)"):
             SweepSpec(
                 variable=SweepVariable.DISTANCE,
-                start=0.5,
                 stop=2.0,
                 steps=4,
-                base=LinkGeometry(d_km=1.0, delta=1.0),
+                base=LinkGeometry(d_km=0.5, delta=1.0),
                 f_mhz=868.0,
             )
 
     def test_distance_sweep_stops_within_meters(self):
-        spec = SweepSpec(SweepVariable.DISTANCE, 1.0, LARGEST_STOP_KM, 3,
+        spec = SweepSpec(SweepVariable.DISTANCE, LARGEST_STOP_KM, 3,
                          LinkGeometry(1.0, delta=0.3), 868.0)
         assert all(math.isfinite(row.l_total_db) for row in run_sweep(spec).rows)
         with pytest.raises(InvalidSpec, match="^stop must be > 0 and finite in meters"):
             spec._replace(stop=math.nextafter(LARGEST_STOP_KM, math.inf))
 
     def test_frequency_sweep_needs_positive_start(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match="^f_mhz must be > 0 and finite, got 0.0$"):
             SweepSpec(
                 variable=SweepVariable.FREQUENCY_MHZ,
-                start=0.0,
                 stop=2400.0,
                 steps=4,
                 base=LinkGeometry(d_km=2.0, delta=0.4),
-                f_mhz=433.0,
+                f_mhz=0.0,
             )
 
     def test_bad_fixed_frequency(self):
         with pytest.raises(InvalidSpec):
             delta_spec(f_mhz=0.0)
+
+
+class TestStart:
+    """A sweep starts at its base link's own value of the swept variable."""
+
+    def test_no_field_holds_the_start(self):
+        assert SweepSpec._fields == ("variable", "stop", "steps", "base", "f_mhz")
+        assert "ignored" not in SweepSpec.__doc__
+
+    @pytest.mark.parametrize(
+        "name, start",
+        [("delta", 0.0), ("foliage_height", 0.5), ("distance", 0.001), ("frequency_mhz", 100.0)],
+    )
+    def test_start_is_the_base_value(self, name, start):
+        spec = SPECS[name]
+        assert spec.start == start
+        assert run_sweep(spec).rows[0].x == start
+        with pytest.raises(AttributeError):
+            spec.start = 1.0
+
+    def test_start_of_a_height_derived_cover_factor(self):
+        spec = SweepSpec(SweepVariable.DELTA, 0.9, 3, LinkGeometry(2.0, h_m=30.0, h_f_m=3.0), 868.0)
+        assert spec.start == 0.1
+
+    def test_base_at_full_cover_leaves_no_span(self):
+        message = r"^need finite start < stop, got \[1.0, 0.5\]$"
+        with pytest.raises(InvalidSpec, match=message):
+            SweepSpec(SweepVariable.DELTA, 0.5, 3, LinkGeometry(2.0, delta=1.0), 868.0)
+        message = r"^need finite start < stop, got \[30.0, 29.0\]$"
+        with pytest.raises(InvalidSpec, match=message):
+            SweepSpec(SweepVariable.FOLIAGE_HEIGHT, 29.0, 3,
+                      LinkGeometry(2.0, h_m=30.0, h_f_m=30.0), 868.0)
 
 
 def scalar_row(spec, x):
@@ -294,15 +322,13 @@ def assert_matches_scalar_path(spec):
 
 
 SPECS = {
-    "delta": SweepSpec(SweepVariable.DELTA, 0.0, 0.9, 37, LinkGeometry(3.0, delta=0.0), 868.0),
+    "delta": SweepSpec(SweepVariable.DELTA, 0.9, 37, LinkGeometry(3.0, delta=0.0), 868.0),
     "foliage_height": SweepSpec(
-        SweepVariable.FOLIAGE_HEIGHT, 0.5, 29.0, 23, LinkGeometry(1.3, h_m=30.0, h_f_m=0.5), 915.0
+        SweepVariable.FOLIAGE_HEIGHT, 29.0, 23, LinkGeometry(1.3, h_m=30.0, h_f_m=0.5), 915.0
     ),
-    "distance": SweepSpec(
-        SweepVariable.DISTANCE, 0.001, 50.0, 41, LinkGeometry(1.0, delta=0.3), 433.0
-    ),
+    "distance": SweepSpec(SweepVariable.DISTANCE, 50.0, 41, LinkGeometry(0.001, delta=0.3), 433.0),
     "frequency_mhz": SweepSpec(
-        SweepVariable.FREQUENCY_MHZ, 100.0, 6000.0, 33, LinkGeometry(2.0, delta=0.4), 100.0
+        SweepVariable.FREQUENCY_MHZ, 6000.0, 33, LinkGeometry(2.0, delta=0.4), 100.0
     ),
     "figure3": preset("figure3"),
     "figure4": preset("figure4"),
@@ -324,7 +350,7 @@ class TestFastPathMatchesScalarPath:
     def test_grid_over_a_subnormal_span(self, stop, steps):
         # in the first three the step underflows to 0, and numpy scales
         # i / (steps - 1) by the span instead; the last has a subnormal step
-        spec = SweepSpec(SweepVariable.DELTA, 0.0, stop, steps, LinkGeometry(3.0, delta=0.0), 868.0)
+        spec = SweepSpec(SweepVariable.DELTA, stop, steps, LinkGeometry(3.0, delta=0.0), 868.0)
         assert_matches_scalar_path(spec)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -354,16 +380,21 @@ class TestFastPathMatchesScalarPath:
     def test_random_specs(self, variable, bounds, steps, d_km, f_mhz, cover, scale):
         lo, hi = sorted(bounds)
         h_m = 30.0
+        base = {"d_km": d_km, "h_m": h_m, "h_f_m": cover * h_m}
         if variable is SweepVariable.DELTA:
             start, stop = lo * 0.95, hi * 0.95
+            base = {"d_km": d_km, "delta": start}
         elif variable is SweepVariable.FOLIAGE_HEIGHT:
             start, stop = lo * h_m * 0.999, hi * h_m * 0.999
+            base["h_f_m"] = start
         else:  # distance or frequency: positive, over many magnitudes
             start, stop = (lo + 1e-3) * scale, (hi + 1e-3) * scale
+            if variable is SweepVariable.DISTANCE:
+                base["d_km"] = start
+            else:
+                f_mhz = start
         try:
-            spec = SweepSpec(
-                variable, start, stop, steps, LinkGeometry(d_km, h_m=h_m, h_f_m=cover * h_m), f_mhz
-            )
+            spec = SweepSpec(variable, stop, steps, LinkGeometry(**base), f_mhz)
         except InvalidSpec:
             return  # start == stop
         assert_matches_scalar_path(spec)
