@@ -19,7 +19,6 @@ from .propagation import (
     _DB_PER_NEPER,
     _POWER,
     _POWER_EXPONENT,
-    _check_delta_cap,
     _check_distance,
     _check_height,
     _check_partial_cover,
@@ -251,7 +250,7 @@ def max_foliage_factor(
     Raises:
         NoSolution: the budget is exceeded already at cover factor 0.
     """
-    _check_delta_cap(delta_cap)
+    _check_partial_cover(delta_cap, "delta_cap")
     budget = max_loss_budget(radio)
     _check_distance(d_km)
     core = _LossCore(f_mhz)

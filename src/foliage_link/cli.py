@@ -26,10 +26,10 @@ import functools
 import os
 import re
 import sys
-from collections import namedtuple
 from math import isfinite
+from operator import attrgetter
 
-from .budget import RadioConfig, SolveResult, max_foliage_factor, max_foliage_height, max_range
+from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
 from .errors import FoliageLinkError, ParseError
 from .propagation import (
     DEFAULT_DELTA_CAP,
@@ -45,11 +45,14 @@ from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_cells, preset
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
 from .sweep import run_sweep  # noqa: F401
 
-#: a solve as the ``budget`` command prints it: its kind, then its result
-_SolveRow = namedtuple("_SolveRow", ("solve", *SolveResult._fields))
-#: the ``loss`` command's columns: ``LossBreakdown``'s losses, and the split and
-#: foliage fields it nests, each printed by its last name
+#: the ``budget`` command's columns: the solve's kind, then its ``SolveResult``
+_SOLVE_COLUMNS = ("solve", "value", "achieved_loss_db", "iterations", "converged", "all_feasible")
+#: the ``loss`` command's columns, and where ``_loss_row`` finds each in a
+#: ``LossBreakdown``: its losses, and the split and foliage fields it nests
 _LOSS_COLUMNS = (
+    "delta", "d_f_m", "d_fsp_m", "l_foliage_db", "l_fsp_db", "l_total_db", "regime", "validity",
+)
+_loss_row = attrgetter(
     "split.delta", "split.d_f_m", "split.d_fsp_m", "l_foliage_db", "l_fsp_db",
     "l_total_db", "foliage.regime", "foliage.validity",
 )
@@ -112,7 +115,7 @@ _COMMANDS = {
         ("--margin-db", dict(type=_finite_float, default=0.0, help="required fade margin, dB")),
         ("--delta-cap", dict(
             type=_finite_float,
-            help="cover-factor ceiling of a delta or height solve, in (0, 1) "
+            help="cover-factor ceiling of a delta or height solve, in [0, 1) "
                  f"(default {DEFAULT_DELTA_CAP})",
         )),
         *_GEOMETRY_FLAGS,
@@ -258,7 +261,7 @@ def _delta_from_args(args: argparse.Namespace) -> float:
 
 def _run_loss(args: argparse.Namespace) -> str:
     breakdown = total_loss(_geometry_from_args(args), args.f_mhz)
-    return render(breakdown, _LOSS_COLUMNS, args.format)
+    return render(_loss_row(breakdown), _LOSS_COLUMNS, args.format)
 
 
 def _run_sweep_cmd(args: argparse.Namespace) -> str:
@@ -321,7 +324,7 @@ def _run_budget(args: argparse.Namespace) -> str:
         if args.d_km is None or args.h_m is None:
             raise _UsageError("--d-km and --h-m are required for --solve height")
         result = max_foliage_height(radio, args.d_km, args.h_m, args.f_mhz, delta_cap)
-    return render(_SolveRow(args.solve, *result), _SolveRow._fields, args.format)
+    return render((args.solve, *result), _SOLVE_COLUMNS, args.format)
 
 
 def _run_scenario(args: argparse.Namespace) -> str:

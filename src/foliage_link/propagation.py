@@ -321,11 +321,6 @@ def _check_partial_cover(delta: float, name: str = "delta") -> None:
         raise DeltaOutOfRange(f"{name} must lie in [0, 1), short of full cover, got {delta}")
 
 
-def _check_delta_cap(delta_cap: float) -> None:
-    if not 0.0 < delta_cap < 1.0:
-        raise DeltaOutOfRange(f"delta_cap must lie in (0, 1), got {delta_cap}")
-
-
 def _check_height(h_m: float, name: str = "h_m") -> None:
     if not 0.0 < h_m < math.inf:
         raise NonPositiveHeight(f"{name} must lie in (0, inf), got {h_m}")

@@ -1,11 +1,10 @@
-"""Table, CSV and JSON text for result records.
+"""Table, CSV and JSON text for rows of cells.
 
-The caller names the columns: attribute names in output order, a record's
-own ``_fields`` or dotted where the value sits on a nested object
-(``split.delta`` prints as ``delta``). ``render`` writes one record as a
-key/value table, a one-row CSV or a JSON object; ``render_cells`` writes
-rows given as one flat list of cells as a column table, a CSV or a JSON
-array (indent 2). CSV is a header line plus one line per row either way.
+The caller names the columns, in output order, as they are printed, and
+gives the cells in that order. ``render`` writes one row as a key/value
+table, a one-row CSV or a JSON object; ``render_cells`` writes rows given
+as one flat list of cells as a column table, a CSV or a JSON array (indent
+2). CSV is a header line plus one line per row either way.
 
 Cell rules, table / CSV / JSON:
 
@@ -18,7 +17,7 @@ A row may end with its record's ``error``, which only JSON writes, as a last key
 
 Each format has one writer, fed one flat list of cells and the row width
 (``_table_cells``, ``csv_cells``, ``json_cells``, chosen by
-``render_cells``); one cell rule, for a fixed column, a lone record, the
+``render_cells``); one cell rule, for a fixed column, a lone row, the
 ``error`` member and a column of mixed types alike (``_table_cell``,
 ``_csv_cell``, ``_json_cell``); and one column rule, which converts a
 whole column in a few C-level passes, or leaves cells that ``%s`` writes
@@ -52,14 +51,8 @@ import json
 import math
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 from .propagation import Regime, Validity
-
-@functools.cache
-def _header(columns: tuple[str, ...]) -> tuple[str, ...]:
-    """The printed column names: the last part of each attribute path."""
-    return tuple(column.rpartition(".")[2] for column in columns)
 
 
 def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
@@ -98,7 +91,7 @@ def _lines(cells, columns, width, fixed, same, head: str, sep: str, slot: str, c
     line = sep.join(_fixed_slots(columns, fixed, slot, cell))
     line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
     cells = _converted(cells, columns, width, fixed, same, column)
-    # the header holds attribute names, so no "%" that the template would read
+    # the header holds column names, so no "%" that the template would read
     return (head + "\n" + line * (len(cells) // width)) % cells
 
 
@@ -136,7 +129,7 @@ def _table_column(column: list) -> list | None:
 def _table_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None,
                  same: dict | None = None) -> str:
     """Column table of rows given as ``csv_cells`` takes them, each cell left-aligned in 13."""
-    head = "  ".join(["%-13s"] * len(columns)) % _header(columns)
+    head = "  ".join(["%-13s"] * len(columns)) % columns
     return _lines(cells, columns, width, fixed, same, head, "  ", "%-13s", _table_cell,
                   _table_column)
 
@@ -217,8 +210,8 @@ def csv_cells(
     is a header line and one line per row, what ``csv.writer`` writes (LF
     line endings), except that a bool is written ``true``/``false``.
     """
-    head = ",".join(_header(columns))
-    return _lines(cells, columns, width, fixed, same, head, ",", "%s", _csv_cell, _csv_column)
+    return _lines(cells, columns, width, fixed, same, ",".join(columns), ",", "%s", _csv_cell,
+                  _csv_column)
 
 
 _JSON_NULL = {None: "null"}
@@ -318,7 +311,7 @@ def json_cells(
     fixed = fixed or {}
     varying = len(columns) - len(fixed)
     with_error = width > varying
-    item = _json_template(_header(columns), 1, with_error)
+    item = _json_template(columns, 1, with_error)
     if fixed and cells:
         item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
     if not all(map(math.isfinite, filter(_is_float, cells))):
@@ -351,20 +344,17 @@ def render_cells(
     return _table_cells(cells, columns, width, fixed, same)
 
 
-def render(record, columns: tuple[str, ...], fmt: str) -> str:
-    """Render one record as ``table``, ``csv`` or ``json`` text.
+def render(row, columns: tuple[str, ...], fmt: str) -> str:
+    """One row of cells, in ``columns`` order, as ``table``, ``csv`` or ``json`` text.
 
-    The record is read attribute by attribute, in ``columns`` order: a
-    key/value table, a one-row CSV or a JSON object. The text ends with a
+    A key/value table, a one-row CSV or a JSON object. The text ends with a
     newline in every format, and in JSON a non-finite float raises
     ``ValueError``.
     """
-    row = attrgetter(*columns)(record)
     if fmt == "json":
-        return _json_template(_header(columns), 0, False) % tuple(map(_json_cell, row)) + "\n"
+        return _json_template(columns, 0, False) % tuple(map(_json_cell, row)) + "\n"
     if fmt == "csv":
-        return csv_cells(list(row), columns, len(columns))
-    names = _header(columns)
-    width = max(map(len, names))
-    pairs = zip(names, row)
+        return ",".join(columns) + "\n" + ",".join(map(_csv_cell, row)) + "\n"
+    width = max(map(len, columns))
+    pairs = zip(columns, row)
     return "".join(f"{name.ljust(width)}  {_table_cell(value)}\n" for name, value in pairs)

@@ -38,6 +38,10 @@ from .propagation import (
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 
+#: the class, which reads a spec's ``base``: perfbench/spans.py rebinds ``LinkGeometry``
+#: in this module to a counting function, which neither ``isinstance`` nor ``_make`` takes
+_LinkGeometry = LinkGeometry
+
 
 #: the most points one sweep evaluates: 100 times a 100k-point sweep. Its output
 #: is built in memory, linear in the points: a fresh process running a 1M-point
@@ -67,11 +71,13 @@ class SweepSpec(_SweepSpecFields):
     The sweep runs from the link ``base`` at ``f_mhz`` to ``stop``: its
     ``start`` is the swept variable's value there, checked by
     ``LinkGeometry`` or the frequency rule, and ``base`` fixes every other
-    parameter. ``steps`` lies in [2, ``MAX_STEPS``]. Every point stops
-    short of full cover, where the free-space term is singular: a
-    cover-factor sweep and the fixed cover factor of a distance or
-    frequency sweep lie in [0, 1), and a foliage-height sweep stops below
-    ``base.h_m``.
+    parameter. ``variable`` may be given by its value (``"delta"``), and
+    ``base`` as a tuple or list of ``LinkGeometry``'s fields, which is read
+    through ``LinkGeometry._make``; any other value raises ``InvalidSpec``.
+    ``steps`` lies in [2, ``MAX_STEPS``]. Every point stops short of full
+    cover, where the free-space term is singular: a cover-factor sweep and
+    the fixed cover factor of a distance or frequency sweep lie in [0, 1),
+    and a foliage-height sweep stops below ``base.h_m``.
     A distance sweep's ``stop`` must be finite in meters, as ``LinkGeometry``
     requires of ``d_km``; every point of the grid then is too.
     Every way of building one (the constructor, ``_make`` and ``_replace``)
@@ -88,6 +94,20 @@ class SweepSpec(_SweepSpecFields):
         base: LinkGeometry,
         f_mhz: float,
     ) -> SweepSpec:
+        try:
+            variable = SweepVariable(variable)
+        except ValueError:
+            raise InvalidSpec(
+                f"unknown sweep variable {variable!r}; "
+                "expected delta, foliage_height, distance or frequency_mhz"
+            ) from None
+        if not isinstance(base, _LinkGeometry):
+            if not isinstance(base, (tuple, list)) or not 1 <= len(base) <= 4:
+                raise InvalidSpec(
+                    "base must be a LinkGeometry, or a tuple or list of its 1 to 4 fields, "
+                    f"got {type(base).__name__} {base!r}"
+                )
+            base = _LinkGeometry._make(base)
         if not isinstance(steps, int) or isinstance(steps, bool):
             raise InvalidSpec(f"steps must be an integer, got {steps!r}")
         if not 2 <= steps <= MAX_STEPS:

@@ -219,6 +219,15 @@ class TestMaxFoliageFactor:
         with pytest.raises(DeltaOutOfRange):
             max_foliage_factor(radio_with_budget(150.0), 2.0, 2400, delta_cap=1.0)
 
+    def test_cap_zero(self):
+        """A cap of 0, like any cover factor short of full cover, asks about the open path."""
+        result = max_foliage_factor(radio_with_budget(150.0), 2.0, 2400, delta_cap=0.0)
+        assert result == (0.0, total_loss(LinkGeometry(2.0, delta=0.0), 2400).l_total_db, 0,
+                          True, True)
+        assert max_foliage_height(radio_with_budget(150.0), 2.0, 30.0, 2400, 0.0).value == 0.0
+        with pytest.raises(NoSolution):  # the budget is checked before the cap is reached
+            max_foliage_factor(radio_with_budget(TOTAL_D2_DELTA0 - 1.0), 2.0, 2400, delta_cap=0.0)
+
     def test_round_trip_unique_frontier(self):
         import numpy as np
         rng = random.Random(14)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -137,7 +138,8 @@ class TestErrorLines:
     def test_delta_cap_out_of_range_exits_1(self, capsys):
         code, out, err = invoke(capsys, "budget", "--solve", "delta", *RADIO_FLAGS, "--d-km", "2",
                                 "--f-mhz", "868", "--delta-cap", "1.5")
-        assert (code, out, err) == (1, "", "error: delta_cap must lie in (0, 1), got 1.5\n")
+        message = "error: delta_cap must lie in [0, 1), short of full cover, got 1.5\n"
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_distance_sweep_stop_beyond_meters_exits_1(self, capsys, fmt):
@@ -1096,6 +1098,29 @@ class TestRenderDigest:
     def test_digest_of_300_points(self):
         digests = dict(render_digest.digest(300))
         assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
+
+
+class TestWorkCount:
+    """``tests/work_count.py`` counts the same opcodes in two runs. No count is pinned: counts
+    differ between Python versions."""
+
+    def test_two_runs_count_alike(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, str(Path(__file__).with_name("work_count.py")),
+                "cli/loss/", "cli/bounds/csv", "api/total_loss"]
+        runs = [subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+                for _ in range(2)]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, "")] * 2
+        assert runs[0].stdout == runs[1].stdout
+        header, *lines = runs[0].stdout.splitlines()
+        assert header.startswith(f"# {platform.python_implementation()} "
+                                 f"{platform.python_version()}, PYTHONHASHSEED=0")
+        names = [line.split()[0] for line in lines]
+        assert names == ["cli/loss/table", "cli/loss/csv", "cli/loss/json", "cli/bounds/csv",
+                         "api/total_loss"]
+        assert all(int(line.split()[1]) > 0 for line in lines)
 
 
 class TestArgvCorpus:

@@ -14,9 +14,7 @@ import json
 import math
 import tempfile
 from itertools import chain, product
-from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +37,7 @@ from foliage_link import (
     Regime,
     Scenario,
     ScenarioNode,
+    SolveResult,
     SweepSpec,
     SweepVariable,
     Validity,
@@ -407,7 +406,7 @@ def test_emit_json_refuses_a_non_finite_report():
 
 #: every column tuple the package renders by
 COLUMN_SETS = [
-    SWEEP_COLUMNS, REPORT_COLUMNS, cli._LOSS_COLUMNS, cli._SolveRow._fields, DeltaBounds._fields,
+    SWEEP_COLUMNS, REPORT_COLUMNS, cli._LOSS_COLUMNS, cli._SOLVE_COLUMNS, DeltaBounds._fields,
 ]
 #: strings with quotes, backslashes, control and non-ASCII characters
 TEXT = st.one_of(
@@ -419,20 +418,8 @@ CELL = st.one_of(
 )
 
 
-def _record(columns, cells):
-    """A lone record whose ``columns`` hold ``cells``, nested namespaces for a dotted column."""
-    record = SimpleNamespace()
-    for column, value in zip(columns, cells):
-        *parents, name = column.split(".")
-        node = record
-        for part in parents:
-            node = node.__dict__.setdefault(part, SimpleNamespace())
-        setattr(node, name, value)
-    return record
-
-
 def _reference_object(columns, cells, error):
-    obj = {column.rpartition(".")[2]: value for column, value in zip(columns, cells)}
+    obj = dict(zip(columns, cells))
     if error is not None:
         obj["error"] = error
     return obj
@@ -442,7 +429,7 @@ def _reference_object(columns, cells, error):
 @given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
        count=st.integers(0, 3))
 def test_to_json_matches_json_dumps(data, which, single, count):
-    """A lone record renders as one object; rows of cells, each ending with its error, as an array."""
+    """A lone row renders as one object; rows of cells, each ending with its error, as an array."""
     columns = COLUMN_SETS[which]
     rows = []
     for _ in range(1 if single else count):
@@ -453,7 +440,7 @@ def test_to_json_matches_json_dumps(data, which, single, count):
 
     def text():
         if single:
-            return render.render(_record(columns, rows[0][0]), columns, "json")
+            return render.render(rows[0][0], columns, "json")
         flat = [cell for cells, error in rows for cell in (*cells, error)]
         return render.render_cells(flat, columns, len(columns) + 1, "json")
 
@@ -478,7 +465,7 @@ def test_to_json_refuses_a_non_finite_cell(value, single):
     cells, columns = [0.0, 1.0, value, 0.0, 1.0], DeltaBounds._fields
     with pytest.raises(ValueError, match="not JSON compliant"):
         if single:
-            render.render(DeltaBounds._make(cells), columns, "json")
+            render.render(cells, columns, "json")
         else:
             render.render_cells(cells, columns, len(columns), "json")
 
@@ -489,39 +476,56 @@ def _loss_record(cells):
     return LossBreakdown(l_foliage, l_fsp, l_total, foliage, PathSplit(d_f_m, d_fsp_m, delta))
 
 
-#: the lone records the CLI renders, built from their cells in column order
+#: the lone records the CLI renders, each built from its cells in column order and
+#: read back as the CLI reads it into a row
 LONE_RECORDS = [
-    (cli._SolveRow._fields, cli._SolveRow._make),
+    (cli._SOLVE_COLUMNS, lambda cells: (cells[0], *SolveResult._make(cells[1:]))),
     (DeltaBounds._fields, DeltaBounds._make),
-    (cli._LOSS_COLUMNS, _loss_record),
+    (cli._LOSS_COLUMNS, lambda cells: cli._loss_row(_loss_record(cells))),
 ]
 
 
 @CHECKED
 @given(data=st.data(), which=st.integers(0, len(LONE_RECORDS) - 1))
 def test_render_of_a_lone_record_matches_json_dumps(data, which):
-    columns, build = LONE_RECORDS[which]
+    columns, row = LONE_RECORDS[which]
     cells = data.draw(st.lists(CELL, min_size=len(columns), max_size=len(columns)))
-    obj = dict(zip(render._header(columns), cells))
+    obj = dict(zip(columns, cells))
     try:
         expected = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError:  # a nan or inf cell
         with pytest.raises(ValueError, match="not JSON compliant"):
-            render.render(build(cells), columns, "json")
+            render.render(row(cells), columns, "json")
         return
-    assert render.render(build(cells), columns, "json") == expected
+    assert render.render(row(cells), columns, "json") == expected
 
 
-@pytest.mark.parametrize("record, columns", [
-    (cli._SolveRow("range", *max_range(RADIO, 0.3, 868.0)), cli._SolveRow._fields),
-    (cli._SolveRow("delta", *max_foliage_factor(RADIO, 2.0, 2400.0)), cli._SolveRow._fields),
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(LONE_RECORDS) - 1))
+def test_render_of_a_lone_record_as_a_table_matches_the_column_table(data, which):
+    """Each line is the column's name, padded to the longest, two spaces and the cell's
+    text, which the column table writes as that cell's row, padded to 13."""
+    columns, row = LONE_RECORDS[which]
+    cells = data.draw(st.lists(CELL, min_size=len(columns), max_size=len(columns)))
+    width = max(map(len, columns))
+    lines = []
+    for name, cell in zip(columns, cells):
+        text = render._table_cell(cell)
+        table = render.render_cells([cell], (name,), 1, "table")
+        assert table == "%-13s\n%-13s\n" % (name, text)
+        lines.append(name.ljust(width) + "  " + text + "\n")
+    assert render.render(row(cells), columns, "table") == "".join(lines)
+
+
+@pytest.mark.parametrize("row, columns", [
+    (("range", *max_range(RADIO, 0.3, 868.0)), cli._SOLVE_COLUMNS),
+    (("delta", *max_foliage_factor(RADIO, 2.0, 2400.0)), cli._SOLVE_COLUMNS),
     (delta_bounds(0.2, 0.8, 0.5), DeltaBounds._fields),
-    (total_loss(LinkGeometry(2.0, delta=0.95), 2400.0), cli._LOSS_COLUMNS),
+    (cli._loss_row(total_loss(LinkGeometry(2.0, delta=0.95), 2400.0)), cli._LOSS_COLUMNS),
 ])
-def test_render_of_a_command_record_matches_json_dumps(record, columns):
-    cells = attrgetter(*columns)(record)
-    expected = json.dumps(dict(zip(render._header(columns), cells)), indent=2, allow_nan=False)
-    assert render.render(record, columns, "json") == expected + "\n"
+def test_render_of_a_command_record_matches_json_dumps(row, columns):
+    expected = json.dumps(dict(zip(columns, row)), indent=2, allow_nan=False)
+    assert render.render(row, columns, "json") == expected + "\n"
 
 
 #: node values: any float, and ints as a hand-built ``ScenarioNode`` may hold them
@@ -673,7 +677,7 @@ def _reference_csv(columns, rows):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
     lines = []
-    for cells in [[column.rpartition(".")[2] for column in columns], *rows]:
+    for cells in [columns, *rows]:
         writer.writerow([("false", "true")[value] if type(value) is bool else value
                          for value in cells])
         lines.append(out.getvalue()[:-2] + "\n")
@@ -686,7 +690,7 @@ def _reference_csv(columns, rows):
 @given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), single=st.booleans(),
        count=st.integers(1, 3), plain=st.booleans())
 def test_csv_matches_csv_writer(data, which, single, count, plain):
-    """A lone record renders as one row, and so do the cells of each row of many."""
+    """A lone row renders as one CSV row, and so do the cells of each row of many."""
     columns = COLUMN_SETS[which]
     # plain: floats, ints and the package's enums only, a batch that renders by template
     cell = PLAIN_CELL if plain else CSV_CELL
@@ -696,7 +700,7 @@ def test_csv_matches_csv_writer(data, which, single, count, plain):
     ]
     expected = _reference_csv(columns, rows)
     if single:
-        assert render.render(_record(columns, rows[0]), columns, "csv") == expected
+        assert render.render(rows[0], columns, "csv") == expected
         return
     # a row of mixed cells ends with its error, which CSV does not write
     flat = []
@@ -722,7 +726,7 @@ def test_to_csv_of_a_long_mixed_batch():
 def test_to_csv_of_no_records(columns):
     text = render.render_cells([], columns, len(columns), "csv")
     assert text == _reference_csv(columns, [])
-    assert text == ",".join(c.rpartition(".")[2] for c in columns) + "\n"
+    assert text == ",".join(columns) + "\n"
 
 
 #: the kinds of table column: floats (subnormals, zeros, infinities and NaN among them),
@@ -744,7 +748,7 @@ def test_table_matches_its_cell_rule(data, which, count):
     kinds = [data.draw(TABLE_COLUMN) for _ in columns]
     rows = [[data.draw(kind) for kind in kinds] for _ in range(count)]
     flat = [cell for cells in rows for cell in (*cells, data.draw(st.one_of(st.none(), TEXT)))]
-    lines = [render._header(columns), *([render._table_cell(v) for v in cells] for cells in rows)]
+    lines = [columns, *([render._table_cell(v) for v in cells] for cells in rows)]
     expected = "".join("  ".join(f"{text:<13}" for text in line) + "\n" for line in lines)
     assert render.render_cells(flat, columns, len(columns) + 1, "table") == expected
 

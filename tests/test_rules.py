@@ -14,7 +14,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "foliage_link"
 #: the model's input rules; a new rule adds its checker here
 CHECKERS = {
     "_check_distance", "_check_frequency", "_check_delta", "_check_partial_cover",
-    "_check_delta_cap", "_check_height", "_check_foliage_height",
+    "_check_height", "_check_foliage_height",
 }
 
 

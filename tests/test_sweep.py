@@ -182,6 +182,33 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             delta_spec(delta_cap=0.97)
 
+    @pytest.mark.parametrize("variable, base, error, message", [
+        ("delta", (2.0, None, None, 0.0), None, None),
+        (SweepVariable.DELTA, [2.0, None, None, 0.0], None, None),
+        ("delta", LinkGeometry(2.0, delta=0.0), None, None),
+        ("speed", LinkGeometry(2.0, delta=0.0), InvalidSpec,
+         "^unknown sweep variable 'speed'; expected delta, foliage_height, distance or "
+         "frequency_mhz$"),
+        (None, LinkGeometry(2.0, delta=0.0), InvalidSpec, "^unknown sweep variable None;"),
+        ("delta", None, InvalidSpec, "^base must be a LinkGeometry, .* got NoneType None$"),
+        ("delta", {"d_km": 2.0, "delta": 0.0}, InvalidSpec, "got dict "),
+        ("delta", (), InvalidSpec, r"got tuple \(\)$"),
+        ("delta", (2.0, None, None, 0.0, 1.0), InvalidSpec,
+         r"got tuple \(2.0, None, None, 0.0, 1.0\)$"),
+        # a tuple base meets LinkGeometry's own rules
+        ("delta", (2.0, None, None, -0.1), DeltaOutOfRange,
+         r"^delta must lie in \[0, 1\], got -0.1$"),
+    ])
+    def test_variable_by_value_and_base_as_a_tuple(self, variable, base, error, message):
+        """A spec reads what it can and refuses the rest with a named error."""
+        if error is not None:
+            with pytest.raises(error, match=message):
+                SweepSpec(variable, 0.5, 3, base, 868.0)
+            return
+        spec = SweepSpec(variable, 0.5, 3, base, 868.0)
+        assert spec == delta_spec(stop=0.5, steps=3, f_mhz=868.0)
+        assert spec.variable is SweepVariable.DELTA and type(spec.base) is LinkGeometry
+
     def test_negative_delta(self):
         with pytest.raises(DeltaOutOfRange, match=r"^delta must lie in \[0, 1\], got -0.1$"):
             delta_spec(start=-0.1)
