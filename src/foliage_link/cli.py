@@ -296,9 +296,9 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
         if f_mhz is None:
             raise _UsageError("--f-mhz is required here")
         spec = SweepSpec(variable, args.stop, args.steps, base, f_mhz)
-    cells, fixed, same = _sweep_cells(spec)
+    cells, fixed = _sweep_cells(spec)
     width = len(SWEEP_COLUMNS) - len(fixed)
-    return render_cells(cells, SWEEP_COLUMNS, width, args.format, fixed, same)
+    return render_cells(cells, SWEEP_COLUMNS, width, args.format, fixed)
 
 
 def _run_budget(args: argparse.Namespace) -> str:

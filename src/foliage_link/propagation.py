@@ -154,10 +154,12 @@ class _LinkGeometryFields(NamedTuple):
 class LinkGeometry(_LinkGeometryFields):
     """Geometry of one sensor-to-gateway link.
 
-    The cover factor can be given directly (``delta``) or derived from
-    heights (``h_f_m / h_m``). Exactly one source must be supplied; when
-    both are present they must agree to within 1e-12. Every way of building
-    one (the constructor, ``_make`` and ``_replace``) checks the fields.
+    The cover factor can be given directly (``delta``), derived from the
+    heights (``h_f_m / h_m``, the two given together), or both. At least
+    one source must be supplied; when both are, they must agree to within
+    ``_DELTA_SOURCE_TOL`` (1e-12), and ``effective_delta`` is ``delta``.
+    Every way of building one (the constructor, ``_make`` and
+    ``_replace``) checks the fields.
 
     Args:
         d_km: total path length in kilometers (> 0, finite in meters).

@@ -35,9 +35,10 @@ Any other column goes through the cell rule. One loop, ``_converted``,
 runs a writer's column rule over each column, in the cells list itself;
 the writer then writes the whole text in one ``%`` call on a template of
 one line or object per row. A column that the caller holds ``fixed`` (one
-value in every row) is written into the template once, by the cell rule,
-and one that repeats an earlier one (``same``: a cover-factor sweep's
-``delta`` is its ``x``) is formatted once for both. The CSV and JSON text
+value in every row) is written into the template once, by the cell rule.
+A column whose cells are, row by row, the very objects (``is``) of the
+column before it, as a cover-factor sweep's ``delta`` is its ``x``, is
+found by ``_converted`` and formatted once for both. The CSV and JSON text
 is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2,
 allow_nan=False)`` would write, without their Python code per cell or row.
 """
@@ -49,6 +50,7 @@ import functools
 import io
 import json
 import math
+import operator
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 
@@ -64,33 +66,37 @@ def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list
     ]
 
 
-def _converted(cells: list, columns: tuple, width: int, fixed: dict, same, column) -> tuple:
+def _converted(cells: list, columns: tuple, width: int, fixed: dict, column) -> tuple:
     """The cells for the row template, each column converted by the format's ``column`` rule.
 
-    A column that ``same`` names is left to the one it repeats: both get
-    the ``str()`` of that one's cells, converted, which is what ``%s`` writes.
+    A varying column whose cells are, row by row, the very objects of the
+    column before it (a cover-factor sweep's ``delta`` is its ``x``)
+    repeats that one: both get the ``str()`` of its converted cells, which
+    is what ``%s`` writes, formatted once.
     """
-    same = same or {}
-    varying = [name for name in columns if name not in fixed]
-    for index, name in enumerate(varying):
-        if name not in same:
-            text = column(cells[index::width])
-            if text is not None:
-                cells[index::width] = text
-    for name, source in same.items():
-        index = varying.index(source)
-        text = list(map(str, cells[index::width]))
-        cells[index::width] = cells[varying.index(name)::width] = text
+    previous: list = []
+    for index in range(len(columns) - len(fixed)):
+        current = cells[index::width]
+        # row 0 first, then row by row up to the first cell that differs
+        if previous and current[0] is previous[0] and all(map(operator.is_, current, previous)):
+            text = cells[index - 1::width] = list(map(str, cells[index - 1::width]))
+        else:
+            text = column(current)
+        if text is not None:
+            cells[index::width] = text
+        previous = current
     return tuple(cells)
 
 
-def _lines(cells, columns, width, fixed, same, head: str, sep: str, slot: str, cell, column):
-    """A header line, then a line of ``sep``-joined slots per row; a row's cells past its
-    varying columns (its ``error``) go to ``%.0s``, which writes no text."""
+def _lines(cells, columns, width, fixed, sep: str, slot: str, cell, column):
+    """A header line of the column names in ``slot``s, then a line of ``sep``-joined slots
+    per row; a row's cells past its varying columns (its ``error``) go to ``%.0s``, which
+    writes no text."""
     fixed = fixed or {}
+    head = sep.join([slot] * len(columns)) % columns
     line = sep.join(_fixed_slots(columns, fixed, slot, cell))
     line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
-    cells = _converted(cells, columns, width, fixed, same, column)
+    cells = _converted(cells, columns, width, fixed, column)
     # the header holds column names, so no "%" that the template would read
     return (head + "\n" + line * (len(cells) // width)) % cells
 
@@ -126,12 +132,10 @@ def _table_column(column: list) -> list | None:
     return list(map(_table_cell, column))
 
 
-def _table_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None,
-                 same: dict | None = None) -> str:
+def _table_cells(cells: list, columns: tuple[str, ...], width: int,
+                 fixed: dict | None = None) -> str:
     """Column table of rows given as ``csv_cells`` takes them, each cell left-aligned in 13."""
-    head = "  ".join(["%-13s"] * len(columns)) % columns
-    return _lines(cells, columns, width, fixed, same, head, "  ", "%-13s", _table_cell,
-                  _table_column)
+    return _lines(cells, columns, width, fixed, "  ", "%-13s", _table_cell, _table_column)
 
 
 #: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
@@ -197,21 +201,18 @@ def _csv_column(column: list) -> list | None:
     return list(map(_csv_cell, column))
 
 
-def csv_cells(
-    cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None,
-    same: dict | None = None,
-) -> str:
+def csv_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None) -> str:
     """CSV text of rows given as one flat list of ``width`` cells each.
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, which CSV does not write.
-    ``fixed`` maps each other column to its value in every row, and
-    ``same`` a column to an earlier one whose cells it repeats. The text
+    ``fixed`` maps each other column to its value in every row. A column
+    whose cells are the very objects of the column before it is formatted
+    once for both; the writer finds it, so no caller names it. The text
     is a header line and one line per row, what ``csv.writer`` writes (LF
     line endings), except that a bool is written ``true``/``false``.
     """
-    return _lines(cells, columns, width, fixed, same, ",".join(columns), ",", "%s", _csv_cell,
-                  _csv_column)
+    return _lines(cells, columns, width, fixed, ",", "%s", _csv_cell, _csv_column)
 
 
 _JSON_NULL = {None: "null"}
@@ -269,11 +270,11 @@ def _json_array(items: list[str], tail: str) -> str:
     return ",\n  ".join(items)
 
 
-def _json_error(error: object, level: int) -> str:
-    """The ``error`` member of an object nested ``level`` deep, or no text for None."""
+def _json_error(error: object) -> str:
+    """The ``error`` member of an array's object, or no text for None."""
     if error is None:
         return ""
-    return f',\n{"  " * (level + 1)}"error": {_json_cell(error)}'
+    return f',\n    "error": {_json_cell(error)}'
 
 
 def _json_column(column: list) -> list | None:
@@ -297,16 +298,15 @@ _is_float = float.__instancecheck__
 
 def json_cells(
     cells: list, columns: tuple[str, ...], width: int, end: str = "", fixed: dict | None = None,
-    same: dict | None = None,
 ) -> str:
     """JSON array of rows given as one flat list of ``width`` cells each, then ``end``.
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, a last key where it is
-    not None. ``fixed`` and ``same`` are as ``csv_cells`` takes them. The
-    text is what ``json.dumps(objects, indent=2, allow_nan=False)`` writes
-    for the rows' dicts: a non-finite float raises ``ValueError``, for the
-    first one row by row.
+    not None. ``fixed`` is as ``csv_cells`` takes it. The text is what
+    ``json.dumps(objects, indent=2, allow_nan=False)`` writes for the rows'
+    dicts: a non-finite float raises ``ValueError``, for the first one row
+    by row.
     """
     fixed = fixed or {}
     varying = len(columns) - len(fixed)
@@ -317,15 +317,14 @@ def json_cells(
     if not all(map(math.isfinite, filter(_is_float, cells))):
         list(map(_json_cell, cells))  # raises at the first, row by row
     if with_error:
-        cells[varying::width] = [_json_error(error, 1) for error in cells[varying::width]]
+        cells[varying::width] = list(map(_json_error, cells[varying::width]))
     # the whole array, its brackets and ``end`` among them, is one template
     template = _json_array([item] * (len(cells) // width), end.replace("%", "%%"))
-    return template % _converted(cells, columns, width, fixed, same, _json_column)
+    return template % _converted(cells, columns, width, fixed, _json_column)
 
 
 def render_cells(
     cells: list, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
-    same: dict | None = None,
 ) -> str:
     """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json`` text.
 
@@ -333,15 +332,14 @@ def render_cells(
     order, then, when ``width`` is one more, its record's ``error``, which
     only JSON writes. ``fixed`` maps each other column to its value in
     every row; its text is formatted once, by the format's own cell rule.
-    ``same`` maps a column to an earlier one whose cells it repeats, so
-    that each format formats them once for both. The text ends with a
-    newline in every format.
+    A column whose cells are the very objects of the column before it is
+    formatted once for both. The text ends with a newline in every format.
     """
     if fmt == "json":
-        return json_cells(cells, columns, width, "\n", fixed, same)
+        return json_cells(cells, columns, width, "\n", fixed)
     if fmt == "csv":
-        return csv_cells(cells, columns, width, fixed, same)
-    return _table_cells(cells, columns, width, fixed, same)
+        return csv_cells(cells, columns, width, fixed)
+    return _table_cells(cells, columns, width, fixed)
 
 
 def render(row, columns: tuple[str, ...], fmt: str) -> str:

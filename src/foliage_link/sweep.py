@@ -20,6 +20,7 @@ them.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from functools import partial
 from itertools import repeat
@@ -74,10 +75,11 @@ class SweepSpec(_SweepSpecFields):
     parameter. ``variable`` may be given by its value (``"delta"``), and
     ``base`` as a tuple or list of ``LinkGeometry``'s fields, which is read
     through ``LinkGeometry._make``; any other value raises ``InvalidSpec``.
-    ``steps`` lies in [2, ``MAX_STEPS``]. Every point stops short of full
-    cover, where the free-space term is singular: a cover-factor sweep and
-    the fixed cover factor of a distance or frequency sweep lie in [0, 1),
-    and a foliage-height sweep stops below ``base.h_m``.
+    ``steps`` is any integer but a bool (anything ``operator.index`` reads,
+    kept as a Python int) in [2, ``MAX_STEPS``]. Every point stops short of
+    full cover, where the free-space term is singular: a cover-factor sweep
+    and the fixed cover factor of a distance or frequency sweep lie in
+    [0, 1), and a foliage-height sweep stops below ``base.h_m``.
     A distance sweep's ``stop`` must be finite in meters, as ``LinkGeometry``
     requires of ``d_km``; every point of the grid then is too.
     Every way of building one (the constructor, ``_make`` and ``_replace``)
@@ -108,8 +110,9 @@ class SweepSpec(_SweepSpecFields):
                     f"got {type(base).__name__} {base!r}"
                 )
             base = _LinkGeometry._make(base)
-        if not isinstance(steps, int) or isinstance(steps, bool):
+        if isinstance(steps, bool) or not hasattr(type(steps), "__index__"):
             raise InvalidSpec(f"steps must be an integer, got {steps!r}")
+        steps = operator.index(steps)
         if not 2 <= steps <= MAX_STEPS:
             raise InvalidSpec(f"steps must lie in [2, {MAX_STEPS}], got {steps}")
         _checked_as(InvalidSpec, "", _check_frequency, f_mhz)
@@ -187,23 +190,22 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     return grid
 
 
-def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
-    """The sweep's rows as one flat list of cells, the columns it holds fixed, and the repeats.
+def _sweep_cells(spec: SweepSpec) -> tuple[list, dict]:
+    """The sweep's rows as one flat list of cells, and the columns it holds fixed.
 
     A row holds ``SweepRow``'s fields in order, less those the spec holds
     fixed, which come back once as a field name -> value map: in a
     frequency sweep the cover factor, both segment lengths, the regime and
-    the validity; in a distance sweep the cover factor. The last map names
-    a field whose cells repeat an earlier one's: a cover-factor sweep's
-    ``delta`` is its ``x``. Every point is one ``_LossCore.at`` call. An
-    error is re-raised annotated with the offending x. ``spec`` checked
-    every swept value.
+    the validity; in a distance sweep the cover factor. In a cover-factor
+    sweep a row's ``delta`` cell is its ``x`` cell, one float object, which
+    the writers find and format once for both. Every point is one
+    ``_LossCore.at`` call. An error is re-raised annotated with the
+    offending x. ``spec`` checked every swept value.
     """
     grid = _grid(spec.start, spec.stop, spec.steps)
     variable, base = spec.variable, spec.base
     cells: list = []
     fixed: dict = {}
-    same: dict = {}
     append = cells.append
     x = grid[0]  # the point an error from building the core is reported at
     try:
@@ -221,7 +223,6 @@ def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
             at = _LossCore(spec.f_mhz).at
             if variable is SweepVariable.DELTA:
                 d_km = base.d_km
-                same = {"delta": "x"}
                 for x in grid:
                     append(x)
                     append(x)
@@ -241,7 +242,7 @@ def _sweep_cells(spec: SweepSpec) -> tuple[list, dict, dict]:
                     cells += at(x, delta)
     except FoliageLinkError as exc:
         raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
-    return cells, fixed, same
+    return cells, fixed
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -251,7 +252,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     re-raised annotated with the offending x. The rows are built from
     ``_sweep_cells``, the loop the CLI renders from.
     """
-    cells, fixed, _ = _sweep_cells(spec)
+    cells, fixed = _sweep_cells(spec)
     # zip takes a row's fields in order, so each varying one is the next cell
     cell = iter(cells)
     columns = [repeat(fixed[name]) if name in fixed else cell for name in SweepRow._fields]

@@ -24,6 +24,7 @@ from foliage_link import (
     NonPositiveHeight,
     NoSolution,
     RadioConfig,
+    SolveResult,
     link_margin,
     max_foliage_factor,
     max_foliage_height,
@@ -159,6 +160,27 @@ class TestMaxRange:
         assert (result.value, result.achieved_loss_db, result.iterations) == (1e-4, loss, 0)
         assert result.converged
 
+    def test_budget_equal_to_the_loss_at_1000_km(self):
+        """The bracket's far end meets a budget of exactly its loss, with no iteration."""
+        loss = forward_total(1000.0, 0.3, 868.0)
+        assert max_range(radio_with_budget(loss), 0.3, 868.0) == SolveResult(1000.0, loss, 0, True)
+
+    def test_bisection_step(self):
+        """A Newton step that leaves the bracket bisects it instead, and the solve converges."""
+        budget = 48679901972.755
+        result = max_range(radio_with_budget(budget), 0.9999999999999978, 5.802007121227825e29)
+        assert result.converged and result.iterations >= 1
+        assert result.achieved_loss_db == pytest.approx(budget, abs=1e-6)
+        assert 1e-4 < result.value < 1000.0
+
+    def test_bracket_that_bisects_to_nothing(self):
+        """A bracket too narrow to bisect stops the solve unconverged, at its feasible end."""
+        budget = 29760495208.14871
+        result = max_range(radio_with_budget(budget), 0.9999999934896694, 3.0458988922650178e28)
+        assert not result.converged and result.iterations >= 1
+        assert result.achieved_loss_db <= budget
+        assert 1e-4 < result.value < 1000.0
+
     def test_no_solution(self):
         with pytest.raises(NoSolution):
             max_range(radio_with_budget(-500.0), 0.2, 2400)
@@ -218,6 +240,16 @@ class TestMaxFoliageFactor:
     def test_cap_domain(self):
         with pytest.raises(DeltaOutOfRange):
             max_foliage_factor(radio_with_budget(150.0), 2.0, 2400, delta_cap=1.0)
+
+    def test_bracket_that_bisects_to_nothing(self):
+        """A bracket too narrow to bisect stops the solve unconverged, at its feasible end."""
+        budget, cap = 37696649644.30625, 0.14782284687213157
+        result = max_foliage_factor(
+            radio_with_budget(budget), 1409.4438812973165, 2.889344782333933e29, cap
+        )
+        assert not result.converged and not result.all_feasible
+        assert result.achieved_loss_db <= budget
+        assert 0.0 < result.value < cap
 
     def test_cap_zero(self):
         """A cap of 0, like any cover factor short of full cover, asks about the open path."""

@@ -890,8 +890,8 @@ def test_a_fixed_column_renders_as_a_varying_one(value):
     """A fixed column's text, written once into the row template, is the text of its cells.
 
     The column is fixed at the third and at the last place, in 3 rows and
-    in none. With ``repeat``, column ``delta`` holds column ``x``'s cells
-    and is named as repeating them. With ``error``, each row ends with an
+    in none. With ``repeat``, column ``delta`` holds column ``x``'s cells,
+    which the writers find repeated. With ``error``, each row ends with an
     error cell, which only JSON writes.
     """
     columns = SWEEP_COLUMNS
@@ -910,10 +910,93 @@ def test_a_fixed_column_renders_as_a_varying_one(value):
             lambda: render.render_cells(list(chain.from_iterable(rows)), columns, width, fmt)
         )
         fixed = {columns[column]: value}
-        same = {"delta": "x"} if repeat else None
         assert _text_or_error(
-            lambda: render.render_cells(varying, columns, width - 1, fmt, fixed, same)
+            lambda: render.render_cells(varying, columns, width - 1, fmt, fixed)
         ) == expected, (fmt, column, count, repeat, error)
+
+
+def _cell_by_cell(columns, rows, fmt):
+    """The text of the rows from each format's reference: ``json.dumps``, ``csv.writer``, or
+    ``_table_cell`` of each cell."""
+    if fmt == "json":
+        objects = [_reference_object(columns, cells, None) for cells in rows]
+        return json.dumps(objects, indent=2, allow_nan=False) + "\n"
+    if fmt == "csv":
+        return _reference_csv(columns, rows)
+    lines = [columns, *([render._table_cell(v) for v in cells] for cells in rows)]
+    return "".join("  ".join(f"{text:<13}" for text in line) + "\n" for line in lines)
+
+
+FORMATS = ["table", "csv", "json"]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("row", [(0.0, -0.0), (1, 1.0, True), (-0.0, 0.0, False, 0)], ids=repr)
+def test_equal_but_distinct_cells_print_their_own_text(fmt, row):
+    """Cells that compare equal but are distinct objects are no repeat: each prints its own."""
+    columns = ("a", "b", "c", "d")[:len(row)]
+    rows = [list(row)] * 3
+    text = render.render_cells(list(chain.from_iterable(rows)), columns, len(columns), fmt)
+    assert text == _cell_by_cell(columns, rows, fmt)
+    assert len({render._table_cell(value) for value in row}) == len(row)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("differ", [1, 2])
+def test_a_column_sharing_only_its_first_cells_prints_its_own_text(fmt, differ):
+    """Column ``b`` holds column ``a``'s objects in its first rows, and other values from row
+    ``differ`` on: each column prints its own text."""
+    a = [0.25, None, "x,y"]
+    b = a[:differ] + [1.5, True, 'say "hi"'][differ:]
+    rows = [[x, y, x] for x, y in zip(a, b)]
+    columns = ("a", "b", "c")
+    text = render.render_cells(list(chain.from_iterable(rows)), columns, len(columns), fmt)
+    assert text == _cell_by_cell(columns, rows, fmt)
+
+
+#: the cells of a column that repeats, one list per kind of column rule
+REPEATED = [
+    [i / 7 for i in range(5)], list(range(-2, 3)), [None, 0.5, None], [True, False, True],
+    [*Regime], [*Validity], ["plain", "text"], ["row,12", 'say "hi"', "two\nlines"],
+    ["50% off", "\u2028é"], [None, "mixed", 1, 2.5, Regime.ZERO, SweepVariable.DELTA],
+]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("cells", REPEATED, ids=repr)
+def test_a_repeated_column_renders_cell_by_cell(fmt, cells):
+    """Columns that repeat the one before them, object for object, two in a row and one after
+    a fixed column, render as their cells render one by one."""
+    columns = ("x", "delta", "again", "fixed", "last", "other")
+    rows = [[cell, cell, cell, "f", cell, i] for i, cell in enumerate(cells)]
+    flat = [cell for cells in rows for cell in cells[:3] + cells[4:]]
+    text = render.render_cells(flat, columns, len(columns) - 1, fmt, {"fixed": "f"})
+    assert text == _cell_by_cell(columns, rows, fmt)
+
+
+@CHECKED
+@given(data=st.data(), which=st.integers(0, len(COLUMN_SETS) - 1), count=st.integers(0, 4),
+       fmt=st.sampled_from(FORMATS))
+def test_drawn_repeats_render_cell_by_cell(data, which, count, fmt):
+    """Any column may hold the objects of the column before it, in every row or in some."""
+    columns = COLUMN_SETS[which]
+    repeats = data.draw(st.lists(st.sampled_from(["no", "all", "some"]),
+                                 min_size=len(columns), max_size=len(columns)))
+    rows = []
+    for _ in range(count):
+        cells = []
+        for repeat in repeats:
+            take = cells and (repeat == "all" or repeat == "some" and data.draw(st.booleans()))
+            cells.append(cells[-1] if take else data.draw(CSV_CELL))
+        rows.append(cells)
+    flat = list(chain.from_iterable(rows))
+    try:
+        expected = _cell_by_cell(columns, rows, fmt)
+    except ValueError:  # JSON refuses a nan or inf cell
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render.render_cells(flat, columns, len(columns), fmt)
+        return
+    assert render.render_cells(flat, columns, len(columns), fmt) == expected
 
 
 # ---------------------------------------------------------------- argv parsing

@@ -162,6 +162,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             delta_spec(steps=2.5)
 
+    @pytest.mark.parametrize("steps", [True, False, 5.0])
+    def test_steps_bool_or_float(self, steps):
+        with pytest.raises(InvalidSpec, match=rf"^steps must be an integer, got {steps!r}$"):
+            delta_spec(steps=steps)
+
+    def test_steps_any_integer(self):
+        """``steps`` is read through ``__index__``, as numpy's integers define it, as an int."""
+
+        class Count:
+            def __index__(self):
+                return 5
+
+        spec = delta_spec(steps=Count())
+        assert type(spec.steps) is int and spec.steps == 5
+        assert spec == delta_spec(steps=5)
+        assert len(run_sweep(spec).rows) == 5
+        assert type(spec._replace(steps=Count()).steps) is int
+
     def test_reversed_range(self):
         with pytest.raises(InvalidSpec):
             delta_spec(start=0.5, stop=0.2)
