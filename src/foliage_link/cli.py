@@ -15,8 +15,16 @@ the one subcommand, ``_subparser``, prints its usage line under a usage
 error of ``run``'s own, and refuses an argument that subcommand lacks,
 which the full parser would refuse under the top-level usage line.
 
-Output goes out in slices of about 1 MB: to stdout as text, to ``--out``
-as UTF-8 bytes through one file descriptor.
+Output goes out as text pieces through one sink, ``_write_out``: a
+one-record command's text is one piece; a sweep's is the header, its rows
+and JSON's ``]``; a scenario's is the header, then one piece per block of
+``scenario._BLOCK_ROWS`` nodes, each evaluated and rendered only when the
+piece before it is written. The scenario is checked whole before the
+first piece, so every model error comes before any output. Each piece goes
+out in slices of about 1 MB: to stdout as text, to ``--out`` as UTF-8
+bytes through one file descriptor, opened only once the first piece is
+ready. After that only I/O can fail, and a failed write leaves the file
+holding what was written before it.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from .propagation import (
     delta_from_heights,
     total_loss,
 )
-from .render import render, render_cells
-from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _load, _scenario_cells
+from .render import render, render_blocks
+from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _load, _scenario_blocks
 from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_cells, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
@@ -264,7 +272,7 @@ def _run_loss(args: argparse.Namespace) -> str:
     return render(_loss_row(breakdown), _LOSS_COLUMNS, args.format)
 
 
-def _run_sweep_cmd(args: argparse.Namespace) -> str:
+def _run_sweep_cmd(args: argparse.Namespace):
     custom_flags = (args.var, args.start, args.stop, args.steps)
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
@@ -298,7 +306,7 @@ def _run_sweep_cmd(args: argparse.Namespace) -> str:
         spec = SweepSpec(variable, args.stop, args.steps, base, f_mhz)
     cells, fixed = _sweep_cells(spec)
     width = len(SWEEP_COLUMNS) - len(fixed)
-    return render_cells(cells, SWEEP_COLUMNS, width, args.format, fixed)
+    return render_blocks([cells], SWEEP_COLUMNS, width, args.format, fixed)
 
 
 def _run_budget(args: argparse.Namespace) -> str:
@@ -327,13 +335,15 @@ def _run_budget(args: argparse.Namespace) -> str:
     return render((args.solve, *result), _SOLVE_COLUMNS, args.format)
 
 
-def _run_scenario(args: argparse.Namespace) -> str:
+def _run_scenario(args: argparse.Namespace):
+    """The report's text pieces, block by block, once the whole document is checked."""
     try:
         with open(args.file, encoding="utf-8") as file:
             text = file.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    return render_cells(_scenario_cells(_load(text)), REPORT_COLUMNS, _REPORT_WIDTH, args.format)
+    blocks = _scenario_blocks(_load(text))  # neither the text nor the document is kept
+    return render_blocks(blocks, REPORT_COLUMNS, _REPORT_WIDTH, args.format)
 
 
 def _run_bounds(args: argparse.Namespace) -> str:
@@ -361,6 +371,32 @@ def _write_all(write, text: str) -> None:
             data = data[write(data):]
 
 
+def _write_out(pieces, path: str | None) -> None:
+    """Write the text ``pieces`` in order, to stdout, or as UTF-8 to the file ``path``.
+
+    Each piece goes out in slices of about 1 MB. ``path`` is opened, as one
+    bare descriptor, only once the first piece is ready, so an error raised
+    before it leaves an existing file as it was.
+    """
+    if path is None:
+        for piece in pieces:
+            for part in _slices(piece):
+                sys.stdout.write(part)
+        return
+    pieces = iter(pieces)
+    piece = next(pieces, "")
+    # a bare descriptor: a file object costs more to set up than a small
+    # output costs to write, and raises the same OSError
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        write = functools.partial(os.write, fd)
+        _write_all(write, piece)
+        for piece in pieces:
+            _write_all(write, piece)
+    finally:
+        os.close(fd)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one subcommand, return the process exit code."""
     if argv is None:
@@ -375,26 +411,16 @@ def run(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
     try:
         if args.command == "loss":
-            text = _run_loss(args)
+            pieces = [_run_loss(args)]
         elif args.command == "sweep":
-            text = _run_sweep_cmd(args)
+            pieces = _run_sweep_cmd(args)
         elif args.command == "budget":
-            text = _run_budget(args)
+            pieces = [_run_budget(args)]
         elif args.command == "scenario":
-            text = _run_scenario(args)
+            pieces = _run_scenario(args)
         else:
-            text = _run_bounds(args)
-        if args.out is None:
-            for part in _slices(text):
-                sys.stdout.write(part)
-        else:
-            # a bare descriptor: a file object costs more to set up than a
-            # small output costs to write, and raises the same OSError
-            fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                _write_all(functools.partial(os.write, fd), text)
-            finally:
-                os.close(fd)
+            pieces = [_run_bounds(args)]
+        _write_out(pieces, args.out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         _subparser(args.command).print_usage(sys.stderr)

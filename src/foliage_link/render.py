@@ -2,9 +2,11 @@
 
 The caller names the columns, in output order, as they are printed, and
 gives the cells in that order. ``render`` writes one row as a key/value
-table, a one-row CSV or a JSON object; ``render_cells`` writes rows given
-as one flat list of cells as a column table, a CSV or a JSON array (indent
-2). CSV is a header line plus one line per row either way.
+table, a one-row CSV or a JSON object; ``render_blocks`` writes rows given
+block by block, each block one flat list of cells, as the pieces of a
+column table, a CSV or a JSON array (indent 2), and ``render_cells`` joins
+its pieces for one block. CSV is a header line plus one line per row
+either way.
 
 Cell rules, table / CSV / JSON:
 
@@ -15,9 +17,9 @@ Cell rules, table / CSV / JSON:
 
 A row may end with its record's ``error``, which only JSON writes, as a last key.
 
-Each format has one writer, fed one flat list of cells and the row width
-(``_table_cells``, ``csv_cells``, ``json_cells``, chosen by
-``render_cells``); one cell rule, for a fixed column, a lone row, the
+Each format has one block writer, fed blocks of flat cells and the row
+width (``_table_blocks``, ``_csv_blocks``, ``_json_blocks``, chosen by
+``render_blocks``); one cell rule, for a fixed column, a lone row, the
 ``error`` member and a column of mixed types alike (``_table_cell``,
 ``_csv_cell``, ``_json_cell``); and one column rule, which converts a
 whole column in a few C-level passes, or leaves cells that ``%s`` writes
@@ -32,10 +34,11 @@ as the format does (``_table_column``, ``_csv_column``, ``_json_column``):
   ``None``, bools and enums map through one dict.
 
 Any other column goes through the cell rule. One loop, ``_converted``,
-runs a writer's column rule over each column, in the cells list itself;
-the writer then writes the whole text in one ``%`` call on a template of
-one line or object per row. A column that the caller holds ``fixed`` (one
-value in every row) is written into the template once, by the cell rule.
+runs a writer's column rule over each column of a block, in the block's
+list itself; the writer then writes the block's text in one ``%`` call on
+a template of one line or object per row. A column that the caller holds
+``fixed`` (one value in every row) is written into the template once, by
+the cell rule.
 A column whose cells are, row by row, the very objects (``is``) of the
 column before it, as a cover-factor sweep's ``delta`` is its ``x``, is
 found by ``_converted`` and formatted once for both. The CSV and JSON text
@@ -88,17 +91,16 @@ def _converted(cells: list, columns: tuple, width: int, fixed: dict, column) -> 
     return tuple(cells)
 
 
-def _lines(cells, columns, width, fixed, sep: str, slot: str, cell, column):
-    """A header line of the column names in ``slot``s, then a line of ``sep``-joined slots
-    per row; a row's cells past its varying columns (its ``error``) go to ``%.0s``, which
-    writes no text."""
+def _line_blocks(blocks, columns, width, fixed, sep: str, slot: str, cell, column):
+    """A header line of the column names in ``slot``s, then each block's text: a line of
+    ``sep``-joined slots per row; a row's cells past its varying columns (its ``error``) go
+    to ``%.0s``, which writes no text."""
     fixed = fixed or {}
-    head = sep.join([slot] * len(columns)) % columns
     line = sep.join(_fixed_slots(columns, fixed, slot, cell))
     line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
-    cells = _converted(cells, columns, width, fixed, column)
-    # the header holds column names, so no "%" that the template would read
-    return (head + "\n" + line * (len(cells) // width)) % cells
+    yield sep.join([slot] * len(columns)) % columns + "\n"
+    for cells in blocks:
+        yield (line * (len(cells) // width)) % _converted(cells, columns, width, fixed, column)
 
 
 def _table_cell(value: object) -> str:
@@ -132,10 +134,10 @@ def _table_column(column: list) -> list | None:
     return list(map(_table_cell, column))
 
 
-def _table_cells(cells: list, columns: tuple[str, ...], width: int,
-                 fixed: dict | None = None) -> str:
-    """Column table of rows given as ``csv_cells`` takes them, each cell left-aligned in 13."""
-    return _lines(cells, columns, width, fixed, "  ", "%-13s", _table_cell, _table_column)
+def _table_blocks(blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None):
+    """Column table of blocks of rows, as ``_csv_blocks`` takes them, each cell left-aligned
+    in 13."""
+    return _line_blocks(blocks, columns, width, fixed, "  ", "%-13s", _table_cell, _table_column)
 
 
 #: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
@@ -201,8 +203,8 @@ def _csv_column(column: list) -> list | None:
     return list(map(_csv_cell, column))
 
 
-def csv_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | None = None) -> str:
-    """CSV text of rows given as one flat list of ``width`` cells each.
+def _csv_blocks(blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None):
+    """CSV text of blocks of rows, each block one flat list of ``width`` cells per row.
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, which CSV does not write.
@@ -212,7 +214,7 @@ def csv_cells(cells: list, columns: tuple[str, ...], width: int, fixed: dict | N
     is a header line and one line per row, what ``csv.writer`` writes (LF
     line endings), except that a bool is written ``true``/``false``.
     """
-    return _lines(cells, columns, width, fixed, ",", "%s", _csv_cell, _csv_column)
+    return _line_blocks(blocks, columns, width, fixed, ",", "%s", _csv_cell, _csv_column)
 
 
 _JSON_NULL = {None: "null"}
@@ -257,19 +259,6 @@ def _json_template(names: tuple[str, ...], level: int, error: bool) -> str:
     return "{" + members + ("%s" if error else "") + "\n" + "  " * level + "}"
 
 
-def _json_array(items: list[str], tail: str) -> str:
-    """A top-level JSON array of the ``items`` texts, then ``tail``.
-
-    One join writes the whole text: the array's brackets and ``tail`` go
-    into the first and last items, which are replaced in place.
-    """
-    if not items:
-        return "[]" + tail
-    items[0] = "[\n  " + items[0]
-    items[-1] += "\n]" + tail
-    return ",\n  ".join(items)
-
-
 def _json_error(error: object) -> str:
     """The ``error`` member of an array's object, or no text for None."""
     if error is None:
@@ -296,50 +285,72 @@ def _json_column(column: list) -> list | None:
 _is_float = float.__instancecheck__
 
 
-def json_cells(
-    cells: list, columns: tuple[str, ...], width: int, end: str = "", fixed: dict | None = None,
-) -> str:
-    """JSON array of rows given as one flat list of ``width`` cells each, then ``end``.
+def _json_blocks(
+    blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None, end: str = "",
+):
+    """JSON array of blocks of rows, each block one flat list of ``width`` cells per row,
+    then ``end``.
 
     A row holds the cells of the ``columns`` not in ``fixed``, then, when
     ``width`` is one more, its record's ``error``, a last key where it is
-    not None. ``fixed`` is as ``csv_cells`` takes it. The text is what
+    not None. ``fixed`` is as ``_csv_blocks`` takes it. The text is what
     ``json.dumps(objects, indent=2, allow_nan=False)`` writes for the rows'
     dicts: a non-finite float raises ``ValueError``, for the first one row
-    by row.
+    by row, before its block's text. The array's ``[`` goes out with the
+    first row's block, and a block of no rows gives no text.
     """
     fixed = fixed or {}
     varying = len(columns) - len(fixed)
     with_error = width > varying
-    item = _json_template(columns, 1, with_error)
-    if fixed and cells:
-        item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
-    if not all(map(math.isfinite, filter(_is_float, cells))):
-        list(map(_json_cell, cells))  # raises at the first, row by row
-    if with_error:
-        cells[varying::width] = list(map(_json_error, cells[varying::width]))
-    # the whole array, its brackets and ``end`` among them, is one template
-    template = _json_array([item] * (len(cells) // width), end.replace("%", "%%"))
-    return template % _converted(cells, columns, width, fixed, _json_column)
+    item = None
+    for cells in blocks:
+        if not cells:
+            continue
+        if item is None:
+            item = _json_template(columns, 1, with_error)
+            if fixed:
+                item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
+            lead = "[\n  "
+        if not all(map(math.isfinite, filter(_is_float, cells))):
+            list(map(_json_cell, cells))  # raises at the first, row by row
+        if with_error:
+            cells[varying::width] = list(map(_json_error, cells[varying::width]))
+        # the block's objects, the comma or bracket before them in the first, are one template
+        template = ",\n  ".join([lead + item, *[item] * (len(cells) // width - 1)])
+        yield template % _converted(cells, columns, width, fixed, _json_column)
+        lead = ",\n  "
+    yield ("[]" if item is None else "\n]") + end
+
+
+def render_blocks(
+    blocks, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
+):
+    """Blocks of rows, each one flat list of ``width`` cells per row, as pieces of ``table``,
+    ``csv`` or ``json`` text.
+
+    The pieces are the header (JSON's ``[`` goes with the first row), one
+    piece per block, and JSON's ``]``; joined, they are the text, which ends
+    with a newline in every format. A row holds the cells of the ``columns``
+    not in ``fixed``, in column order, then, when ``width`` is one more, its
+    record's ``error``, which only JSON writes. ``fixed`` maps each other
+    column to its value in every row; its text is formatted once, by the
+    format's own cell rule. A column whose cells are the very objects of the
+    column before it is formatted once for both, block by block. Each block
+    is converted in place.
+    """
+    if fmt == "json":
+        return _json_blocks(blocks, columns, width, fixed, "\n")
+    if fmt == "csv":
+        return _csv_blocks(blocks, columns, width, fixed)
+    return _table_blocks(blocks, columns, width, fixed)
 
 
 def render_cells(
     cells: list, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
 ) -> str:
-    """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json`` text.
-
-    A row holds the cells of the ``columns`` not in ``fixed``, in column
-    order, then, when ``width`` is one more, its record's ``error``, which
-    only JSON writes. ``fixed`` maps each other column to its value in
-    every row; its text is formatted once, by the format's own cell rule.
-    A column whose cells are the very objects of the column before it is
-    formatted once for both. The text ends with a newline in every format.
-    """
-    if fmt == "json":
-        return json_cells(cells, columns, width, "\n", fixed)
-    if fmt == "csv":
-        return csv_cells(cells, columns, width, fixed)
-    return _table_cells(cells, columns, width, fixed)
+    """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json``
+    text: ``render_blocks`` over one block, joined."""
+    return "".join(render_blocks([cells], columns, width, fmt, fixed))
 
 
 def render(row, columns: tuple[str, ...], fmt: str) -> str:

@@ -7,13 +7,15 @@ each node gives its distance and either a foliage height or a cover
 factor, never both.
 
 One rule set checks a document and a hand-built ``Scenario`` alike:
-``_node_values`` checks each node, a JSON object or a ``ScenarioNode``, to
-its ``(id, d_km, h_f_m, delta)``, and ``_report_cells`` evaluates those to
-one flat list of report cells, checking nothing. ``parse_scenario`` and
-``evaluate_scenario`` build their records from them, and
-``_scenario_cells`` chains them for the CLI, which renders the cells in
-every format with no record built. ``emit_scenario`` checks the dict it
-writes by the same rules, and reads no text back.
+``_checked`` runs ``_node_values`` over every node, a JSON object or a
+``ScenarioNode``, to its ``(id, d_km, h_f_m, delta)``, then checks the ids,
+and ``_report_cells`` evaluates those values to one flat list of report
+cells, checking nothing. ``parse_scenario`` and ``evaluate_scenario`` build
+their records from them. For the CLI, ``_scenario_blocks`` checks the whole
+document first and then evaluates ``_BLOCK_ROWS`` nodes at a time, so the
+cells are rendered and written block by block with no record built.
+``emit_scenario`` checks the dict it writes by the same rules, and reads
+no text back.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .budget import RadioConfig
@@ -38,7 +41,7 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
-from .render import csv_cells, json_cells
+from .render import _json_blocks, render_cells
 from .sweep import SWEEP_COLUMNS
 
 _RADIO_KEYS = RadioConfig._fields
@@ -252,9 +255,16 @@ def _scenario_head(doc: object) -> tuple[str, float, float, RadioConfig, list]:
     return name, frequency_mhz, base_height_m, radio, raw_nodes
 
 
-def _record_doc(scenario: Scenario, nodes: list) -> dict:
-    """A ``Scenario`` as the document ``_scenario_head`` checks, holding ``nodes``."""
-    return {**scenario._asdict(), "radio": dict(zip(_RADIO_KEYS, scenario.radio)), "nodes": nodes}
+def _record_doc(scenario: Scenario) -> dict:
+    """A ``Scenario`` as the document ``_scenario_head`` checks, its nodes in a new list.
+
+    Raises:
+        SchemaError: ``scenario`` is no ``Scenario``; the message names its type.
+    """
+    if not isinstance(scenario, Scenario):
+        raise SchemaError(f"scenario must be a Scenario, got {type(scenario).__name__}")
+    radio = dict(zip(_RADIO_KEYS, scenario.radio))
+    return {**scenario._asdict(), "radio": radio, "nodes": list(scenario.nodes)}
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -268,11 +278,21 @@ def _check_unique(ids: list[str]) -> None:
         seen.add(node_id)
 
 
+def _checked(doc: object) -> tuple[str, float, float, RadioConfig, list]:
+    """``_scenario_head`` of ``doc``, its raw nodes replaced by each node's checked
+    ``(id, d_km, h_f_m, delta)``: the head first, then every node, then the ids."""
+    *head, raw_nodes = _scenario_head(doc)
+    values = list(_node_values(raw_nodes, head[2]))
+    _check_unique(list(map(itemgetter(0), values)))
+    return (*head, values)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario JSON document.
 
     Raises:
-        ParseError: the text is not well-formed JSON (message carries the
+        ParseError: the text is no ``str`` (the message names its type;
+            ``bytes`` too), is not well-formed JSON (the message carries the
             position), nests arrays or objects too deep to parse, or holds
             an integer literal too long to read.
         SchemaError: a missing, unknown or ill-typed field, a duplicate
@@ -281,10 +301,10 @@ def parse_scenario(text: str) -> Scenario:
         DomainError: a value outside its physical domain, named by field
             (and node id where applicable).
     """
-    name, frequency_mhz, base_height_m, radio, raw_nodes = _scenario_head(_load(text))
-    nodes = list(map(ScenarioNode._make, _node_values(raw_nodes, base_height_m)))
-    _check_unique([node.id for node in nodes])
-    return Scenario(name, frequency_mhz, base_height_m, radio, nodes)
+    if not isinstance(text, str):
+        raise ParseError(f"scenario text must be a str, got {type(text).__name__}")
+    *head, values = _checked(_load(text))
+    return Scenario(*head, list(map(ScenarioNode._make, values)))
 
 
 #: the output columns of a node's report: every field but ``error``, which only JSON writes
@@ -337,24 +357,45 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
     report entry instead of aborting the batch.
 
     Raises:
-        ScenarioError: the ``SchemaError`` or ``DomainError`` that
-            ``parse_scenario`` raises on the scenario's JSON text, first
-            error first: a non-string or repeated id among them.
+        ScenarioError: a ``SchemaError`` naming the type of a ``scenario``
+            that is no ``Scenario``, else the ``SchemaError`` or
+            ``DomainError`` that ``parse_scenario`` raises on the scenario's
+            JSON text, first error first: a non-string or repeated id among
+            them.
     """
-    cells = _scenario_cells(_record_doc(scenario, list(scenario.nodes)))
+    cells = _scenario_cells(_record_doc(scenario))
     return list(map(NodeReport._make, zip(*[iter(cells)] * _REPORT_WIDTH)))
 
 
+#: nodes per block of ``_scenario_blocks``: the CLI evaluates, renders and
+#: writes a scenario this many nodes at a time
+_BLOCK_ROWS = 4096
+
+
+def _scenario_blocks(doc: object):
+    """Every node's report cells, one flat list per block of ``_BLOCK_ROWS`` nodes.
+
+    ``doc`` is a document's JSON value, checked whole, as ``parse_scenario``
+    checks a document, before this returns: iterating the blocks raises
+    nothing, so no model error can follow the first output byte.
+    """
+    _, frequency_mhz, base_height_m, radio, values = _checked(doc)
+    size = _BLOCK_ROWS
+    return (
+        _report_cells(values[start:start + size], frequency_mhz, base_height_m, radio)
+        for start in range(0, len(values), size)
+    )
+
+
 def _scenario_cells(doc: object) -> list:
-    """Every node's report cells, ``NodeReport``'s fields node after node, as one flat list.
+    """Every node's report cells, ``NodeReport``'s fields node after node, as one flat list:
+    ``_scenario_blocks``' one block.
 
     ``doc`` is a document's JSON value or a ``_record_doc``, checked as
     ``parse_scenario`` checks a document, but no node or report is built.
     """
-    _, frequency_mhz, base_height_m, radio, nodes = _scenario_head(doc)
-    cells = _report_cells(_node_values(nodes, base_height_m), frequency_mhz, base_height_m, radio)
-    _check_unique(cells[::_REPORT_WIDTH])
-    return cells
+    _, frequency_mhz, base_height_m, radio, values = _checked(doc)
+    return _report_cells(values, frequency_mhz, base_height_m, radio)
 
 
 def emit_csv(data) -> str:
@@ -365,14 +406,16 @@ def emit_csv(data) -> str:
     header line alone, as an empty table or JSON array renders.
     """
     if hasattr(data, "rows"):  # a SweepTable
-        return csv_cells(list(chain.from_iterable(data.rows)), SWEEP_COLUMNS, len(SWEEP_COLUMNS))
+        cells = list(chain.from_iterable(data.rows))
+        return render_cells(cells, SWEEP_COLUMNS, len(SWEEP_COLUMNS), "csv")
     # each report's last cell, its error, goes to ``%.0s``, as on the CLI path
-    return csv_cells(list(chain.from_iterable(data)), REPORT_COLUMNS, _REPORT_WIDTH)
+    return render_cells(list(chain.from_iterable(data)), REPORT_COLUMNS, _REPORT_WIDTH, "csv")
 
 
 def emit_json(reports: Sequence[NodeReport]) -> str:
     """Render node reports as a JSON array with stable field order."""
-    return json_cells(list(chain.from_iterable(reports)), REPORT_COLUMNS, _REPORT_WIDTH)
+    cells = list(chain.from_iterable(reports))
+    return "".join(_json_blocks([cells], REPORT_COLUMNS, _REPORT_WIDTH))
 
 
 def emit_scenario(scenario: Scenario) -> str:
@@ -386,12 +429,14 @@ def emit_scenario(scenario: Scenario) -> str:
     parse/emit round trip.
 
     Raises:
-        FoliageLinkError: the error ``parse_scenario`` would raise on the
-            text, naming the field, and the node where one is at fault. A
-            NaN is a ``DomainError``, as an infinite value is, and a value
-            that is no JSON number (a ``Decimal``, say) a ``SchemaError``.
+        FoliageLinkError: a ``SchemaError`` naming the type of a
+            ``scenario`` that is no ``Scenario``, else the error
+            ``parse_scenario`` would raise on the text, naming the field,
+            and the node where one is at fault. A NaN is a ``DomainError``,
+            as an infinite value is, and a value that is no JSON number (a
+            ``Decimal``, say) a ``SchemaError``.
     """
-    doc = _record_doc(scenario, list(map(_node_object, scenario.nodes)))
-    _, _, base_height_m, _, raw_nodes = _scenario_head(doc)
-    _check_unique([values[0] for values in _node_values(raw_nodes, base_height_m)])
+    doc = _record_doc(scenario)
+    doc["nodes"] = list(map(_node_object, doc["nodes"]))
+    _checked(doc)
     return json.dumps(doc, indent=2, allow_nan=False)

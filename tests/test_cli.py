@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,10 @@ import pytest
 
 from foliage_link import FoliageLinkError, LinkGeometry, SweepSpec, SweepVariable, cli
 from foliage_link import parse_scenario
+from foliage_link import scenario as scenario_module
 from foliage_link.cli import run
+from foliage_link.render import render_cells
+from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
 
 import argv_check
 import render_digest
@@ -1098,6 +1102,98 @@ class TestRenderDigest:
     def test_digest_of_300_points(self):
         digests = dict(render_digest.digest(300))
         assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
+
+
+class TestScenarioBlocks:
+    """``scenario`` checks the whole document, then evaluates, renders and writes it
+    ``scenario._BLOCK_ROWS`` nodes at a time: where a block ends changes no byte, and no
+    byte is written, nor ``--out`` opened, before every node is checked."""
+
+    @pytest.mark.parametrize("nodes", [0, 1, 13, 300])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_block_edges_change_no_byte(self, tmp_path, monkeypatch, rows, nodes):
+        """``render_digest``'s documents: ids that CSV quotes and JSON escapes, error rows."""
+        path = tmp_path / "scenario.json"
+        text = json.dumps(render_digest._scenario(random.Random(nodes), nodes))
+        path.write_text(text, encoding="utf-8")
+        target = tmp_path / "out"
+        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", rows)
+        for fmt in ("table", "csv", "json"):
+            cells = scenario_module._scenario_cells(scenario_module._load(text))
+            one_block = render_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, fmt)
+            code = run(["scenario", "--file", str(path), "--format", fmt, "--out", str(target)])
+            assert (code, target.read_bytes()) == (0, one_block.encode("utf-8")), fmt
+
+    def test_blocks_hold_block_rows_nodes(self, monkeypatch):
+        doc = render_digest._scenario(random.Random(13), 13)
+        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 7)
+        blocks = list(scenario_module._scenario_blocks(doc))
+        assert [len(block) for block in blocks] == [7 * _REPORT_WIDTH, 6 * _REPORT_WIDTH]
+        assert blocks[0] + blocks[1] == scenario_module._scenario_cells(doc)
+
+    def test_digest_of_300_points_in_blocks_of_7(self, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 7)
+        digests = dict(render_digest.digest(300))
+        assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
+
+    LAST_NODES = {
+        "out of domain": {"id": "last", "d_km": 2.0, "delta": 1.5},
+        "repeated id": {"id": "n1", "d_km": 3.0, "h_f_m": 9.0},
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("last", sorted(LAST_NODES))
+    def test_bad_last_node_writes_nothing(self, capsys, tmp_path, monkeypatch, last, fmt):
+        """The bad node sits past the first block: its error still comes before any byte."""
+        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
+        nodes = [{"id": f"n{i}", "d_km": 2.0, "delta": 0.5} for i in range(5)]
+        path = TestScenarioCommand().make_file(tmp_path, [*nodes, self.LAST_NODES[last]])
+        with pytest.raises(FoliageLinkError) as raised:
+            parse_scenario(Path(path).read_text(encoding="utf-8"))
+        message = {"out of domain": "node 'last': delta must lie in [0, 1], got 1.5",
+                   "repeated id": "scenario: duplicate node id 'n1'"}[last]
+        assert str(raised.value) == message
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old bytes\n")
+        argv = ["scenario", "--file", path, "--format", fmt]
+        assert invoke(capsys, *argv, "--out", str(target)) == (1, "", f"error: {message}\n")
+        assert target.read_bytes() == b"old bytes\n"
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_out_over_its_own_file(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
+        nodes = [{"id": f"n{i}", "d_km": 1.0 + i, "delta": 0.1 * i} for i in range(5)]
+        path = TestScenarioCommand().make_file(tmp_path, nodes)
+        argv = ["scenario", "--file", path, "--format", fmt]
+        code, report, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert invoke(capsys, *argv, "--out", path) == (0, "", "")
+        assert Path(path).read_bytes() == report.encode("utf-8")
+
+    def test_out_opens_at_the_first_piece(self, tmp_path):
+        target = tmp_path / "out"
+
+        def pieces():
+            assert not target.exists()
+            yield "head\n"
+            assert target.read_bytes() == b"head\n"
+            yield "rows\n"
+
+        cli._write_out(pieces(), str(target))
+        assert target.read_bytes() == b"head\nrows\n"
+
+    def test_failure_after_the_first_piece_keeps_what_was_written(self, tmp_path):
+        target = tmp_path / "out"
+        target.write_bytes(b"old bytes\n")
+
+        def pieces():
+            yield "head\n"
+            raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            cli._write_out(pieces(), str(target))
+        assert target.read_bytes() == b"head\n"
 
 
 class TestWorkCount:

@@ -538,6 +538,35 @@ class TestEmitJson:
         assert objects[0]["margin_db"] == reports[0].margin_db
 
 
+class TestWrongTypes:
+    """An entry given a value of the wrong type raises a named error that names the type."""
+
+    CALLS = {
+        "parse_scenario(None)": (
+            lambda: parse_scenario(None), ParseError, "scenario text must be a str, got NoneType"),
+        # json.loads would read bytes; the entry takes a str alone
+        "parse_scenario(bytes)": (
+            lambda: parse_scenario(scenario_doc().encode()), ParseError,
+            "scenario text must be a str, got bytes"),
+        "evaluate_scenario({})": (
+            lambda: evaluate_scenario({}), SchemaError, "scenario must be a Scenario, got dict"),
+        "evaluate_scenario(None)": (
+            lambda: evaluate_scenario(None), SchemaError,
+            "scenario must be a Scenario, got NoneType"),
+        "emit_scenario({})": (
+            lambda: emit_scenario({}), SchemaError, "scenario must be a Scenario, got dict"),
+        "emit_scenario('x')": (
+            lambda: emit_scenario("x"), SchemaError, "scenario must be a Scenario, got str"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_raises_a_named_error(self, call):
+        function, error, message = self.CALLS[call]
+        with pytest.raises(error) as raised:
+            function()
+        assert str(raised.value) == message
+
+
 class TestScenarioRoundTrip:
     def test_emit_parse_fixed_point(self):
         scenario = parse_scenario(scenario_doc([
