@@ -16,15 +16,16 @@ error of ``run``'s own, and refuses an argument that subcommand lacks,
 which the full parser would refuse under the top-level usage line.
 
 Output goes out as text pieces through one sink, ``_write_out``: a
-one-record command's text is one piece; a sweep's is the header, its rows
-and JSON's ``]``; a scenario's is the header, then one piece per block of
-``scenario._BLOCK_ROWS`` nodes, each evaluated and rendered only when the
-piece before it is written. The scenario is checked whole before the
-first piece, so every model error comes before any output. Each piece goes
-out in slices of about 1 MB: to stdout as text, to ``--out`` as UTF-8
-bytes through one file descriptor, opened only once the first piece is
-ready. After that only I/O can fail, and a failed write leaves the file
-holding what was written before it.
+one-record command's text is one piece; a sweep's and a scenario's are the
+header, then one piece per block of ``sweep._BLOCK_ROWS`` points or nodes,
+each evaluated and rendered only when the piece before it is written, and
+JSON's ``]``. Every model error comes before the first piece: a scenario
+is checked whole, and a sweep at its shortest free-space segment, where a
+point fails if any does (``sweep._sweep_blocks``). Each piece goes out
+whole: to stdout as text, to ``--out`` as UTF-8 bytes through one file
+descriptor, opened only once the first piece is ready. After that only I/O
+can fail, and a failed write leaves the file holding what was written
+before it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import functools
 import os
 import re
 import sys
+from itertools import chain
 from math import isfinite
 from operator import attrgetter
 
@@ -48,7 +50,7 @@ from .propagation import (
 )
 from .render import render, render_blocks
 from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _load, _scenario_blocks
-from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_cells, preset
+from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_blocks, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
 from .sweep import run_sweep  # noqa: F401
@@ -304,9 +306,8 @@ def _run_sweep_cmd(args: argparse.Namespace):
         if f_mhz is None:
             raise _UsageError("--f-mhz is required here")
         spec = SweepSpec(variable, args.stop, args.steps, base, f_mhz)
-    cells, fixed = _sweep_cells(spec)
-    width = len(SWEEP_COLUMNS) - len(fixed)
-    return render_blocks([cells], SWEEP_COLUMNS, width, args.format, fixed)
+    fixed, blocks = _sweep_blocks(spec)
+    return render_blocks(blocks, SWEEP_COLUMNS, len(SWEEP_COLUMNS) - len(fixed), args.format, fixed)
 
 
 def _run_budget(args: argparse.Namespace) -> str:
@@ -351,48 +352,25 @@ def _run_bounds(args: argparse.Namespace) -> str:
     return render(bounds, bounds._fields, args.format)
 
 
-#: characters per output slice: about 1 MB of UTF-8
-_SLICE = 1 << 20
-
-
-def _slices(text: str):
-    return (text[start:start + _SLICE] for start in range(0, len(text), _SLICE))
-
-
-def _write_all(write, text: str) -> None:
-    """Write ``text`` as UTF-8 through the raw ``write`` function, one slice at a time.
-
-    A raw write may take fewer bytes than it is given; the rest is written
-    again until none is left.
-    """
-    for part in _slices(text):
-        data = memoryview(part.encode("utf-8"))
-        while data:
-            data = data[write(data):]
-
-
 def _write_out(pieces, path: str | None) -> None:
-    """Write the text ``pieces`` in order, to stdout, or as UTF-8 to the file ``path``.
+    """Write the text ``pieces`` in order, each whole, to stdout, or as UTF-8 to the file ``path``.
 
-    Each piece goes out in slices of about 1 MB. ``path`` is opened, as one
-    bare descriptor, only once the first piece is ready, so an error raised
-    before it leaves an existing file as it was.
+    ``path`` is opened, as one bare descriptor, only once the first piece is
+    ready, so an error raised before it leaves an existing file as it was.
     """
     if path is None:
-        for piece in pieces:
-            for part in _slices(piece):
-                sys.stdout.write(part)
+        sys.stdout.writelines(pieces)
         return
     pieces = iter(pieces)
-    piece = next(pieces, "")
+    first = next(pieces, "")
     # a bare descriptor: a file object costs more to set up than a small
     # output costs to write, and raises the same OSError
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        write = functools.partial(os.write, fd)
-        _write_all(write, piece)
-        for piece in pieces:
-            _write_all(write, piece)
+        for piece in chain((first,), pieces):
+            data = memoryview(piece.encode("utf-8"))
+            while data:  # a raw write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
     finally:
         os.close(fd)
 

@@ -3,10 +3,10 @@
 The caller names the columns, in output order, as they are printed, and
 gives the cells in that order. ``render`` writes one row as a key/value
 table, a one-row CSV or a JSON object; ``render_blocks`` writes rows given
-block by block, each block one flat list of cells, as the pieces of a
-column table, a CSV or a JSON array (indent 2), and ``render_cells`` joins
-its pieces for one block. CSV is a header line plus one line per row
-either way.
+block by block, each block one flat list of cells (the CLI's sweeps and
+scenarios, ``sweep._BLOCK_ROWS`` rows each), as the pieces of a column
+table, a CSV or a JSON array (indent 2), and ``render_cells`` joins its
+pieces for one block. CSV is a header line plus one line per row either way.
 
 Cell rules, table / CSV / JSON:
 

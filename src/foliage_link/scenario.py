@@ -10,10 +10,11 @@ One rule set checks a document and a hand-built ``Scenario`` alike:
 ``_checked`` runs ``_node_values`` over every node, a JSON object or a
 ``ScenarioNode``, to its ``(id, d_km, h_f_m, delta)``, then checks the ids,
 and ``_report_cells`` evaluates those values to one flat list of report
-cells, checking nothing. ``parse_scenario`` and ``evaluate_scenario`` build
-their records from them. For the CLI, ``_scenario_blocks`` checks the whole
-document first and then evaluates ``_BLOCK_ROWS`` nodes at a time, so the
-cells are rendered and written block by block with no record built.
+cells, checking nothing. ``_scenario_blocks`` checks the whole document
+first and then evaluates ``sweep._BLOCK_ROWS`` nodes at a time:
+``evaluate_scenario`` builds its records from those blocks, and the CLI
+renders and writes them block by block with no record built.
+``parse_scenario`` builds its records from the checked values.
 ``emit_scenario`` checks the dict it writes by the same rules, and reads
 no text back.
 """
@@ -41,6 +42,7 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
+from . import sweep
 from .render import _json_blocks, render_cells
 from .sweep import SWEEP_COLUMNS
 
@@ -259,12 +261,20 @@ def _record_doc(scenario: Scenario) -> dict:
     """A ``Scenario`` as the document ``_scenario_head`` checks, its nodes in a new list.
 
     Raises:
-        SchemaError: ``scenario`` is no ``Scenario``; the message names its type.
+        SchemaError: ``scenario`` is no ``Scenario``, or its ``radio`` or
+            ``nodes`` is not iterable; the message names the type.
     """
     if not isinstance(scenario, Scenario):
         raise SchemaError(f"scenario must be a Scenario, got {type(scenario).__name__}")
-    radio = dict(zip(_RADIO_KEYS, scenario.radio))
-    return {**scenario._asdict(), "radio": radio, "nodes": list(scenario.nodes)}
+    doc = scenario._asdict()
+    for key in ("radio", "nodes"):
+        try:
+            iter(doc[key])
+        except TypeError:
+            raise SchemaError(
+                f"scenario: field '{key}' must be iterable, got {type(doc[key]).__name__}"
+            ) from None
+    return {**doc, "radio": dict(zip(_RADIO_KEYS, doc["radio"])), "nodes": list(doc["nodes"])}
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -363,39 +373,25 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
             JSON text, first error first: a non-string or repeated id among
             them.
     """
-    cells = _scenario_cells(_record_doc(scenario))
-    return list(map(NodeReport._make, zip(*[iter(cells)] * _REPORT_WIDTH)))
-
-
-#: nodes per block of ``_scenario_blocks``: the CLI evaluates, renders and
-#: writes a scenario this many nodes at a time
-_BLOCK_ROWS = 4096
+    cells = chain.from_iterable(_scenario_blocks(_record_doc(scenario)))
+    return list(map(NodeReport._make, zip(*[cells] * _REPORT_WIDTH)))
 
 
 def _scenario_blocks(doc: object):
-    """Every node's report cells, one flat list per block of ``_BLOCK_ROWS`` nodes.
+    """Every node's report cells, ``NodeReport``'s fields node after node, one flat list per
+    block of ``sweep._BLOCK_ROWS`` nodes.
 
-    ``doc`` is a document's JSON value, checked whole, as ``parse_scenario``
-    checks a document, before this returns: iterating the blocks raises
-    nothing, so no model error can follow the first output byte.
+    ``doc`` is a document's JSON value or a ``_record_doc``, checked whole,
+    as ``parse_scenario`` checks a document, before this returns: iterating
+    the blocks raises nothing, so no model error can follow the first
+    output byte.
     """
     _, frequency_mhz, base_height_m, radio, values = _checked(doc)
-    size = _BLOCK_ROWS
+    size = sweep._BLOCK_ROWS
     return (
         _report_cells(values[start:start + size], frequency_mhz, base_height_m, radio)
         for start in range(0, len(values), size)
     )
-
-
-def _scenario_cells(doc: object) -> list:
-    """Every node's report cells, ``NodeReport``'s fields node after node, as one flat list:
-    ``_scenario_blocks``' one block.
-
-    ``doc`` is a document's JSON value or a ``_record_doc``, checked as
-    ``parse_scenario`` checks a document, but no node or report is built.
-    """
-    _, frequency_mhz, base_height_m, radio, values = _checked(doc)
-    return _report_cells(values, frequency_mhz, base_height_m, radio)
 
 
 def emit_csv(data) -> str:

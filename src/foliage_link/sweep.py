@@ -8,13 +8,13 @@ value lives, and runs to its ``stop``. Every point stops short of full
 cover, where the free-space term is singular, and nothing else bounds a
 sweep. Presets regenerate the bundled reference scenarios.
 
-One loop per swept variable, in ``_sweep_cells``, evaluates the grid
-straight into one flat list of cells, with no per-point record. It leaves
-out the columns the swept variable cannot change and returns them once:
-a frequency sweep's cover factor, segment lengths, regime and validity,
-and a distance sweep's cover factor. The CLI renders those cells, each
-fixed column formatted once; ``run_sweep`` builds its ``SweepRow``s from
-them.
+One loop per swept variable, in ``_block``, evaluates grid points straight
+into one flat list of cells, with no per-point record, and leaves out the
+columns the swept variable cannot change. ``_sweep_blocks`` returns those
+once, after checking the one point that fails if any does, and runs the
+loop ``_BLOCK_ROWS`` points at a time. The CLI renders and writes each
+block as it comes, the fixed columns formatted once; ``run_sweep`` builds
+its ``SweepRow``s from them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import operator
 from enum import Enum
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset, _checked_as
@@ -44,10 +44,9 @@ from .propagation import (
 _LinkGeometry = LinkGeometry
 
 
-#: the most points one sweep evaluates: 100 times a 100k-point sweep. Its output
-#: is built in memory, linear in the points: a fresh process running a 1M-point
-#: cover-factor sweep peaks at 578 MB resident for CSV and 875 MB for JSON
-#: (Python 3.11.7), so the cap admits several GB.
+#: the most points one sweep evaluates: 100 times a 100k-point sweep. A sweep
+#: streams in blocks, so a fresh process peaks at 20-25 MB resident for 1M or
+#: 10M points, in CSV and JSON alike (Python 3.11.7); the cap bounds the time.
 MAX_STEPS = 10_000_000
 
 
@@ -171,8 +170,9 @@ class SweepTable(NamedTuple):
     rows: list[SweepRow]
 
 
-def _grid(start: float, stop: float, steps: int) -> list[float]:
-    """``steps`` evenly spaced values from ``start`` to ``stop``, as ``numpy.linspace``.
+def _grid(start: float, stop: float, steps: int):
+    """``steps`` evenly spaced values from ``start`` to ``stop``, as ``numpy.linspace``, each
+    made as it is read.
 
     Each value is ``start + i * step`` and the last is ``stop``, which
     matches numpy bit for bit. Where the step underflows to 0 (a span of a
@@ -183,66 +183,90 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
     span = stop - start
     step = span / div
     if step == 0.0:
-        grid = [start + (i / div) * span for i in range(div)]
+        offsets = map(operator.mul, map(operator.truediv, range(div), repeat(div)), repeat(span))
     else:
-        grid = [start + i * step for i in range(div)]
-    grid.append(stop)
-    return grid
+        offsets = map(operator.mul, range(div), repeat(step))
+    return chain(map(operator.add, repeat(start), offsets), (stop,))
 
 
-def _sweep_cells(spec: SweepSpec) -> tuple[list, dict]:
-    """The sweep's rows as one flat list of cells, and the columns it holds fixed.
+#: points per block of ``_sweep_blocks``, and nodes per block of
+#: ``scenario._scenario_blocks``; each reads it when it is called
+_BLOCK_ROWS = 4096
 
-    A row holds ``SweepRow``'s fields in order, less those the spec holds
-    fixed, which come back once as a field name -> value map: in a
-    frequency sweep the cover factor, both segment lengths, the regime and
-    the validity; in a distance sweep the cover factor. In a cover-factor
-    sweep a row's ``delta`` cell is its ``x`` cell, one float object, which
-    the writers find and format once for both. Every point is one
-    ``_LossCore.at`` call. An error is re-raised annotated with the
-    offending x. ``spec`` checked every swept value.
+
+def _block(spec: SweepSpec, xs) -> list:
+    """The cells of the sweep's points ``xs``, one flat list of rows, each ``SweepRow``'s fields
+    less those ``_sweep_blocks`` holds fixed: one ``_LossCore.at`` call per point.
+
+    A cover-factor sweep's ``delta`` cell is its ``x`` cell, one float
+    object, which the writers format once for both. An error is re-raised
+    annotated with the offending x.
     """
-    grid = _grid(spec.start, spec.stop, spec.steps)
-    variable, base = spec.variable, spec.base
+    variable, _, _, base, f_mhz = spec
     cells: list = []
-    fixed: dict = {}
     append = cells.append
-    x = grid[0]  # the point an error from building the core is reported at
     try:
         if variable is SweepVariable.FREQUENCY_MHZ:
             d_km, delta = base.d_km, base.effective_delta
-            for x in grid:
-                d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(x).at(
-                    d_km, delta
-                )
+            for x in xs:
+                _, _, l_foliage, l_fsp, l_total, _, _ = _LossCore(x).at(d_km, delta)
                 cells += (x, l_foliage, l_fsp, l_total)
-            # the split, and so the foliage branch, does not depend on the frequency
-            fixed = {"delta": delta, "d_f_m": d_f_m, "d_fsp_m": d_fsp_m,
-                     "regime": regime, "validity": validity}
         else:
-            at = _LossCore(spec.f_mhz).at
+            at = _LossCore(f_mhz).at
             if variable is SweepVariable.DELTA:
                 d_km = base.d_km
-                for x in grid:
+                for x in xs:
                     append(x)
                     append(x)
                     cells += at(d_km, x)
             elif variable is SweepVariable.FOLIAGE_HEIGHT:
                 d_km, h_m = base.d_km, base.h_m
-                for x in grid:
+                for x in xs:
                     delta = x / h_m  # as LinkGeometry.effective_delta derives it
                     append(x)
                     append(delta)
                     cells += at(d_km, delta)
             else:  # DISTANCE
                 delta = base.effective_delta
-                fixed = {"delta": delta}
-                for x in grid:
+                for x in xs:
                     append(x)
                     cells += at(x, delta)
     except FoliageLinkError as exc:
         raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
-    return cells, fixed
+    return cells
+
+
+def _sweep_blocks(spec: SweepSpec) -> tuple[dict, object]:
+    """The columns the sweep holds fixed, as a name -> value map, and its cells, one flat
+    list per block of ``_BLOCK_ROWS`` points (``_block``).
+
+    A frequency sweep holds its cover factor, segment lengths, regime and
+    validity fixed, and a distance sweep its cover factor. A point fails
+    only where its free-space segment rounds to 0, and the segment shrinks
+    along a cover-factor or foliage-height grid, grows along a distance
+    grid and is one length in a frequency sweep. So the point of the
+    shortest is evaluated first, and only if it fails are the points run in
+    order, to raise the first failure: the blocks raise nothing, and no
+    model error can follow the first output byte.
+    """
+    variable, stop, steps, base, f_mhz = spec
+    size = _BLOCK_ROWS
+    grid = _grid(spec.start, stop, steps)
+    blocks = (_block(spec, islice(grid, size)) for _ in range(0, steps, size))
+    shrinks = variable in (SweepVariable.DELTA, SweepVariable.FOLIAGE_HEIGHT)
+    try:
+        _block(spec, (stop if shrinks else spec.start,))
+    except FoliageLinkError:
+        for _ in blocks:  # raises at the first point that fails
+            pass
+        raise
+    if variable is SweepVariable.FREQUENCY_MHZ:
+        delta = base.effective_delta
+        # the split, and so the foliage branch, does not depend on the frequency
+        d_f_m, d_fsp_m, _, _, _, regime, validity = _LossCore(f_mhz).at(base.d_km, delta)
+        return {"delta": delta, "d_f_m": d_f_m, "d_fsp_m": d_fsp_m,
+                "regime": regime, "validity": validity}, blocks
+    return ({"delta": base.effective_delta} if variable is SweepVariable.DISTANCE else {}), blocks
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -250,11 +274,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Rows come back sorted by the swept value. Any propagation error is
     re-raised annotated with the offending x. The rows are built from
-    ``_sweep_cells``, the loop the CLI renders from.
+    ``_sweep_blocks``, which the CLI renders from.
     """
-    cells, fixed = _sweep_cells(spec)
+    fixed, blocks = _sweep_blocks(spec)
     # zip takes a row's fields in order, so each varying one is the next cell
-    cell = iter(cells)
+    cell = chain.from_iterable(blocks)
     columns = [repeat(fixed[name]) if name in fixed else cell for name in SweepRow._fields]
     # tuple.__new__ is SweepRow's own constructor, less a Python call frame per row
     rows = list(map(partial(tuple.__new__, SweepRow), zip(*columns)))

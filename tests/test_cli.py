@@ -17,12 +17,16 @@ import pytest
 from foliage_link import FoliageLinkError, LinkGeometry, SweepSpec, SweepVariable, cli
 from foliage_link import parse_scenario
 from foliage_link import scenario as scenario_module
+from foliage_link import sweep as sweep_module
 from foliage_link.cli import run
-from foliage_link.render import render_cells
+from foliage_link.render import render_blocks, render_cells
 from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
+from foliage_link.sweep import SWEEP_COLUMNS
 
 import argv_check
 import render_digest
+
+FORMATS = ("table", "csv", "json")
 
 TOTAL_D2_DELTA0 = 106.07482474751174
 TOTAL_D2_DELTA095 = 224.51127789911881
@@ -707,25 +711,29 @@ class TestOutputFile:
                                 *BUDGET_RADIO, "--format", "json", "--out", str(path))
         assert (code, out, err) == (1, "", f"error: {raised.value}\n")
 
-    def test_out_longer_than_one_slice_matches_stdout(self, capsys, tmp_path):
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_out_of_many_blocks_matches_stdout(self, capsys, tmp_path, fmt):
+        """12,000 points go out in three blocks of ``sweep._BLOCK_ROWS``, to stdout and to
+        ``--out`` alike."""
+        assert 2 * sweep_module._BLOCK_ROWS < 12000 <= 3 * sweep_module._BLOCK_ROWS
         argv = ["sweep", "--var", "distance", "--start", "0.1", "--stop", "20", "--steps",
-                "12000", "--delta", "0.3", "--f-mhz", "868", "--format", "csv"]
+                "12000", "--delta", "0.3", "--f-mhz", "868", "--format", fmt]
         code, text, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
-        assert len(text) > 1.05 * cli._SLICE
-        target = tmp_path / "sweep.csv"
+        assert (len(json.loads(text)) if fmt == "json" else text.count("\n") - 1) == 12000
+        target = tmp_path / "sweep.out"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == text.encode("utf-8")
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])  # JSON escapes non-ASCII text
-    def test_slices_of_multibyte_text(self, capsys, tmp_path, monkeypatch, fmt):
-        """Text written slice by slice, each slice encoded alone, changes no byte."""
+    def test_multibyte_text_across_block_edges(self, capsys, tmp_path, monkeypatch, fmt):
+        """Blocks of 2 nodes, each piece encoded alone, change no byte of multibyte ids."""
         nodes = [{"id": f"é✓€𝄞{i}", "d_km": 2.0, "delta": 0.5} for i in range(5)]
         path = TestScenarioCommand().make_file(tmp_path, nodes)
         argv = ["scenario", "--file", path, "--format", fmt]
         text = invoke(capsys, *argv)[1]
         assert "é✓€𝄞4" in text
-        monkeypatch.setattr(cli, "_SLICE", 7)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
         assert invoke(capsys, *argv)[1] == text
         target = tmp_path / "out.txt"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
@@ -742,22 +750,17 @@ class TestOutputFile:
         rows = list(csv.DictReader(io.StringIO(target.read_text(encoding="utf-8"))))
         assert [row["id"] for row in rows] == ids
 
-    def test_short_writes_lose_no_byte(self, monkeypatch):
-        class Trickle:
-            """A raw file that takes at most three bytes per write."""
-
-            def __init__(self):
-                self.data = bytearray()
-
-            def write(self, data):
-                self.data += data[:3]
-                return len(data[:3])
-
-        text = "".join(f"é✓€𝄞 {i}\n" for i in range(50))
-        monkeypatch.setattr(cli, "_SLICE", 16)
-        raw = Trickle()
-        cli._write_all(raw.write, text)
-        assert bytes(raw.data) == text.encode("utf-8")
+    def test_short_writes_lose_no_byte(self, tmp_path, monkeypatch):
+        """Block pieces of multibyte text, each written through a descriptor that takes at
+        most three bytes per write."""
+        write = os.write
+        monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:3]))
+        cells = [f"é✓€𝄞 {i}" for i in range(50)]
+        pieces = list(render_blocks([cells[:20], cells[20:]], ("id",), 1, "csv"))
+        assert len(pieces) == 3
+        target = tmp_path / "out.csv"
+        cli._write_out(pieces, str(target))
+        assert target.read_bytes() == "".join(pieces).encode("utf-8")
 
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])  # JSON escapes non-ASCII text
@@ -1106,8 +1109,15 @@ class TestRenderDigest:
 
 class TestScenarioBlocks:
     """``scenario`` checks the whole document, then evaluates, renders and writes it
-    ``scenario._BLOCK_ROWS`` nodes at a time: where a block ends changes no byte, and no
+    ``sweep._BLOCK_ROWS`` nodes at a time: where a block ends changes no byte, and no
     byte is written, nor ``--out`` opened, before every node is checked."""
+
+    @staticmethod
+    def one_block(doc) -> list:
+        """The document's report cells at the default block size: one block, or none."""
+        blocks = list(scenario_module._scenario_blocks(doc))
+        assert len(blocks) <= 1
+        return blocks[0] if blocks else []
 
     @pytest.mark.parametrize("nodes", [0, 1, 13, 300])
     @pytest.mark.parametrize("rows", [1, 2, 7])
@@ -1117,22 +1127,23 @@ class TestScenarioBlocks:
         text = json.dumps(render_digest._scenario(random.Random(nodes), nodes))
         path.write_text(text, encoding="utf-8")
         target = tmp_path / "out"
-        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", rows)
-        for fmt in ("table", "csv", "json"):
-            cells = scenario_module._scenario_cells(scenario_module._load(text))
-            one_block = render_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, fmt)
+        one_block = {fmt: render_cells(self.one_block(scenario_module._load(text)),
+                                       REPORT_COLUMNS, _REPORT_WIDTH, fmt) for fmt in FORMATS}
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+        for fmt in FORMATS:
             code = run(["scenario", "--file", str(path), "--format", fmt, "--out", str(target)])
-            assert (code, target.read_bytes()) == (0, one_block.encode("utf-8")), fmt
+            assert (code, target.read_bytes()) == (0, one_block[fmt].encode("utf-8")), fmt
 
     def test_blocks_hold_block_rows_nodes(self, monkeypatch):
         doc = render_digest._scenario(random.Random(13), 13)
-        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 7)
+        cells = self.one_block(doc)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
         blocks = list(scenario_module._scenario_blocks(doc))
         assert [len(block) for block in blocks] == [7 * _REPORT_WIDTH, 6 * _REPORT_WIDTH]
-        assert blocks[0] + blocks[1] == scenario_module._scenario_cells(doc)
+        assert blocks[0] + blocks[1] == cells
 
     def test_digest_of_300_points_in_blocks_of_7(self, monkeypatch):
-        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
         digests = dict(render_digest.digest(300))
         assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
 
@@ -1145,7 +1156,7 @@ class TestScenarioBlocks:
     @pytest.mark.parametrize("last", sorted(LAST_NODES))
     def test_bad_last_node_writes_nothing(self, capsys, tmp_path, monkeypatch, last, fmt):
         """The bad node sits past the first block: its error still comes before any byte."""
-        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
         nodes = [{"id": f"n{i}", "d_km": 2.0, "delta": 0.5} for i in range(5)]
         path = TestScenarioCommand().make_file(tmp_path, [*nodes, self.LAST_NODES[last]])
         with pytest.raises(FoliageLinkError) as raised:
@@ -1162,7 +1173,7 @@ class TestScenarioBlocks:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_out_over_its_own_file(self, capsys, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(scenario_module, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
         nodes = [{"id": f"n{i}", "d_km": 1.0 + i, "delta": 0.1 * i} for i in range(5)]
         path = TestScenarioCommand().make_file(tmp_path, nodes)
         argv = ["scenario", "--file", path, "--format", fmt]
@@ -1194,6 +1205,92 @@ class TestScenarioBlocks:
         with pytest.raises(OSError, match="no space left"):
             cli._write_out(pieces(), str(target))
         assert target.read_bytes() == b"head\n"
+
+
+SWEEP_ARGV = {
+    "delta": ["--var", "delta", "--start", "0.1", "--stop", "0.95", "--steps", "30",
+              "--d-km", "2", "--f-mhz", "2400"],
+    "foliage-height": ["--var", "foliage-height", "--start", "0", "--stop", "29", "--steps",
+                       "30", "--d-km", "2", "--h-m", "30", "--f-mhz", "2400"],
+    "distance": ["--var", "distance", "--start", "0.05", "--stop", "20", "--steps", "30",
+                 "--delta", "0.3", "--f-mhz", "868"],
+    "frequency-mhz": ["--var", "frequency-mhz", "--start", "400", "--stop", "6000", "--steps",
+                      "30", "--d-km", "2", "--delta", "0.5"],
+}
+
+
+class TestSweepBlocks:
+    """``sweep`` evaluates, renders and writes ``sweep._BLOCK_ROWS`` points at a time, after
+    checking the one point that fails if any does: where a block ends changes no byte, and a
+    sweep that fails writes nothing."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("variable", sorted(SWEEP_ARGV))
+    def test_block_edges_change_no_byte(self, capsys, monkeypatch, variable, fmt):
+        argv = ["sweep", *SWEEP_ARGV[variable], "--format", fmt]
+        code, one_block, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        for rows in (1, 2, 7):
+            monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+            assert invoke(capsys, *argv) == (0, one_block, ""), rows
+
+    SPECS = {
+        "delta": SweepSpec("delta", 0.95, 30, LinkGeometry(2.0, delta=0.1), 2400.0),
+        "foliage_height": SweepSpec("foliage_height", 29.0, 30,
+                                    LinkGeometry(2.0, h_m=30.0, h_f_m=0.0), 2400.0),
+        "distance": SweepSpec("distance", 20.0, 30, LinkGeometry(0.05, delta=0.3), 868.0),
+        "frequency_mhz": SweepSpec("frequency_mhz", 6000.0, 30, LinkGeometry(2.0, delta=0.5),
+                                   400.0),
+    }
+
+    @pytest.mark.parametrize("variable", sorted(SPECS))
+    def test_blocks_hold_block_rows_points(self, monkeypatch, variable):
+        spec = self.SPECS[variable]
+        fixed, (one_block,) = sweep_module._sweep_blocks(spec)
+        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
+        fixed_in_blocks, blocks = sweep_module._sweep_blocks(spec)
+        blocks = list(blocks)
+        width = len(SWEEP_COLUMNS) - len(fixed)
+        assert fixed_in_blocks == fixed
+        assert [len(block) for block in blocks] == [7 * width] * 4 + [2 * width]
+        assert sum(blocks, []) == one_block
+
+    #: a failing sweep's argv and message, as the sweep built whole gave it: the first point
+    #: fails in the distance and frequency sweeps, a middle one in the other two
+    FAILING = {
+        "delta": (["--var", "delta", "--start", "0", "--stop", "0.95", "--steps", "100",
+                   "--d-km", "5e-324", "--f-mhz", "2400"],
+                  "delta sweep failed at x = 0.5085858585858586: d_km=5e-324 at "
+                  "delta=0.5085858585858586 leaves a free-space segment of 0 km"),
+        "foliage-height": (["--var", "foliage-height", "--start", "0", "--stop", "29",
+                            "--steps", "50", "--d-km", "5e-324", "--h-m", "30",
+                            "--f-mhz", "2400"],
+                           "foliage_height sweep failed at x = 15.387755102040817: d_km=5e-324 "
+                           "at delta=0.5129251700680272 leaves a free-space segment of 0 km"),
+        "distance": (["--var", "distance", "--start", "5e-324", "--stop", "1", "--steps", "10",
+                      "--delta", "0.5", "--f-mhz", "868"],
+                     "distance sweep failed at x = 5e-324: d_km=5e-324 at delta=0.5 leaves a "
+                     "free-space segment of 0 km"),
+        "frequency-mhz": (["--var", "frequency-mhz", "--start", "400", "--stop", "6000",
+                           "--steps", "10", "--d-km", "5e-324", "--delta", "0.5"],
+                          "frequency_mhz sweep failed at x = 400.0: d_km=5e-324 at delta=0.5 "
+                          "leaves a free-space segment of 0 km"),
+    }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("rows", [1, 2, 7, None])
+    @pytest.mark.parametrize("variable", sorted(FAILING))
+    def test_failing_sweep_writes_nothing(self, capsys, tmp_path, monkeypatch, variable, rows,
+                                          fmt):
+        if rows is not None:
+            monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+        argv, message = self.FAILING[variable]
+        argv = ["sweep", *argv, "--format", fmt]
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old bytes\n")
+        assert invoke(capsys, *argv, "--out", str(target)) == (1, "", f"error: {message}\n")
+        assert target.read_bytes() == b"old bytes\n"
+        assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestWorkCount:
@@ -1229,9 +1326,6 @@ class TestArgvCorpus:
         assert mismatched == []
         if name == "malformed":
             assert accepted == 0
-
-
-FORMATS = ("table", "csv", "json")
 
 
 class TestFastParse:

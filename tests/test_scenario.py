@@ -557,6 +557,16 @@ class TestWrongTypes:
             lambda: emit_scenario({}), SchemaError, "scenario must be a Scenario, got dict"),
         "emit_scenario('x')": (
             lambda: emit_scenario("x"), SchemaError, "scenario must be a Scenario, got str"),
+        # a Scenario whose radio or nodes cannot be iterated, refused before the head's checks
+        "evaluate_scenario(nodes=None)": (
+            lambda: evaluate_scenario(parse_scenario(scenario_doc())._replace(nodes=None)),
+            SchemaError, "scenario: field 'nodes' must be iterable, got NoneType"),
+        "evaluate_scenario(radio=None)": (
+            lambda: evaluate_scenario(parse_scenario(scenario_doc())._replace(radio=None)),
+            SchemaError, "scenario: field 'radio' must be iterable, got NoneType"),
+        "emit_scenario(nodes=5)": (
+            lambda: emit_scenario(parse_scenario(scenario_doc())._replace(nodes=5)),
+            SchemaError, "scenario: field 'nodes' must be iterable, got int"),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

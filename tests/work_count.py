@@ -19,9 +19,11 @@ Python, then one line per op, its name and its count:
   paper's 2 km, 2400 MHz link at delta 0.95), each ``budget --solve``,
   ``bounds``, a 2,000-point sweep of each variable and a 2,000-node
   scenario;
-* ``cli/scenario-blocks/FORMAT``: the same scenario with
-  ``foliage_link.scenario._BLOCK_ROWS`` at 500, so that it goes out in four
-  blocks and the cost of each block shows beside ``cli/scenario/FORMAT``;
+* ``cli/scenario-blocks/FORMAT`` and ``cli/sweep-blocks/FORMAT``: the same
+  scenario, and the 2,000-point cover-factor sweep, with
+  ``foliage_link.sweep._BLOCK_ROWS`` at 500, so that each goes out in four
+  blocks and the cost of a block shows beside ``cli/scenario/FORMAT`` and
+  ``cli/sweep-delta/FORMAT``;
 * ``setup/WORKLOAD``: the set-up op each workload of ``perfbench`` spawns a
   fresh interpreter for, whose CPU time is its ``setup_s``;
 * ``api/NAME``: the scalar API, ``LinkGeometry``, ``total_loss``, the three
@@ -114,8 +116,8 @@ def _scenario(rng, nodes: int) -> dict:
     }
 
 
-#: nodes per block of the ``cli/scenario-blocks/`` ops
-_SCENARIO_BLOCK_ROWS = 500
+#: nodes or points per block of the ``cli/scenario-blocks/`` and ``cli/sweep-blocks/`` ops
+_SMALL_BLOCK_ROWS = 500
 
 
 def _cli_ops(tmp: str):
@@ -151,7 +153,9 @@ def _cli_ops(tmp: str):
         "scenario": ["scenario", "--file", files["scenario"]],
     }
     out = ["--out", os.path.join(tmp, "out")]
-    commands["scenario-blocks"] = commands["scenario"]  # run at _SCENARIO_BLOCK_ROWS by main
+    # run at _SMALL_BLOCK_ROWS by main
+    commands["scenario-blocks"] = commands["scenario"]
+    commands["sweep-blocks"] = commands["sweep-delta"]
     for command, argv in commands.items():
         for fmt in ("table", "csv", "json"):
             yield f"cli/{command}/{fmt}", [*argv, "--format", fmt, *out]
@@ -210,9 +214,9 @@ def main(prefixes: list[str]) -> None:
     import tempfile
     from functools import partial
 
-    from foliage_link import cli, scenario
+    from foliage_link import cli, sweep
 
-    block_rows = scenario._BLOCK_ROWS
+    block_rows = sweep._BLOCK_ROWS
 
     def wanted(name: str) -> bool:
         return not prefixes or name.startswith(tuple(prefixes))
@@ -224,8 +228,8 @@ def main(prefixes: list[str]) -> None:
         ops += _api_ops(os.path.join(tmp, "scenario.json"))
         for name, call in ops:
             if wanted(name):
-                blocks = name.startswith("cli/scenario-blocks/")
-                scenario._BLOCK_ROWS = _SCENARIO_BLOCK_ROWS if blocks else block_rows
+                blocks = name.startswith(("cli/scenario-blocks/", "cli/sweep-blocks/"))
+                sweep._BLOCK_ROWS = _SMALL_BLOCK_ROWS if blocks else block_rows
                 result = call()  # the first call, uncounted
                 if name.startswith(("cli/", "setup/")) and result != 0:
                     sys.exit(f"{name} exited {result}")
