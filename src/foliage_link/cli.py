@@ -1,7 +1,8 @@
 """Command-line frontend: point losses, sweeps, budget solving, scenarios, bounds.
 
 Exit codes: 0 on success, 1 on domain or solver errors (one-line diagnostic
-on stderr), 2 on usage errors.
+on stderr), 2 on usage errors, 130 on an interrupt (one line on stderr),
+141 when the reader of the output goes away first (nothing on stderr).
 
 The grammar is declared once, as data: ``_COMMANDS`` maps each subcommand to
 its help and its ``(flag, add_argument keywords)`` pairs. ``build_parser``
@@ -16,12 +17,13 @@ error of ``run``'s own, and refuses an argument that subcommand lacks,
 which the full parser would refuse under the top-level usage line.
 
 Output goes out as text pieces through one sink, ``_write_out``: a
-one-record command's text is one piece; a sweep's and a scenario's are the
-header, then one piece per block of ``sweep._BLOCK_ROWS`` points or nodes,
-each evaluated and rendered only when the piece before it is written, and
-JSON's ``]``. Every model error comes before the first piece: a scenario
-is checked whole, and a sweep at its shortest free-space segment, where a
-point fails if any does (``sweep._sweep_blocks``). Each piece goes out
+one-record command's text is one piece. A sweep and a scenario each give a
+``render.Batch``, which ``run`` renders in one place: the header, then one
+piece per block of ``render._BLOCK_ROWS`` points or nodes, each evaluated
+and rendered only when the piece before it is written, and JSON's ``]``.
+Every model error comes before the first piece: a scenario is checked
+whole, and a sweep at its shortest free-space segment, where a point fails
+if any does (``sweep._sweep_batch``). Each piece goes out
 whole: to stdout as text, to ``--out`` as UTF-8 bytes through one file
 descriptor, opened only once the first piece is ready. After that only I/O
 can fail, and a failed write leaves the file holding what was written
@@ -35,12 +37,13 @@ import functools
 import os
 import re
 import sys
+from io import IncrementalNewlineDecoder
 from itertools import chain
 from math import isfinite
 from operator import attrgetter
 
 from .budget import RadioConfig, max_foliage_factor, max_foliage_height, max_range
-from .errors import FoliageLinkError, ParseError
+from .errors import FoliageLinkError, ParseError, ScenarioError
 from .propagation import (
     DEFAULT_DELTA_CAP,
     LinkGeometry,
@@ -48,9 +51,9 @@ from .propagation import (
     delta_from_heights,
     total_loss,
 )
-from .render import render, render_blocks
-from .scenario import _REPORT_WIDTH, REPORT_COLUMNS, _load, _scenario_blocks
-from .sweep import SWEEP_COLUMNS, SweepSpec, SweepVariable, _sweep_blocks, preset
+from .render import Batch, render, render_blocks
+from .scenario import _load, _scenario_batch
+from .sweep import SweepSpec, SweepVariable, _sweep_batch, preset
 # not called here; perfbench/spans.py wraps them by these names
 from .scenario import emit_csv, emit_json, evaluate_scenario, parse_scenario  # noqa: F401
 from .sweep import run_sweep  # noqa: F401
@@ -68,6 +71,9 @@ _loss_row = attrgetter(
 )
 
 _SWEEP_VARS = {v.value.replace("_", "-"): v for v in SweepVariable}
+
+#: the most bytes a scenario file may hold: 64 MiB, about 8.5 times the benchmark's 100k nodes
+_MAX_SCENARIO_BYTES = 64 * 1024 * 1024
 
 
 class _UsageError(Exception):
@@ -274,7 +280,7 @@ def _run_loss(args: argparse.Namespace) -> str:
     return render(_loss_row(breakdown), _LOSS_COLUMNS, args.format)
 
 
-def _run_sweep_cmd(args: argparse.Namespace):
+def _run_sweep_cmd(args: argparse.Namespace) -> Batch:
     custom_flags = (args.var, args.start, args.stop, args.steps)
     if args.preset is not None:
         if any(flag is not None for flag in custom_flags):
@@ -306,8 +312,7 @@ def _run_sweep_cmd(args: argparse.Namespace):
         if f_mhz is None:
             raise _UsageError("--f-mhz is required here")
         spec = SweepSpec(variable, args.stop, args.steps, base, f_mhz)
-    fixed, blocks = _sweep_blocks(spec)
-    return render_blocks(blocks, SWEEP_COLUMNS, len(SWEEP_COLUMNS) - len(fixed), args.format, fixed)
+    return _sweep_batch(spec)
 
 
 def _run_budget(args: argparse.Namespace) -> str:
@@ -336,20 +341,35 @@ def _run_budget(args: argparse.Namespace) -> str:
     return render((args.solve, *result), _SOLVE_COLUMNS, args.format)
 
 
-def _run_scenario(args: argparse.Namespace):
-    """The report's text pieces, block by block, once the whole document is checked."""
-    try:
-        with open(args.file, encoding="utf-8") as file:
-            text = file.read()
+def _run_scenario(args: argparse.Namespace) -> Batch:
+    """The report's batch, once the whole document is checked.
+
+    The file is read as bytes, up to one past the cap, and decoded whole: a
+    text read decodes a pipe chunk by chunk, and names a bad byte's offset
+    in its chunk. Line endings are then translated as a text read translates
+    them, by the same decoder, which sets the line and column that a
+    ``ParseError`` names.
+    """
+    with open(args.file, "rb") as file:
+        data = file.read(_MAX_SCENARIO_BYTES + 1)
+    if len(data) > _MAX_SCENARIO_BYTES:
+        raise ScenarioError(f"{args.file}: over the {_MAX_SCENARIO_BYTES}-byte scenario file cap")
+    try:  # the text takes the place of the bytes, which go before the document is built
+        data = IncrementalNewlineDecoder(None, translate=True).decode(data.decode("utf-8"), True)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.file}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
-    blocks = _scenario_blocks(_load(text))  # neither the text nor the document is kept
-    return render_blocks(blocks, REPORT_COLUMNS, _REPORT_WIDTH, args.format)
+    return _scenario_batch(_load(data))  # neither the text nor the document is kept
 
 
 def _run_bounds(args: argparse.Namespace) -> str:
     bounds = delta_bounds(args.delta_min, args.delta_max, args.sigma)
     return render(bounds, bounds._fields, args.format)
+
+
+#: each subcommand's runner: a one-record command's gives its text, a sweep's or a scenario's
+#: its batch
+_RUNS = {"loss": _run_loss, "sweep": _run_sweep_cmd, "budget": _run_budget,
+         "scenario": _run_scenario, "bounds": _run_bounds}
 
 
 def _write_out(pieces, path: str | None) -> None:
@@ -360,6 +380,7 @@ def _write_out(pieces, path: str | None) -> None:
     """
     if path is None:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # here, not at exit, so that a reader gone away is a broken pipe
         return
     pieces = iter(pieces)
     first = next(pieces, "")
@@ -388,21 +409,14 @@ def run(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # argparse already printed usage/help
             return int(exc.code or 0)
     try:
-        if args.command == "loss":
-            pieces = [_run_loss(args)]
-        elif args.command == "sweep":
-            pieces = _run_sweep_cmd(args)
-        elif args.command == "budget":
-            pieces = [_run_budget(args)]
-        elif args.command == "scenario":
-            pieces = _run_scenario(args)
-        else:
-            pieces = [_run_bounds(args)]
-        _write_out(pieces, args.out)
+        out = _RUNS[args.command](args)
+        _write_out([out] if type(out) is str else render_blocks(out, args.format), args.out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         _subparser(args.command).print_usage(sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader went away, as ``head`` does: stop, and say nothing
+        return 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE killed
     except (FoliageLinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -411,7 +425,16 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.stdout.reconfigure(encoding="utf-8")  # as ``--out`` is written
-    sys.exit(run())
+    try:
+        code = run()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = 130
+    if code in (130, 141):
+        # the output was cut short: what stdout still holds goes nowhere, so that the
+        # interpreter's flush at exit cannot fail on a reader that went away
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,10 @@
 
 The caller names the columns, in output order, as they are printed, and
 gives the cells in that order. ``render`` writes one row as a key/value
-table, a one-row CSV or a JSON object; ``render_blocks`` writes rows given
-block by block, each block one flat list of cells (the CLI's sweeps and
-scenarios, ``sweep._BLOCK_ROWS`` rows each), as the pieces of a column
-table, a CSV or a JSON array (indent 2), and ``render_cells`` joins its
-pieces for one block. CSV is a header line plus one line per row either way.
+table, a one-row CSV or a JSON object; ``render_blocks`` writes a ``Batch``,
+rows given block by block (a sweep's points and a scenario's nodes,
+``_BLOCK_ROWS`` rows each), as the pieces of a column table, a CSV or a
+JSON array (indent 2). CSV is a header line plus one line per row either way.
 
 Cell rules, table / CSV / JSON:
 
@@ -17,13 +16,13 @@ Cell rules, table / CSV / JSON:
 
 A row may end with its record's ``error``, which only JSON writes, as a last key.
 
-Each format has one block writer, fed blocks of flat cells and the row
-width (``_table_blocks``, ``_csv_blocks``, ``_json_blocks``, chosen by
-``render_blocks``); one cell rule, for a fixed column, a lone row, the
-``error`` member and a column of mixed types alike (``_table_cell``,
-``_csv_cell``, ``_json_cell``); and one column rule, which converts a
-whole column in a few C-level passes, or leaves cells that ``%s`` writes
-as the format does (``_table_column``, ``_csv_column``, ``_json_column``):
+Each format has one batch writer (``_line_blocks`` for table and CSV,
+``_json_blocks``, chosen by ``render_blocks``); one cell rule, for a fixed
+column, a lone row, the ``error`` member and a column of mixed types alike
+(``_table_cell``, ``_csv_cell``, ``_json_cell``); and one column rule,
+which converts a whole column in a few C-level passes, or leaves cells
+that ``%s`` writes as the format does (``_table_column``, ``_csv_column``,
+``_json_column``):
 
 * table: floats become ``.7f`` text in one pass, strings stay, and
   ``None``, bools and the package's enums map through one dict;
@@ -55,9 +54,35 @@ import json
 import math
 import operator
 from enum import Enum
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from .propagation import Regime, Validity
+
+#: rows per block of a sweep's or a scenario's ``Batch``; each reads it when it is called
+_BLOCK_ROWS = 4096
+
+
+class Batch:
+    """Rows given block by block: ``blocks`` yields flat lists of ``width`` cells per row.
+
+    A row holds the cells of the ``columns`` not in ``fixed``, in column
+    order, then, when ``width`` is one more, its record's ``error``, which
+    only JSON writes. ``fixed`` maps each other column to its value in
+    every row.
+    """
+
+    def __init__(self, columns: tuple[str, ...], width: int, fixed: dict, blocks) -> None:
+        self.columns, self.width, self.fixed, self.blocks = columns, width, fixed, blocks
+
+    def records(self, record: type) -> list:
+        """Every row as a ``record``, a tuple class whose fields are the batch's columns in
+        order, then ``error`` where a row holds one."""
+        cell = chain.from_iterable(self.blocks)
+        # zip takes a record's fields in order, so each varying one is the next cell
+        fields = [repeat(self.fixed[key]) if key in self.fixed else cell for key in record._fields]
+        # tuple.__new__ is the record's own constructor, less a Python call frame per row
+        return list(map(functools.partial(tuple.__new__, record), zip(*fields)))
 
 
 def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
@@ -69,8 +94,9 @@ def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list
     ]
 
 
-def _converted(cells: list, columns: tuple, width: int, fixed: dict, column) -> tuple:
-    """The cells for the row template, each column converted by the format's ``column`` rule.
+def _converted(cells: list, width: int, varying: int, column) -> tuple:
+    """The cells for the row template, each of a row's first ``varying`` columns (of
+    ``width``) converted by the format's ``column`` rule.
 
     A varying column whose cells are, row by row, the very objects of the
     column before it (a cover-factor sweep's ``delta`` is its ``x``)
@@ -78,7 +104,7 @@ def _converted(cells: list, columns: tuple, width: int, fixed: dict, column) -> 
     is what ``%s`` writes, formatted once.
     """
     previous: list = []
-    for index in range(len(columns) - len(fixed)):
+    for index in range(varying):
         current = cells[index::width]
         # row 0 first, then row by row up to the first cell that differs
         if previous and current[0] is previous[0] and all(map(operator.is_, current, previous)):
@@ -91,16 +117,16 @@ def _converted(cells: list, columns: tuple, width: int, fixed: dict, column) -> 
     return tuple(cells)
 
 
-def _line_blocks(blocks, columns, width, fixed, sep: str, slot: str, cell, column):
+def _line_blocks(batch: Batch, sep: str, slot: str, cell, column):
     """A header line of the column names in ``slot``s, then each block's text: a line of
     ``sep``-joined slots per row; a row's cells past its varying columns (its ``error``) go
     to ``%.0s``, which writes no text."""
-    fixed = fixed or {}
-    line = sep.join(_fixed_slots(columns, fixed, slot, cell))
-    line += "%.0s" * (width - len(columns) + len(fixed)) + "\n"
+    columns, width, fixed = batch.columns, batch.width, batch.fixed
+    varying = len(columns) - len(fixed)
+    line = sep.join(_fixed_slots(columns, fixed, slot, cell)) + "%.0s" * (width - varying) + "\n"
     yield sep.join([slot] * len(columns)) % columns + "\n"
-    for cells in blocks:
-        yield (line * (len(cells) // width)) % _converted(cells, columns, width, fixed, column)
+    for cells in batch.blocks:
+        yield (line * (len(cells) // width)) % _converted(cells, width, varying, column)
 
 
 def _table_cell(value: object) -> str:
@@ -132,12 +158,6 @@ def _table_column(column: list) -> list | None:
     if kinds <= _TABLE_CONSTANT_KINDS:
         return list(map(_TABLE_CONSTANT.__getitem__, column))
     return list(map(_table_cell, column))
-
-
-def _table_blocks(blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None):
-    """Column table of blocks of rows, as ``_csv_blocks`` takes them, each cell left-aligned
-    in 13."""
-    return _line_blocks(blocks, columns, width, fixed, "  ", "%-13s", _table_cell, _table_column)
 
 
 #: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
@@ -201,20 +221,6 @@ def _csv_column(column: list) -> list | None:
     if kinds == {bool}:
         return list(map(_BOOL_TEXT.__getitem__, column))
     return list(map(_csv_cell, column))
-
-
-def _csv_blocks(blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None):
-    """CSV text of blocks of rows, each block one flat list of ``width`` cells per row.
-
-    A row holds the cells of the ``columns`` not in ``fixed``, then, when
-    ``width`` is one more, its record's ``error``, which CSV does not write.
-    ``fixed`` maps each other column to its value in every row. A column
-    whose cells are the very objects of the column before it is formatted
-    once for both; the writer finds it, so no caller names it. The text
-    is a header line and one line per row, what ``csv.writer`` writes (LF
-    line endings), except that a bool is written ``true``/``false``.
-    """
-    return _line_blocks(blocks, columns, width, fixed, ",", "%s", _csv_cell, _csv_column)
 
 
 _JSON_NULL = {None: "null"}
@@ -285,25 +291,20 @@ def _json_column(column: list) -> list | None:
 _is_float = float.__instancecheck__
 
 
-def _json_blocks(
-    blocks, columns: tuple[str, ...], width: int, fixed: dict | None = None, end: str = "",
-):
-    """JSON array of blocks of rows, each block one flat list of ``width`` cells per row,
-    then ``end``.
+def _json_blocks(batch: Batch, end: str = ""):
+    """JSON array of the batch's rows, then ``end``.
 
-    A row holds the cells of the ``columns`` not in ``fixed``, then, when
-    ``width`` is one more, its record's ``error``, a last key where it is
-    not None. ``fixed`` is as ``_csv_blocks`` takes it. The text is what
-    ``json.dumps(objects, indent=2, allow_nan=False)`` writes for the rows'
-    dicts: a non-finite float raises ``ValueError``, for the first one row
-    by row, before its block's text. The array's ``[`` goes out with the
-    first row's block, and a block of no rows gives no text.
+    The text is what ``json.dumps(objects, indent=2, allow_nan=False)``
+    writes for the rows' dicts, a row's ``error`` a last key where it is
+    not None: a non-finite float raises ``ValueError``, for the first one
+    row by row, before its block's text. The array's ``[`` goes out with
+    the first row's block, and a block of no rows gives no text.
     """
-    fixed = fixed or {}
+    columns, width, fixed = batch.columns, batch.width, batch.fixed
     varying = len(columns) - len(fixed)
     with_error = width > varying
     item = None
-    for cells in blocks:
+    for cells in batch.blocks:
         if not cells:
             continue
         if item is None:
@@ -317,40 +318,25 @@ def _json_blocks(
             cells[varying::width] = list(map(_json_error, cells[varying::width]))
         # the block's objects, the comma or bracket before them in the first, are one template
         template = ",\n  ".join([lead + item, *[item] * (len(cells) // width - 1)])
-        yield template % _converted(cells, columns, width, fixed, _json_column)
+        yield template % _converted(cells, width, varying, _json_column)
         lead = ",\n  "
     yield ("[]" if item is None else "\n]") + end
 
 
-def render_blocks(
-    blocks, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
-):
-    """Blocks of rows, each one flat list of ``width`` cells per row, as pieces of ``table``,
-    ``csv`` or ``json`` text.
+def render_blocks(batch: Batch, fmt: str):
+    """The batch as pieces of ``table``, ``csv`` or ``json`` text.
 
     The pieces are the header (JSON's ``[`` goes with the first row), one
     piece per block, and JSON's ``]``; joined, they are the text, which ends
-    with a newline in every format. A row holds the cells of the ``columns``
-    not in ``fixed``, in column order, then, when ``width`` is one more, its
-    record's ``error``, which only JSON writes. ``fixed`` maps each other
-    column to its value in every row; its text is formatted once, by the
-    format's own cell rule. A column whose cells are the very objects of the
-    column before it is formatted once for both, block by block. Each block
-    is converted in place.
+    with a newline in every format. A table left-aligns each cell in 13
+    characters; CSV is what ``csv.writer`` writes (LF line endings), but
+    for a bool, written ``true``/``false``. Each block is converted in place.
     """
     if fmt == "json":
-        return _json_blocks(blocks, columns, width, fixed, "\n")
+        return _json_blocks(batch, "\n")
     if fmt == "csv":
-        return _csv_blocks(blocks, columns, width, fixed)
-    return _table_blocks(blocks, columns, width, fixed)
-
-
-def render_cells(
-    cells: list, columns: tuple[str, ...], width: int, fmt: str, fixed: dict | None = None,
-) -> str:
-    """Rows given as one flat list of ``width`` cells each, as ``table``, ``csv`` or ``json``
-    text: ``render_blocks`` over one block, joined."""
-    return "".join(render_blocks([cells], columns, width, fmt, fixed))
+        return _line_blocks(batch, ",", "%s", _csv_cell, _csv_column)
+    return _line_blocks(batch, "  ", "%-13s", _table_cell, _table_column)
 
 
 def render(row, columns: tuple[str, ...], fmt: str) -> str:

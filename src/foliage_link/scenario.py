@@ -10,10 +10,10 @@ One rule set checks a document and a hand-built ``Scenario`` alike:
 ``_checked`` runs ``_node_values`` over every node, a JSON object or a
 ``ScenarioNode``, to its ``(id, d_km, h_f_m, delta)``, then checks the ids,
 and ``_report_cells`` evaluates those values to one flat list of report
-cells, checking nothing. ``_scenario_blocks`` checks the whole document
-first and then evaluates ``sweep._BLOCK_ROWS`` nodes at a time:
-``evaluate_scenario`` builds its records from those blocks, and the CLI
-renders and writes them block by block with no record built.
+cells, checking nothing. ``_scenario_batch`` checks the whole document
+first and returns a ``render.Batch`` that evaluates ``render._BLOCK_ROWS``
+nodes at a time: ``evaluate_scenario`` builds its records from it, and the
+CLI renders and writes it block by block with no record built.
 ``parse_scenario`` builds its records from the checked values.
 ``emit_scenario`` checks the dict it writes by the same rules, and reads
 no text back.
@@ -42,9 +42,7 @@ from .propagation import (
     foliage_split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
-from . import sweep
-from .render import _json_blocks, render_cells
-from .sweep import SWEEP_COLUMNS
+from . import render
 
 _RADIO_KEYS = RadioConfig._fields
 
@@ -261,8 +259,9 @@ def _record_doc(scenario: Scenario) -> dict:
     """A ``Scenario`` as the document ``_scenario_head`` checks, its nodes in a new list.
 
     Raises:
-        SchemaError: ``scenario`` is no ``Scenario``, or its ``radio`` or
-            ``nodes`` is not iterable; the message names the type.
+        SchemaError: ``scenario`` is no ``Scenario``, its ``radio`` or
+            ``nodes`` is not iterable, or its ``radio`` is a dict, whose
+            keys would be read as the values; the message names the type.
     """
     if not isinstance(scenario, Scenario):
         raise SchemaError(f"scenario must be a Scenario, got {type(scenario).__name__}")
@@ -274,7 +273,9 @@ def _record_doc(scenario: Scenario) -> dict:
             raise SchemaError(
                 f"scenario: field '{key}' must be iterable, got {type(doc[key]).__name__}"
             ) from None
-    return {**doc, "radio": dict(zip(_RADIO_KEYS, doc["radio"])), "nodes": list(doc["nodes"])}
+    if isinstance(radio := doc["radio"], dict):
+        raise SchemaError(f"scenario: field 'radio' is a {type(radio).__name__}, not a RadioConfig")
+    return {**doc, "radio": dict(zip(_RADIO_KEYS, radio)), "nodes": list(doc["nodes"])}
 
 
 def _check_unique(ids: list[str]) -> None:
@@ -373,13 +374,12 @@ def evaluate_scenario(scenario: Scenario) -> list[NodeReport]:
             JSON text, first error first: a non-string or repeated id among
             them.
     """
-    cells = chain.from_iterable(_scenario_blocks(_record_doc(scenario)))
-    return list(map(NodeReport._make, zip(*[cells] * _REPORT_WIDTH)))
+    return _scenario_batch(_record_doc(scenario)).records(NodeReport)
 
 
-def _scenario_blocks(doc: object):
-    """Every node's report cells, ``NodeReport``'s fields node after node, one flat list per
-    block of ``sweep._BLOCK_ROWS`` nodes.
+def _scenario_batch(doc: object) -> render.Batch:
+    """Every node's report, ``NodeReport``'s fields node after node, one block of cells per
+    ``render._BLOCK_ROWS`` nodes.
 
     ``doc`` is a document's JSON value or a ``_record_doc``, checked whole,
     as ``parse_scenario`` checks a document, before this returns: iterating
@@ -387,11 +387,10 @@ def _scenario_blocks(doc: object):
     output byte.
     """
     _, frequency_mhz, base_height_m, radio, values = _checked(doc)
-    size = sweep._BLOCK_ROWS
-    return (
-        _report_cells(values[start:start + size], frequency_mhz, base_height_m, radio)
-        for start in range(0, len(values), size)
-    )
+    size = render._BLOCK_ROWS
+    blocks = (_report_cells(values[start:start + size], frequency_mhz, base_height_m, radio)
+              for start in range(0, len(values), size))
+    return render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, blocks)
 
 
 def emit_csv(data) -> str:
@@ -402,16 +401,19 @@ def emit_csv(data) -> str:
     header line alone, as an empty table or JSON array renders.
     """
     if hasattr(data, "rows"):  # a SweepTable
+        from .sweep import SWEEP_COLUMNS  # here: no other scenario code needs the sweep module
+
         cells = list(chain.from_iterable(data.rows))
-        return render_cells(cells, SWEEP_COLUMNS, len(SWEEP_COLUMNS), "csv")
-    # each report's last cell, its error, goes to ``%.0s``, as on the CLI path
-    return render_cells(list(chain.from_iterable(data)), REPORT_COLUMNS, _REPORT_WIDTH, "csv")
+        batch = render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS), {}, [cells])
+    else:  # each report's last cell, its error, goes to ``%.0s``, as on the CLI path
+        batch = render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [list(chain.from_iterable(data))])
+    return "".join(render.render_blocks(batch, "csv"))
 
 
 def emit_json(reports: Sequence[NodeReport]) -> str:
     """Render node reports as a JSON array with stable field order."""
     cells = list(chain.from_iterable(reports))
-    return "".join(_json_blocks([cells], REPORT_COLUMNS, _REPORT_WIDTH))
+    return "".join(render._json_blocks(render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [cells])))
 
 
 def emit_scenario(scenario: Scenario) -> str:

@@ -10,11 +10,11 @@ sweep. Presets regenerate the bundled reference scenarios.
 
 One loop per swept variable, in ``_block``, evaluates grid points straight
 into one flat list of cells, with no per-point record, and leaves out the
-columns the swept variable cannot change. ``_sweep_blocks`` returns those
-once, after checking the one point that fails if any does, and runs the
-loop ``_BLOCK_ROWS`` points at a time. The CLI renders and writes each
-block as it comes, the fixed columns formatted once; ``run_sweep`` builds
-its ``SweepRow``s from them.
+columns the swept variable cannot change. ``_sweep_batch`` returns a
+``render.Batch`` that holds those fixed, after checking the one point that
+fails if any does, and runs the loop ``render._BLOCK_ROWS`` points at a
+time. The CLI renders and writes each block as it comes, the fixed columns
+formatted once; ``run_sweep`` builds its ``SweepRow``s from the same batch.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from functools import partial
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
+from . import render
 from .errors import FoliageLinkError, InvalidSpec, UnknownPreset, _checked_as
 from .propagation import (
     LinkGeometry,
@@ -189,14 +189,9 @@ def _grid(start: float, stop: float, steps: int):
     return chain(map(operator.add, repeat(start), offsets), (stop,))
 
 
-#: points per block of ``_sweep_blocks``, and nodes per block of
-#: ``scenario._scenario_blocks``; each reads it when it is called
-_BLOCK_ROWS = 4096
-
-
 def _block(spec: SweepSpec, xs) -> list:
     """The cells of the sweep's points ``xs``, one flat list of rows, each ``SweepRow``'s fields
-    less those ``_sweep_blocks`` holds fixed: one ``_LossCore.at`` call per point.
+    less those ``_sweep_batch`` holds fixed: one ``_LossCore.at`` call per point.
 
     A cover-factor sweep's ``delta`` cell is its ``x`` cell, one float
     object, which the writers format once for both. An error is re-raised
@@ -236,9 +231,9 @@ def _block(spec: SweepSpec, xs) -> list:
     return cells
 
 
-def _sweep_blocks(spec: SweepSpec) -> tuple[dict, object]:
-    """The columns the sweep holds fixed, as a name -> value map, and its cells, one flat
-    list per block of ``_BLOCK_ROWS`` points (``_block``).
+def _sweep_batch(spec: SweepSpec) -> render.Batch:
+    """The sweep's rows, ``SWEEP_COLUMNS``, one block of cells per ``render._BLOCK_ROWS``
+    points (``_block``), and the columns the sweep holds fixed.
 
     A frequency sweep holds its cover factor, segment lengths, regime and
     validity fixed, and a distance sweep its cover factor. A point fails
@@ -250,7 +245,7 @@ def _sweep_blocks(spec: SweepSpec) -> tuple[dict, object]:
     model error can follow the first output byte.
     """
     variable, stop, steps, base, f_mhz = spec
-    size = _BLOCK_ROWS
+    size = render._BLOCK_ROWS
     grid = _grid(spec.start, stop, steps)
     blocks = (_block(spec, islice(grid, size)) for _ in range(0, steps, size))
     shrinks = variable in (SweepVariable.DELTA, SweepVariable.FOLIAGE_HEIGHT)
@@ -260,13 +255,13 @@ def _sweep_blocks(spec: SweepSpec) -> tuple[dict, object]:
         for _ in blocks:  # raises at the first point that fails
             pass
         raise
+    delta = base.effective_delta
+    fixed = {"delta": delta} if variable is SweepVariable.DISTANCE else {}
     if variable is SweepVariable.FREQUENCY_MHZ:
-        delta = base.effective_delta
         # the split, and so the foliage branch, does not depend on the frequency
         d_f_m, d_fsp_m, _, _, _, regime, validity = _LossCore(f_mhz).at(base.d_km, delta)
-        return {"delta": delta, "d_f_m": d_f_m, "d_fsp_m": d_fsp_m,
-                "regime": regime, "validity": validity}, blocks
-    return ({"delta": base.effective_delta} if variable is SweepVariable.DISTANCE else {}), blocks
+        fixed = dict(delta=delta, d_f_m=d_f_m, d_fsp_m=d_fsp_m, regime=regime, validity=validity)
+    return render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS) - len(fixed), fixed, blocks)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -274,15 +269,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Rows come back sorted by the swept value. Any propagation error is
     re-raised annotated with the offending x. The rows are built from
-    ``_sweep_blocks``, which the CLI renders from.
+    ``_sweep_batch``, which the CLI renders from.
     """
-    fixed, blocks = _sweep_blocks(spec)
-    # zip takes a row's fields in order, so each varying one is the next cell
-    cell = chain.from_iterable(blocks)
-    columns = [repeat(fixed[name]) if name in fixed else cell for name in SweepRow._fields]
-    # tuple.__new__ is SweepRow's own constructor, less a Python call frame per row
-    rows = list(map(partial(tuple.__new__, SweepRow), zip(*columns)))
-    return SweepTable(variable=spec.variable.value, rows=rows)
+    return SweepTable(variable=spec.variable.value, rows=_sweep_batch(spec).records(SweepRow))
 
 
 def preset(name: str) -> SweepSpec:

@@ -8,6 +8,7 @@ import os
 import platform
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,12 @@ from pathlib import Path
 import pytest
 
 from foliage_link import FoliageLinkError, LinkGeometry, SweepSpec, SweepVariable, cli
-from foliage_link import parse_scenario
+from foliage_link import NodeReport, SweepRow, evaluate_scenario, parse_scenario, run_sweep
+from foliage_link import render as render_module
 from foliage_link import scenario as scenario_module
 from foliage_link import sweep as sweep_module
 from foliage_link.cli import run
-from foliage_link.render import render_blocks, render_cells
+from foliage_link.render import Batch, render_blocks
 from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
 from foliage_link.sweep import SWEEP_COLUMNS
 
@@ -37,6 +39,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's package, its
+    stdout block-buffered when it is a pipe, as a shell starts it."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
 
 
 class TestLoss:
@@ -463,6 +473,45 @@ class TestScenarioCommand:
         assert err.startswith(f"error: {path}: not UTF-8 at byte 0: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_non_utf8_offset_counts_from_the_file_start(self, capsys, tmp_path):
+        """Past a text read's 8 KiB chunk, in a file and through a pipe, which a text read
+        decodes chunk by chunk."""
+        data = b'{"name": "' + b"a" * 200_000 + b'\xff"}'
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        message = "not UTF-8 at byte 200010: invalid start byte\n"
+        assert invoke(capsys, "scenario", "--file", str(path)) == (1, "", f"error: {path}: {message}")
+        proc = subprocess.run([sys.executable, "-m", "foliage_link.cli", "scenario", "--file",
+                               "/dev/stdin"], input=data, capture_output=True, env=child_env(),
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode() == f"error: /dev/stdin: {message}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_parse_error_lines_under_any_line_ending(self, capsys, tmp_path, newline):
+        """Line endings are translated as a text-mode read translates them."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(newline.join(["{", '  "name": "x",', '  "nodes": [}']).encode())
+        assert invoke(capsys, "scenario", "--file", str(path)) == (
+            1, "", "error: malformed JSON at line 3 column 13: Expecting value\n")
+
+    def test_a_file_over_the_cap_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        path = self.make_file(tmp_path)
+        size = Path(path).stat().st_size
+        monkeypatch.setattr(cli, "_MAX_SCENARIO_BYTES", size)
+        code, _, err = invoke(capsys, "scenario", "--file", path)
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(cli, "_MAX_SCENARIO_BYTES", size - 1)
+        message = f"error: {path}: over the {size - 1}-byte scenario file cap\n"
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"old bytes\n")
+        for fmt in FORMATS:
+            argv = ["scenario", "--file", path, "--format", fmt]
+            assert invoke(capsys, *argv, "--out", str(target)) == (1, "", message)
+            assert target.read_bytes() == b"old bytes\n"
+            assert invoke(capsys, *argv) == (1, "", message)
+
     def test_carriage_return_id_reads_back(self, capsys, tmp_path):
         path = self.make_file(tmp_path, nodes=[{"id": "cr\rlf", "d_km": 2, "delta": 0.5}])
         code, out, err = invoke(capsys, "scenario", "--file", path, "--format", "csv")
@@ -713,9 +762,9 @@ class TestOutputFile:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_out_of_many_blocks_matches_stdout(self, capsys, tmp_path, fmt):
-        """12,000 points go out in three blocks of ``sweep._BLOCK_ROWS``, to stdout and to
+        """12,000 points go out in three blocks of ``render._BLOCK_ROWS``, to stdout and to
         ``--out`` alike."""
-        assert 2 * sweep_module._BLOCK_ROWS < 12000 <= 3 * sweep_module._BLOCK_ROWS
+        assert 2 * render_module._BLOCK_ROWS < 12000 <= 3 * render_module._BLOCK_ROWS
         argv = ["sweep", "--var", "distance", "--start", "0.1", "--stop", "20", "--steps",
                 "12000", "--delta", "0.3", "--f-mhz", "868", "--format", fmt]
         code, text, err = invoke(capsys, *argv)
@@ -733,7 +782,7 @@ class TestOutputFile:
         argv = ["scenario", "--file", path, "--format", fmt]
         text = invoke(capsys, *argv)[1]
         assert "é✓€𝄞4" in text
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 2)
         assert invoke(capsys, *argv)[1] == text
         target = tmp_path / "out.txt"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
@@ -756,7 +805,7 @@ class TestOutputFile:
         write = os.write
         monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:3]))
         cells = [f"é✓€𝄞 {i}" for i in range(50)]
-        pieces = list(render_blocks([cells[:20], cells[20:]], ("id",), 1, "csv"))
+        pieces = list(render_blocks(Batch(("id",), 1, {}, [cells[:20], cells[20:]]), "csv"))
         assert len(pieces) == 3
         target = tmp_path / "out.csv"
         cli._write_out(pieces, str(target))
@@ -779,6 +828,62 @@ class TestOutputFile:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == target.read_bytes()
         assert "café-中".encode("utf-8") in proc.stdout
+
+
+class TestCutShort:
+    """``main`` in a child process: a run whose reader goes away exits 141 and writes nothing
+    to stderr, and an interrupted one writes one line and exits 130, with no traceback."""
+
+    SCENARIO_NODES = [{"id": f"n{i}", "d_km": 2.0, "delta": 0.5} for i in range(5000)]
+
+    def argv(self, tmp_path, command: str) -> list[str]:
+        """A command whose output fills a pipe many times over."""
+        if command == "scenario":
+            return ["scenario", "--file", TestScenarioCommand().make_file(tmp_path,
+                                                                           self.SCENARIO_NODES)]
+        return ["sweep", "--var", "delta", "--start", "0", "--stop", "0.95", "--steps",
+                "1000000", "--d-km", "2", "--f-mhz", "2400"]
+
+    @pytest.mark.parametrize("dev", [False, True])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", ["sweep", "scenario"])
+    def test_closed_pipe_exits_141_in_silence(self, tmp_path, command, fmt, dev):
+        argv = [sys.executable, *["-X", "dev"] * dev, "-m", "foliage_link.cli",
+                *self.argv(tmp_path, command), "--format", fmt]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env())
+        assert proc.stdout.readline()
+        proc.stdout.close()  # as ``head -1`` does
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_record_to_a_closed_pipe_exits_141_in_silence(self, fmt):
+        """A one-record command's text waits in stdout's buffer, so the reader is found gone
+        only when it is flushed."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = [sys.executable, "-X", "dev", "-m", "foliage_link.cli", "loss", "--d-km", "2",
+                "--delta", "0.5", "--f-mhz", "868", "--format", fmt]
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_interrupt_exits_130_with_one_line(self, tmp_path):
+        # a parent that ignores SIGINT, as a shell's background job does, passes that on to
+        # its children; this child starts with SIGINT at its default, as a command typed at
+        # a terminal does, so that the interpreter raises KeyboardInterrupt
+        argv = [sys.executable, "-m", "foliage_link.cli", *self.argv(tmp_path, "sweep")]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env(),
+                                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (130, b"interrupted\n")
 
 
 class TestFsplConstantEnv:
@@ -1109,13 +1214,13 @@ class TestRenderDigest:
 
 class TestScenarioBlocks:
     """``scenario`` checks the whole document, then evaluates, renders and writes it
-    ``sweep._BLOCK_ROWS`` nodes at a time: where a block ends changes no byte, and no
+    ``render._BLOCK_ROWS`` nodes at a time: where a block ends changes no byte, and no
     byte is written, nor ``--out`` opened, before every node is checked."""
 
     @staticmethod
     def one_block(doc) -> list:
         """The document's report cells at the default block size: one block, or none."""
-        blocks = list(scenario_module._scenario_blocks(doc))
+        blocks = list(scenario_module._scenario_batch(doc).blocks)
         assert len(blocks) <= 1
         return blocks[0] if blocks else []
 
@@ -1127,23 +1232,36 @@ class TestScenarioBlocks:
         text = json.dumps(render_digest._scenario(random.Random(nodes), nodes))
         path.write_text(text, encoding="utf-8")
         target = tmp_path / "out"
-        one_block = {fmt: render_cells(self.one_block(scenario_module._load(text)),
-                                       REPORT_COLUMNS, _REPORT_WIDTH, fmt) for fmt in FORMATS}
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+        one_block = {}
+        for fmt in FORMATS:  # a block is converted in place as it is written: one per format
+            cells = self.one_block(scenario_module._load(text))
+            one_block[fmt] = "".join(render_blocks(Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [cells]), fmt))
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", rows)
         for fmt in FORMATS:
             code = run(["scenario", "--file", str(path), "--format", fmt, "--out", str(target)])
             assert (code, target.read_bytes()) == (0, one_block[fmt].encode("utf-8")), fmt
 
+    @pytest.mark.parametrize("nodes", [0, 1, 13, 300])
+    def test_records_at_any_block_size(self, monkeypatch, nodes):
+        """``evaluate_scenario`` builds its records from the batch the CLI writes."""
+        text = json.dumps(render_digest._scenario(random.Random(nodes), nodes))
+        scenario = parse_scenario(text)
+        reports = evaluate_scenario(scenario)
+        assert len(reports) == nodes and all(type(report) is NodeReport for report in reports)
+        for rows in (1, 7):
+            monkeypatch.setattr(render_module, "_BLOCK_ROWS", rows)
+            assert evaluate_scenario(scenario) == reports, rows
+
     def test_blocks_hold_block_rows_nodes(self, monkeypatch):
         doc = render_digest._scenario(random.Random(13), 13)
         cells = self.one_block(doc)
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
-        blocks = list(scenario_module._scenario_blocks(doc))
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 7)
+        blocks = list(scenario_module._scenario_batch(doc).blocks)
         assert [len(block) for block in blocks] == [7 * _REPORT_WIDTH, 6 * _REPORT_WIDTH]
         assert blocks[0] + blocks[1] == cells
 
     def test_digest_of_300_points_in_blocks_of_7(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 7)
         digests = dict(render_digest.digest(300))
         assert digests["all"] == "450ba761a49aa2ac2461eb395c997ae28092bff8516432dfeffe5cb8bdff4e7a"
 
@@ -1156,7 +1274,7 @@ class TestScenarioBlocks:
     @pytest.mark.parametrize("last", sorted(LAST_NODES))
     def test_bad_last_node_writes_nothing(self, capsys, tmp_path, monkeypatch, last, fmt):
         """The bad node sits past the first block: its error still comes before any byte."""
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 2)
         nodes = [{"id": f"n{i}", "d_km": 2.0, "delta": 0.5} for i in range(5)]
         path = TestScenarioCommand().make_file(tmp_path, [*nodes, self.LAST_NODES[last]])
         with pytest.raises(FoliageLinkError) as raised:
@@ -1173,7 +1291,7 @@ class TestScenarioBlocks:
 
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     def test_out_over_its_own_file(self, capsys, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 2)
         nodes = [{"id": f"n{i}", "d_km": 1.0 + i, "delta": 0.1 * i} for i in range(5)]
         path = TestScenarioCommand().make_file(tmp_path, nodes)
         argv = ["scenario", "--file", path, "--format", fmt]
@@ -1220,7 +1338,7 @@ SWEEP_ARGV = {
 
 
 class TestSweepBlocks:
-    """``sweep`` evaluates, renders and writes ``sweep._BLOCK_ROWS`` points at a time, after
+    """``sweep`` evaluates, renders and writes ``render._BLOCK_ROWS`` points at a time, after
     checking the one point that fails if any does: where a block ends changes no byte, and a
     sweep that fails writes nothing."""
 
@@ -1231,7 +1349,7 @@ class TestSweepBlocks:
         code, one_block, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
         for rows in (1, 2, 7):
-            monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(render_module, "_BLOCK_ROWS", rows)
             assert invoke(capsys, *argv) == (0, one_block, ""), rows
 
     SPECS = {
@@ -1246,14 +1364,25 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("variable", sorted(SPECS))
     def test_blocks_hold_block_rows_points(self, monkeypatch, variable):
         spec = self.SPECS[variable]
-        fixed, (one_block,) = sweep_module._sweep_blocks(spec)
-        monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", 7)
-        fixed_in_blocks, blocks = sweep_module._sweep_blocks(spec)
-        blocks = list(blocks)
+        batch = sweep_module._sweep_batch(spec)
+        fixed, (one_block,) = batch.fixed, batch.blocks
+        monkeypatch.setattr(render_module, "_BLOCK_ROWS", 7)
+        in_blocks = sweep_module._sweep_batch(spec)
+        blocks = list(in_blocks.blocks)
         width = len(SWEEP_COLUMNS) - len(fixed)
-        assert fixed_in_blocks == fixed
+        assert (in_blocks.columns, in_blocks.width, in_blocks.fixed) == (SWEEP_COLUMNS, width, fixed)
         assert [len(block) for block in blocks] == [7 * width] * 4 + [2 * width]
         assert sum(blocks, []) == one_block
+
+    @pytest.mark.parametrize("variable", sorted(SPECS))
+    def test_rows_at_any_block_size(self, monkeypatch, variable):
+        """``run_sweep`` builds its rows from the batch the CLI writes."""
+        spec = self.SPECS[variable]
+        rows = run_sweep(spec).rows
+        assert len(rows) == spec.steps and all(type(row) is SweepRow for row in rows)
+        for size in (1, 7):
+            monkeypatch.setattr(render_module, "_BLOCK_ROWS", size)
+            assert run_sweep(spec).rows == rows, size
 
     #: a failing sweep's argv and message, as the sweep built whole gave it: the first point
     #: fails in the distance and frequency sweeps, a middle one in the other two
@@ -1283,7 +1412,7 @@ class TestSweepBlocks:
     def test_failing_sweep_writes_nothing(self, capsys, tmp_path, monkeypatch, variable, rows,
                                           fmt):
         if rows is not None:
-            monkeypatch.setattr(sweep_module, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(render_module, "_BLOCK_ROWS", rows)
         argv, message = self.FAILING[variable]
         argv = ["sweep", *argv, "--format", fmt]
         target = tmp_path / "out.txt"

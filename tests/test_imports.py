@@ -88,3 +88,32 @@ def test_the_writers_know_no_record():
                 (alias.name, None) for alias in node.names if alias.name.startswith("foliage_link")
             )
     assert from_package == {("propagation", "Regime"), ("propagation", "Validity")}
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    """The modules that the module imports when it is imported, each as written
+    (``.render``), and each name imported from one after it (``.render.Batch``); an import
+    in a function body does not count."""
+    names = set()
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_scenario_imports_no_sweep_code():
+    """A scenario batch needs no sweep code: only ``emit_csv``'s ``SweepTable`` branch
+    imports the sweep's columns, when it runs."""
+    tree = ast.parse((PACKAGE / "scenario.py").read_text(encoding="utf-8"))
+    imported = _module_level_imports(tree)
+    assert {".errors", ".propagation"} <= imported
+    assert not {name for name in imported if name.rpartition(".")[2] == "sweep"}

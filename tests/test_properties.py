@@ -77,6 +77,11 @@ CHECKED = settings(derandomize=True, database=None, deadline=None, max_examples=
 RADIO = RadioConfig(14, 0, 0, -137)
 
 
+def _render_block(cells, columns, width, fmt, fixed=None) -> str:
+    """The text of one block of ``width`` cells per row, as ``render_blocks`` writes it."""
+    return "".join(render.render_blocks(render.Batch(columns, width, fixed or {}, [cells]), fmt))
+
+
 def _reject(token):
     raise AssertionError(f"non-finite JSON literal {token}")
 
@@ -442,7 +447,7 @@ def test_to_json_matches_json_dumps(data, which, single, count):
         if single:
             return render.render(rows[0][0], columns, "json")
         flat = [cell for cells, error in rows for cell in (*cells, error)]
-        return render.render_cells(flat, columns, len(columns) + 1, "json")
+        return _render_block(flat, columns, len(columns) + 1, "json")
 
     try:
         expected = json.dumps(objects[0] if single else objects, indent=2, allow_nan=False)
@@ -455,7 +460,7 @@ def test_to_json_matches_json_dumps(data, which, single, count):
 
 @pytest.mark.parametrize("columns", COLUMN_SETS)
 def test_to_json_of_no_records(columns):
-    text = render.render_cells([], columns, len(columns), "json")
+    text = _render_block([], columns, len(columns), "json")
     assert text == json.dumps([], indent=2) + "\n" == "[]\n"
 
 
@@ -467,7 +472,7 @@ def test_to_json_refuses_a_non_finite_cell(value, single):
         if single:
             render.render(cells, columns, "json")
         else:
-            render.render_cells(cells, columns, len(columns), "json")
+            _render_block(cells, columns, len(columns), "json")
 
 
 def _loss_record(cells):
@@ -511,7 +516,7 @@ def test_render_of_a_lone_record_as_a_table_matches_the_column_table(data, which
     lines = []
     for name, cell in zip(columns, cells):
         text = render._table_cell(cell)
-        table = render.render_cells([cell], (name,), 1, "table")
+        table = _render_block([cell], (name,), 1, "table")
         assert table == "%-13s\n%-13s\n" % (name, text)
         lines.append(name.ljust(width) + "  " + text + "\n")
     assert render.render(row(cells), columns, "table") == "".join(lines)
@@ -706,7 +711,7 @@ def test_csv_matches_csv_writer(data, which, single, count, plain):
     flat = []
     for cells in rows:
         flat += cells if plain else [*cells, data.draw(st.one_of(st.none(), TEXT))]
-    assert render.render_cells(flat, columns, len(columns) + (not plain), "csv") == expected
+    assert _render_block(flat, columns, len(columns) + (not plain), "csv") == expected
 
 
 def test_to_csv_of_a_long_mixed_batch():
@@ -717,14 +722,14 @@ def test_to_csv_of_a_long_mixed_batch():
     rows[125][4] = None
     rows[-1][0] = "last,row"
     cells = list(chain.from_iterable(rows))
-    assert render.render_cells(cells, SWEEP_COLUMNS, len(SWEEP_COLUMNS), "csv") == _reference_csv(
+    assert _render_block(cells, SWEEP_COLUMNS, len(SWEEP_COLUMNS), "csv") == _reference_csv(
         SWEEP_COLUMNS, rows
     )
 
 
 @pytest.mark.parametrize("columns", COLUMN_SETS)
 def test_to_csv_of_no_records(columns):
-    text = render.render_cells([], columns, len(columns), "csv")
+    text = _render_block([], columns, len(columns), "csv")
     assert text == _reference_csv(columns, [])
     assert text == ",".join(columns) + "\n"
 
@@ -750,7 +755,7 @@ def test_table_matches_its_cell_rule(data, which, count):
     flat = [cell for cells in rows for cell in (*cells, data.draw(st.one_of(st.none(), TEXT)))]
     lines = [columns, *([render._table_cell(v) for v in cells] for cells in rows)]
     expected = "".join("  ".join(f"{text:<13}" for text in line) + "\n" for line in lines)
-    assert render.render_cells(flat, columns, len(columns) + 1, "table") == expected
+    assert _render_block(flat, columns, len(columns) + 1, "table") == expected
 
 
 #: a scenario node: id, d_km (an int goes through the field-by-field check), cover source
@@ -782,7 +787,7 @@ def test_cli_scenario_renders_what_its_records_render(nodes, fmt):
     reports = evaluate_scenario(parse_scenario(text))
     if fmt == "table":
         cells = list(chain.from_iterable(reports))
-        expected = render.render_cells(cells, REPORT_COLUMNS, _REPORT_WIDTH, "table")
+        expected = _render_block(cells, REPORT_COLUMNS, _REPORT_WIDTH, "table")
     else:
         expected = emit_csv(reports) if fmt == "csv" else emit_json(reports) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
@@ -860,7 +865,7 @@ def test_cli_sweep_renders_what_its_records_render(sweep):
     try:
         spec = SweepSpec(variable, stop, steps, LinkGeometry(**geometry), f_mhz)
         rows, width = run_sweep(spec).rows, len(SWEEP_COLUMNS)
-        expected = [render.render_cells(list(chain.from_iterable(rows)), SWEEP_COLUMNS, width, fmt)
+        expected = [_render_block(list(chain.from_iterable(rows)), SWEEP_COLUMNS, width, fmt)
                     for fmt in formats]
     except FoliageLinkError as exc:
         for fmt in formats:
@@ -907,11 +912,11 @@ def test_a_fixed_column_renders_as_a_varying_one(value):
         varying = [cell for row in rows for index, cell in enumerate(row) if index != column]
         width = len(columns) + error
         expected = _text_or_error(
-            lambda: render.render_cells(list(chain.from_iterable(rows)), columns, width, fmt)
+            lambda: _render_block(list(chain.from_iterable(rows)), columns, width, fmt)
         )
         fixed = {columns[column]: value}
         assert _text_or_error(
-            lambda: render.render_cells(varying, columns, width - 1, fmt, fixed)
+            lambda: _render_block(varying, columns, width - 1, fmt, fixed)
         ) == expected, (fmt, column, count, repeat, error)
 
 
@@ -936,7 +941,7 @@ def test_equal_but_distinct_cells_print_their_own_text(fmt, row):
     """Cells that compare equal but are distinct objects are no repeat: each prints its own."""
     columns = ("a", "b", "c", "d")[:len(row)]
     rows = [list(row)] * 3
-    text = render.render_cells(list(chain.from_iterable(rows)), columns, len(columns), fmt)
+    text = _render_block(list(chain.from_iterable(rows)), columns, len(columns), fmt)
     assert text == _cell_by_cell(columns, rows, fmt)
     assert len({render._table_cell(value) for value in row}) == len(row)
 
@@ -950,7 +955,7 @@ def test_a_column_sharing_only_its_first_cells_prints_its_own_text(fmt, differ):
     b = a[:differ] + [1.5, True, 'say "hi"'][differ:]
     rows = [[x, y, x] for x, y in zip(a, b)]
     columns = ("a", "b", "c")
-    text = render.render_cells(list(chain.from_iterable(rows)), columns, len(columns), fmt)
+    text = _render_block(list(chain.from_iterable(rows)), columns, len(columns), fmt)
     assert text == _cell_by_cell(columns, rows, fmt)
 
 
@@ -970,7 +975,7 @@ def test_a_repeated_column_renders_cell_by_cell(fmt, cells):
     columns = ("x", "delta", "again", "fixed", "last", "other")
     rows = [[cell, cell, cell, "f", cell, i] for i, cell in enumerate(cells)]
     flat = [cell for cells in rows for cell in cells[:3] + cells[4:]]
-    text = render.render_cells(flat, columns, len(columns) - 1, fmt, {"fixed": "f"})
+    text = _render_block(flat, columns, len(columns) - 1, fmt, {"fixed": "f"})
     assert text == _cell_by_cell(columns, rows, fmt)
 
 
@@ -994,9 +999,9 @@ def test_drawn_repeats_render_cell_by_cell(data, which, count, fmt):
         expected = _cell_by_cell(columns, rows, fmt)
     except ValueError:  # JSON refuses a nan or inf cell
         with pytest.raises(ValueError, match="not JSON compliant"):
-            render.render_cells(flat, columns, len(columns), fmt)
+            _render_block(flat, columns, len(columns), fmt)
         return
-    assert render.render_cells(flat, columns, len(columns), fmt) == expected
+    assert _render_block(flat, columns, len(columns), fmt) == expected
 
 
 # ---------------------------------------------------------------- argv parsing

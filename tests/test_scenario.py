@@ -29,7 +29,7 @@ from foliage_link import (
     run_sweep,
     total_loss,
 )
-from foliage_link.render import render_cells
+from foliage_link.render import Batch, render_blocks
 from foliage_link.scenario import _REPORT_WIDTH, REPORT_COLUMNS
 from foliage_link.sweep import SWEEP_COLUMNS
 
@@ -509,7 +509,8 @@ class TestEmitCsv:
         """As in a table and in JSON: here a report's id, which no scenario can hold."""
         reports = [evaluate_scenario(parse_scenario(scenario_doc()))[0]._replace(id=True)]
         assert emit_csv(reports).splitlines()[1].split(",")[0] == "true"
-        table = render_cells(list(chain.from_iterable(reports)), REPORT_COLUMNS, _REPORT_WIDTH, "table")
+        batch = Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [list(chain.from_iterable(reports))])
+        table = "".join(render_blocks(batch, "table"))
         assert table.splitlines()[1].split()[0] == "true"
         assert emit_json(reports).splitlines()[2] == '    "id": true,'
 
@@ -536,6 +537,10 @@ class TestEmitJson:
         reports = evaluate_scenario(parse_scenario(scenario_doc()))
         objects = json.loads(emit_json(reports))
         assert objects[0]["margin_db"] == reports[0].margin_db
+
+
+def _with_dict_radio(scenario):
+    return scenario._replace(radio=scenario.radio._asdict())
 
 
 class TestWrongTypes:
@@ -567,6 +572,15 @@ class TestWrongTypes:
         "emit_scenario(nodes=5)": (
             lambda: emit_scenario(parse_scenario(scenario_doc())._replace(nodes=5)),
             SchemaError, "scenario: field 'nodes' must be iterable, got int"),
+        # a dict radio iterates over its keys, which would be read as the values
+        "evaluate_scenario(radio=dict)": (
+            lambda: evaluate_scenario(_with_dict_radio(parse_scenario(scenario_doc()))),
+            SchemaError,
+            "scenario: field 'radio' is a dict, not a RadioConfig"),
+        "emit_scenario(radio=dict)": (
+            lambda: emit_scenario(_with_dict_radio(parse_scenario(scenario_doc()))),
+            SchemaError,
+            "scenario: field 'radio' is a dict, not a RadioConfig"),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))

@@ -21,7 +21,7 @@ Python, then one line per op, its name and its count:
   scenario;
 * ``cli/scenario-blocks/FORMAT`` and ``cli/sweep-blocks/FORMAT``: the same
   scenario, and the 2,000-point cover-factor sweep, with
-  ``foliage_link.sweep._BLOCK_ROWS`` at 500, so that each goes out in four
+  ``foliage_link.render._BLOCK_ROWS`` at 500, so that each goes out in four
   blocks and the cost of a block shows beside ``cli/scenario/FORMAT`` and
   ``cli/sweep-delta/FORMAT``;
 * ``setup/WORKLOAD``: the set-up op each workload of ``perfbench`` spawns a
@@ -214,9 +214,9 @@ def main(prefixes: list[str]) -> None:
     import tempfile
     from functools import partial
 
-    from foliage_link import cli, sweep
+    from foliage_link import cli, render
 
-    block_rows = sweep._BLOCK_ROWS
+    block_rows = render._BLOCK_ROWS
 
     def wanted(name: str) -> bool:
         return not prefixes or name.startswith(tuple(prefixes))
@@ -229,7 +229,7 @@ def main(prefixes: list[str]) -> None:
         for name, call in ops:
             if wanted(name):
                 blocks = name.startswith(("cli/scenario-blocks/", "cli/sweep-blocks/"))
-                sweep._BLOCK_ROWS = _SMALL_BLOCK_ROWS if blocks else block_rows
+                render._BLOCK_ROWS = _SMALL_BLOCK_ROWS if blocks else block_rows
                 result = call()  # the first call, uncounted
                 if name.startswith(("cli/", "setup/")) and result != 0:
                     sys.exit(f"{name} exited {result}")
