@@ -3,7 +3,9 @@
 The forward model gives loss from geometry; the solvers here answer the
 planning questions: how far can this radio reach at a given cover factor,
 how much cover can it tolerate at a given distance, and how high may the
-foliage grow.
+foliage grow. Each solver takes its ``radio`` as a ``RadioConfig`` or as a
+tuple or list of its fields, read through ``RadioConfig._make``; any other
+value raises ``InvalidRadioConfig``, naming its type.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .propagation import (
     _DB_PER_NEPER,
     _POWER,
     _POWER_EXPONENT,
+    _as_record,
     _check_distance,
     _check_height,
     _check_partial_cover,
@@ -161,6 +164,8 @@ def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
             holds over all of it.
     """
     _check_partial_cover(delta)
+    if type(radio) is not RadioConfig:
+        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     budget = max_loss_budget(radio)
     lo, hi = _RANGE_BRACKET_KM
     core = _LossCore(f_mhz)
@@ -251,6 +256,8 @@ def max_foliage_factor(
         NoSolution: the budget is exceeded already at cover factor 0.
     """
     _check_partial_cover(delta_cap, "delta_cap")
+    if type(radio) is not RadioConfig:
+        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     budget = max_loss_budget(radio)
     _check_distance(d_km)
     core = _LossCore(f_mhz)

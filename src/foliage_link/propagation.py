@@ -79,6 +79,22 @@ def _checked_make(cls, iterable):
     return cls(*iterable)
 
 
+def _as_record(cls, value, error: type, name: str):
+    """``value``, a tuple or list of the fields of ``cls``, read through its checked ``_make``.
+
+    Any other value, or one of too few or too many fields, raises ``error``
+    with a message that names its type.
+    """
+    most = len(cls._fields)
+    least = most - len(cls._field_defaults)
+    if not isinstance(value, (tuple, list)) or not least <= len(value) <= most:
+        raise error(
+            f"{name} must be a {cls.__name__}, or a tuple or list of its {least} to {most} "
+            f"fields, got {type(value).__name__} {value!r}"
+        )
+    return cls._make(value)
+
+
 class Regime(str, Enum):
     """Which branch of the foliage decay model produced a loss value."""
 
@@ -277,13 +293,19 @@ def total_loss(geometry: LinkGeometry, f_mhz: float) -> LossBreakdown:
     ``d * (1 - delta)``, so the cover factor must be strictly below 1.
     ``geometry`` checked its own fields when it was built, and the loss core
     checks the rest: the frequency first, then the free-space segment.
+    ``geometry`` may also be a tuple or list of ``LinkGeometry``'s fields,
+    which is read through ``LinkGeometry._make``.
 
     Raises:
+        InconsistentGeometry: ``geometry`` is no ``LinkGeometry``, nor a
+            tuple or list of its 1 to 4 fields; the message names its type.
         NonPositiveFrequency: ``f_mhz`` is not positive and finite.
         FullFoliageCover: at ``delta = 1`` the free-space segment vanishes
             and its loss term is singular.
         NonPositiveDistance: the free-space segment rounds to 0 km.
     """
+    if type(geometry) is not LinkGeometry:
+        geometry = _as_record(LinkGeometry, geometry, InconsistentGeometry, "geometry")
     delta = geometry.effective_delta
     d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity = _LossCore(f_mhz).at(
         geometry.d_km, delta

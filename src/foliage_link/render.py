@@ -28,7 +28,7 @@ that ``%s`` writes as the format does (``_table_column``, ``_csv_column``,
   ``None``, bools and the package's enums map through one dict;
 * CSV: floats, ints and the package's enums stay, or map through one dict
   with ``None`` among them; bools map by index; strings stay unless one
-  needs quoting, and such a one goes to ``csv.writer`` itself;
+  needs quoting, and such a one is quoted;
 * JSON: finite floats and ints stay, strings are escaped in one pass, and
   ``None``, bools and enums map through one dict.
 
@@ -40,16 +40,15 @@ a template of one line or object per row. A column that the caller holds
 the cell rule.
 A column whose cells are, row by row, the very objects (``is``) of the
 column before it, as a cover-factor sweep's ``delta`` is its ``x``, is
-found by ``_converted`` and formatted once for both. The CSV and JSON text
-is byte for byte what ``csv.writer`` and ``json.dumps(..., indent=2,
-allow_nan=False)`` would write, without their Python code per cell or row.
+found by ``_converted`` and formatted once for both. A CSV field that
+holds a comma, a double quote, CR or LF is quoted, each double quote doubled,
+on every Python alike; the JSON text is byte for byte what ``json.dumps(...,
+indent=2, allow_nan=False)`` would write, without its Python code per cell or row.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import operator
@@ -160,31 +159,20 @@ def _table_column(column: list) -> list | None:
     return list(map(_table_cell, column))
 
 
-#: Cell types that ``%s`` writes as ``csv.writer`` does: a float by its repr,
-#: an int by its str, and the package's enums, whose ``str()`` is their value.
+#: Cell types that ``%s`` writes as CSV text: a float by its repr, an int by
+#: its str, and the package's enums, whose ``str()`` is their value.
 _PLAIN = frozenset((float, int, Regime, Validity))
 _PLAIN_OR_NONE = _PLAIN | {type(None)}
 
 
-def _csv_written(value: object) -> str:
-    """The cell as ``csv.writer`` writes it inside a row, quoted where needed.
-
-    The row ends in ``\\r\\n``: before Python 3.13, ``csv.writer`` quotes a
-    carriage return or a line feed only when the line terminator holds it.
-    """
-    out = io.StringIO()
-    # a second field, because csv quotes a row's lone empty field
-    csv.writer(out, lineterminator="\r\n").writerow((value, ""))
-    return out.getvalue()[:-3]
-
-
 def _quoted(value: str) -> bool:
-    """Whether ``csv.writer`` quotes the text: a comma, double quote or line break."""
+    """Whether the text's CSV field is quoted: it holds a comma, double quote, CR or LF."""
     return "," in value or '"' in value or "\r" in value or "\n" in value
 
 
 def _csv_text(value: str) -> str:
-    return _csv_written(value) if _quoted(value) else value
+    """The text as a CSV field: in double quotes, each one doubled, where it needs quoting."""
+    return '"%s"' % value.replace('"', '""') if _quoted(value) else value
 
 
 #: CSV text of ``None``, and of the package's enums, which ``%s`` writes more slowly
@@ -194,7 +182,8 @@ _BOOL_TEXT = ("false", "true")
 
 
 def _csv_cell(value: object) -> str:
-    """CSV text of one cell; a type this rule does not know goes to ``csv.writer``."""
+    """CSV text of one cell; a type this rule does not know is read as its text, a ``str``
+    subclass by ``str.__str__`` (an enum's value) and any other by ``str()``, then quoted."""
     kind = type(value)
     if kind in _PLAIN:
         return "%s" % (value,)
@@ -202,7 +191,9 @@ def _csv_cell(value: object) -> str:
         return _csv_text(value)
     if kind is bool:
         return _BOOL_TEXT[value]
-    return "" if value is None else _csv_written(value)
+    if value is None:
+        return ""
+    return _csv_text(str.__str__(value) if isinstance(value, str) else str(value))
 
 
 def _csv_column(column: list) -> list | None:
@@ -329,8 +320,9 @@ def render_blocks(batch: Batch, fmt: str):
     The pieces are the header (JSON's ``[`` goes with the first row), one
     piece per block, and JSON's ``]``; joined, they are the text, which ends
     with a newline in every format. A table left-aligns each cell in 13
-    characters; CSV is what ``csv.writer`` writes (LF line endings), but
-    for a bool, written ``true``/``false``. Each block is converted in place.
+    characters; CSV has LF line endings, ``true``/``false`` for a bool,
+    and a field in double quotes, each one doubled, where it holds a comma,
+    a double quote, CR or LF. Each block is converted in place.
     """
     if fmt == "json":
         return _json_blocks(batch, "\n")

@@ -260,22 +260,22 @@ def _record_doc(scenario: Scenario) -> dict:
 
     Raises:
         SchemaError: ``scenario`` is no ``Scenario``, its ``radio`` or
-            ``nodes`` is not iterable, or its ``radio`` is a dict, whose
-            keys would be read as the values; the message names the type.
+            ``nodes`` is not iterable, or either is a dict, a ``str`` or
+            ``bytes``, whose keys or items would be read as the values;
+            the message names the type.
     """
     if not isinstance(scenario, Scenario):
         raise SchemaError(f"scenario must be a Scenario, got {type(scenario).__name__}")
     doc = scenario._asdict()
-    for key in ("radio", "nodes"):
+    for key, kind in (("radio", "RadioConfig"), ("nodes", "list of nodes")):
+        name = type(value := doc[key]).__name__
         try:
-            iter(doc[key])
+            iter(value)
         except TypeError:
-            raise SchemaError(
-                f"scenario: field '{key}' must be iterable, got {type(doc[key]).__name__}"
-            ) from None
-    if isinstance(radio := doc["radio"], dict):
-        raise SchemaError(f"scenario: field 'radio' is a {type(radio).__name__}, not a RadioConfig")
-    return {**doc, "radio": dict(zip(_RADIO_KEYS, radio)), "nodes": list(doc["nodes"])}
+            raise SchemaError(f"scenario: field '{key}' must be iterable, got {name}") from None
+        if isinstance(value, (dict, str, bytes)):
+            raise SchemaError(f"scenario: field '{key}' is a {name}, not a {kind}")
+    return {**doc, "radio": dict(zip(_RADIO_KEYS, doc["radio"])), "nodes": list(doc["nodes"])}
 
 
 def _check_unique(ids: list[str]) -> None:

@@ -31,6 +31,7 @@ from .propagation import (
     LinkGeometry,
     Regime,
     Validity,
+    _as_record,
     _check_distance,
     _check_frequency,
     _check_partial_cover,
@@ -103,12 +104,7 @@ class SweepSpec(_SweepSpecFields):
                 "expected delta, foliage_height, distance or frequency_mhz"
             ) from None
         if not isinstance(base, _LinkGeometry):
-            if not isinstance(base, (tuple, list)) or not 1 <= len(base) <= 4:
-                raise InvalidSpec(
-                    "base must be a LinkGeometry, or a tuple or list of its 1 to 4 fields, "
-                    f"got {type(base).__name__} {base!r}"
-                )
-            base = _LinkGeometry._make(base)
+            base = _as_record(_LinkGeometry, base, InvalidSpec, "base")
         if isinstance(steps, bool) or not hasattr(type(steps), "__index__"):
             raise InvalidSpec(f"steps must be an integer, got {steps!r}")
         steps = operator.index(steps)

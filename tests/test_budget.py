@@ -19,6 +19,7 @@ import foliage_link
 from foliage_link import (
     BracketExceeded,
     DeltaOutOfRange,
+    InconsistentGeometry,
     InvalidRadioConfig,
     LinkGeometry,
     NonPositiveHeight,
@@ -482,6 +483,51 @@ class TestSolversMatchScalarPath:
             at_d, at_delta = x_of(result.value)
             expected = total_loss(LinkGeometry(d_km=at_d, delta=at_delta), f)
             assert result.achieved_loss_db == expected.l_total_db
+
+
+#: each entry with its record argument, the fields of a record it accepts, and its error
+RECORD_ENTRIES = {
+    "total_loss": (lambda geometry: total_loss(geometry, 868.0), LinkGeometry,
+                   (2.0, None, None, 0.5), InconsistentGeometry, "geometry", "1 to 4"),
+    "max_range": (lambda radio: max_range(radio, 0.3, 868.0), RadioConfig,
+                  (14.0, 0.0, 0.0, -120.0, 0.0), InvalidRadioConfig, "radio", "4 to 5"),
+    "max_foliage_factor": (lambda radio: max_foliage_factor(radio, 2.0, 868.0), RadioConfig,
+                           (14.0, 0.0, 0.0, -120.0), InvalidRadioConfig, "radio", "4 to 5"),
+    "max_foliage_height": (lambda radio: max_foliage_height(radio, 2.0, 30.0, 868.0),
+                           RadioConfig, (14.0, 0.0, 0.0, -120.0, 3.0), InvalidRadioConfig,
+                           "radio", "4 to 5"),
+}
+
+
+class TestRecordArguments:
+    """An entry reads a tuple or list of its record's fields as the record, and refuses any
+    other value by its record's own error, naming the value's type."""
+
+    @pytest.mark.parametrize("entry", sorted(RECORD_ENTRIES))
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_fields_read_as_the_record(self, entry, kind):
+        call, record, fields, _, _, _ = RECORD_ENTRIES[entry]
+        assert call(kind(fields)) == call(record(*fields))
+
+    @pytest.mark.parametrize("entry", sorted(RECORD_ENTRIES))
+    @pytest.mark.parametrize("value, shown", [
+        (None, "NoneType None"), (5, "int 5"), ("abcd", "str 'abcd'"),
+        ((1.0,) * 6, "tuple (1.0, 1.0, 1.0, 1.0, 1.0, 1.0)"),
+    ])
+    def test_other_values_refused(self, entry, value, shown):
+        call, record, _, error, name, counts = RECORD_ENTRIES[entry]
+        with pytest.raises(error) as raised:
+            call(value)
+        assert str(raised.value) == (
+            f"{name} must be a {record.__name__}, or a tuple or list of its {counts} fields, "
+            f"got {shown}"
+        )
+
+    def test_a_bad_field_raises_the_records_own_error(self):
+        with pytest.raises(InvalidRadioConfig):
+            max_range((14.0, 0.0, 0.0, -120.0, -1.0), 0.3, 868.0)
+        with pytest.raises(InconsistentGeometry):
+            total_loss([2.0, 30.0], 868.0)
 
 
 class TestSolverDigest:

@@ -1204,6 +1204,33 @@ class TestPinnedOutput:
         assert out == QUOTED_CSV
 
 
+class _Text(float):
+    def __str__(self):
+        return "own,text"
+
+
+class TestCsvQuoting:
+    """The quoting rule pinned as literal text: ``csv.writer`` raises on Python 3.10 for a
+    field that holds a comma and a NUL, so it cannot be the reference here."""
+
+    @pytest.mark.parametrize("value, text", [
+        ("a,\x00b", '"a,\x00b"'),
+        (SweepVariable.DELTA, "delta"),  # a str subclass by its own text
+        (_Text(1.5), '"own,text"'),  # a float subclass by its __str__
+        (b"a,b", '"b\'a,b\'"'),  # by str()
+    ])
+    def test_cell(self, value, text):
+        assert render_module._csv_cell(value) == text
+
+    def test_nul_id_exits_0_quoted(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        doc = {**QUOTED_SCENARIO, "nodes": [{"id": "a,\u0000b", "d_km": 1, "delta": 0.1}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = invoke(capsys, "scenario", "--file", str(path), "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == '"a,\x00b",' + QUOTED_CSV.splitlines()[1].split(",", 2)[2]
+
+
 class TestRenderDigest:
     """Every table, CSV and JSON byte of ``tests/render_digest.py``'s seeded cases, on any Python."""
 

@@ -110,6 +110,18 @@ def _module_level_imports(tree: ast.Module) -> set[str]:
     return names
 
 
+def test_no_module_imports_csv():
+    """``render`` writes CSV by its own rule, the same bytes on every Python."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+        assert "csv" not in imported, path.name
+
+
 def test_scenario_imports_no_sweep_code():
     """A scenario batch needs no sweep code: only ``emit_csv``'s ``SweepTable`` branch
     imports the sweep's columns, when it runs."""

@@ -543,6 +543,10 @@ def _with_dict_radio(scenario):
     return scenario._replace(radio=scenario.radio._asdict())
 
 
+def _with_dict_nodes(scenario):
+    return scenario._replace(nodes={node.id: node for node in scenario.nodes})
+
+
 class TestWrongTypes:
     """An entry given a value of the wrong type raises a named error that names the type."""
 
@@ -581,6 +585,25 @@ class TestWrongTypes:
             lambda: emit_scenario(_with_dict_radio(parse_scenario(scenario_doc()))),
             SchemaError,
             "scenario: field 'radio' is a dict, not a RadioConfig"),
+        # a str or dict iterates over items the caller never wrote as values
+        "evaluate_scenario(radio=str)": (
+            lambda: evaluate_scenario(parse_scenario(scenario_doc())._replace(radio="abcde")),
+            SchemaError, "scenario: field 'radio' is a str, not a RadioConfig"),
+        "emit_scenario(radio=str)": (
+            lambda: emit_scenario(parse_scenario(scenario_doc())._replace(radio="abcde")),
+            SchemaError, "scenario: field 'radio' is a str, not a RadioConfig"),
+        "evaluate_scenario(nodes=dict)": (
+            lambda: evaluate_scenario(_with_dict_nodes(parse_scenario(scenario_doc()))),
+            SchemaError, "scenario: field 'nodes' is a dict, not a list of nodes"),
+        "emit_scenario(nodes=dict)": (
+            lambda: emit_scenario(_with_dict_nodes(parse_scenario(scenario_doc()))),
+            SchemaError, "scenario: field 'nodes' is a dict, not a list of nodes"),
+        "evaluate_scenario(nodes=str)": (
+            lambda: evaluate_scenario(parse_scenario(scenario_doc())._replace(nodes="ab")),
+            SchemaError, "scenario: field 'nodes' is a str, not a list of nodes"),
+        "emit_scenario(nodes=str)": (
+            lambda: emit_scenario(parse_scenario(scenario_doc())._replace(nodes="ab")),
+            SchemaError, "scenario: field 'nodes' is a str, not a list of nodes"),
     }
 
     @pytest.mark.parametrize("call", sorted(CALLS))
@@ -589,6 +612,13 @@ class TestWrongTypes:
         with pytest.raises(error) as raised:
             function()
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("kind", [tuple, list, iter])
+    def test_other_iterables_stay_accepted(self, kind):
+        scenario = parse_scenario(scenario_doc())
+        for entry in (evaluate_scenario, emit_scenario):
+            changed = scenario._replace(radio=kind(scenario.radio), nodes=kind(scenario.nodes))
+            assert entry(changed) == entry(scenario)
 
 
 class TestScenarioRoundTrip:
