@@ -3,7 +3,7 @@
 The forward model gives loss from geometry; the solvers here answer the
 planning questions: how far can this radio reach at a given cover factor,
 how much cover can it tolerate at a given distance, and how high may the
-foliage grow. Each solver takes its ``radio`` as a ``RadioConfig`` or as a
+foliage grow. Every function of a ``radio`` takes a ``RadioConfig`` or a
 tuple or list of its fields, read through ``RadioConfig._make``; any other
 value raises ``InvalidRadioConfig``, naming its type.
 """
@@ -109,6 +109,8 @@ class SolveResult(NamedTuple):
 
 def link_margin(radio: RadioConfig, loss_db: float) -> float:
     """Margin above sensitivity: EIRP plus receive gain minus loss and sensitivity."""
+    if type(radio) is not RadioConfig:
+        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     return (
         radio.tx_power_dbm
         + radio.tx_gain_dbi
@@ -120,6 +122,8 @@ def link_margin(radio: RadioConfig, loss_db: float) -> float:
 
 def required_tx_power(radio: RadioConfig, loss_db: float) -> float:
     """Smallest transmit power (dBm) closing the budget with the required margin."""
+    if type(radio) is not RadioConfig:
+        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     return (
         loss_db
         + radio.rx_sensitivity_dbm
@@ -131,6 +135,8 @@ def required_tx_power(radio: RadioConfig, loss_db: float) -> float:
 
 def max_loss_budget(radio: RadioConfig) -> float:
     """Largest tolerable path loss (dB) for this radio at its required margin."""
+    if type(radio) is not RadioConfig:
+        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     return (
         radio.tx_power_dbm
         + radio.tx_gain_dbi
@@ -164,8 +170,6 @@ def max_range(radio: RadioConfig, delta: float, f_mhz: float) -> SolveResult:
             holds over all of it.
     """
     _check_partial_cover(delta)
-    if type(radio) is not RadioConfig:
-        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     budget = max_loss_budget(radio)
     lo, hi = _RANGE_BRACKET_KM
     core = _LossCore(f_mhz)
@@ -256,8 +260,6 @@ def max_foliage_factor(
         NoSolution: the budget is exceeded already at cover factor 0.
     """
     _check_partial_cover(delta_cap, "delta_cap")
-    if type(radio) is not RadioConfig:
-        radio = _as_record(RadioConfig, radio, InvalidRadioConfig, "radio")
     budget = max_loss_budget(radio)
     _check_distance(d_km)
     core = _LossCore(f_mhz)

@@ -1,11 +1,11 @@
 """Table, CSV and JSON text for rows of cells.
 
-The caller names the columns, in output order, as they are printed, and
-gives the cells in that order. ``render`` writes one row as a key/value
-table, a one-row CSV or a JSON object; ``render_blocks`` writes a ``Batch``,
-rows given block by block (a sweep's points and a scenario's nodes,
-``_BLOCK_ROWS`` rows each), as the pieces of a column table, a CSV or a
-JSON array (indent 2). CSV is a header line plus one line per row either way.
+The caller names the columns, in output order, and gives the cells in that
+order. ``render`` writes one row as a key/value table, a one-row CSV or a
+JSON object; ``render_blocks`` writes a ``Batch``, rows given block by
+block (a sweep's points and a scenario's nodes, ``_BLOCK_ROWS`` rows each),
+as the pieces of a column table, a CSV or a JSON array (indent 2). A row
+may end with its record's ``error``, which only JSON writes, as a last key.
 
 Cell rules, table / CSV / JSON:
 
@@ -14,36 +14,19 @@ Cell rules, table / CSV / JSON:
 * enum (``Regime``, ``Validity``): its value;
 * missing (``None``): ``-`` / empty cell / ``null``.
 
-A row may end with its record's ``error``, which only JSON writes, as a last key.
-
 Each format has one batch writer (``_line_blocks`` for table and CSV,
-``_json_blocks``, chosen by ``render_blocks``); one cell rule, for a fixed
-column, a lone row, the ``error`` member and a column of mixed types alike
-(``_table_cell``, ``_csv_cell``, ``_json_cell``); and one column rule,
-which converts a whole column in a few C-level passes, or leaves cells
-that ``%s`` writes as the format does (``_table_column``, ``_csv_column``,
-``_json_column``):
-
-* table: floats become ``.7f`` text in one pass, strings stay, and
-  ``None``, bools and the package's enums map through one dict;
-* CSV: floats, ints and the package's enums stay, or map through one dict
-  with ``None`` among them; bools map by index; strings stay unless one
-  needs quoting, and such a one is quoted;
-* JSON: finite floats and ints stay, strings are escaped in one pass, and
-  ``None``, bools and enums map through one dict.
-
-Any other column goes through the cell rule. One loop, ``_converted``,
-runs a writer's column rule over each column of a block, in the block's
-list itself; the writer then writes the block's text in one ``%`` call on
-a template of one line or object per row. A column that the caller holds
-``fixed`` (one value in every row) is written into the template once, by
-the cell rule.
-A column whose cells are, row by row, the very objects (``is``) of the
-column before it, as a cover-factor sweep's ``delta`` is its ``x``, is
-found by ``_converted`` and formatted once for both. A CSV field that
-holds a comma, a double quote, CR or LF is quoted, each double quote doubled,
-on every Python alike; the JSON text is byte for byte what ``json.dumps(...,
-indent=2, allow_nan=False)`` would write, without its Python code per cell or row.
+``_json_blocks``); one cell rule, for a lone row, the ``error`` member and
+a column of mixed types (``_table_cell``, ``_csv_cell``, ``_json_cell``);
+and one column rule, which converts a whole column of one kind in a few
+C-level passes, or leaves cells that ``%s`` writes as the format does
+(``_table_column``, ``_csv_column``, ``_json_column``). ``_converted`` runs
+the column rule over each column of a block, in the block's list itself,
+and formats once a column that repeats the one before it or holds one
+object in every row; the writer then writes the block in one ``%`` call on
+a template of one line or object per row. A CSV field that holds a comma,
+a double quote, CR or LF is quoted, each double quote doubled, on every
+Python alike; the JSON text is byte for byte what ``json.dumps(...,
+indent=2, allow_nan=False)`` would write, without its Python code per cell.
 """
 
 from __future__ import annotations
@@ -65,49 +48,43 @@ _BLOCK_ROWS = 4096
 class Batch:
     """Rows given block by block: ``blocks`` yields flat lists of ``width`` cells per row.
 
-    A row holds the cells of the ``columns`` not in ``fixed``, in column
-    order, then, when ``width`` is one more, its record's ``error``, which
-    only JSON writes. ``fixed`` maps each other column to its value in
-    every row.
+    A row holds a cell of each of the ``columns``, in column order, then,
+    when ``width`` is one more, its record's ``error``, which only JSON
+    writes.
     """
 
-    def __init__(self, columns: tuple[str, ...], width: int, fixed: dict, blocks) -> None:
-        self.columns, self.width, self.fixed, self.blocks = columns, width, fixed, blocks
+    def __init__(self, columns: tuple[str, ...], width: int, blocks) -> None:
+        self.columns, self.width, self.blocks = columns, width, blocks
 
     def records(self, record: type) -> list:
-        """Every row as a ``record``, a tuple class whose fields are the batch's columns in
-        order, then ``error`` where a row holds one."""
+        """Every row as a ``record``, a tuple class whose fields are the row's cells in order:
+        the batch's columns, then ``error`` where a row holds one."""
         cell = chain.from_iterable(self.blocks)
-        # zip takes a record's fields in order, so each varying one is the next cell
-        fields = [repeat(self.fixed[key]) if key in self.fixed else cell for key in record._fields]
         # tuple.__new__ is the record's own constructor, less a Python call frame per row
-        return list(map(functools.partial(tuple.__new__, record), zip(*fields)))
+        return list(map(functools.partial(tuple.__new__, record), zip(*[cell] * self.width)))
 
 
-def _fixed_slots(columns: tuple[str, ...], fixed: dict, slot: str, cell) -> list[str]:
-    """Each column's slot in a row template: ``slot``, or for a fixed column ``slot``
-    filled once with the ``cell`` rule's text of its value, each ``%`` doubled."""
-    return [
-        (slot % (cell(fixed[name]),)).replace("%", "%%") if name in fixed else slot
-        for name in columns
-    ]
-
-
-def _converted(cells: list, width: int, varying: int, column) -> tuple:
-    """The cells for the row template, each of a row's first ``varying`` columns (of
+def _converted(cells: list, width: int, count: int, column) -> tuple:
+    """The cells for the row template, each of a row's first ``count`` columns (of
     ``width``) converted by the format's ``column`` rule.
 
-    A varying column whose cells are, row by row, the very objects of the
-    column before it (a cover-factor sweep's ``delta`` is its ``x``)
-    repeats that one: both get the ``str()`` of its converted cells, which
-    is what ``%s`` writes, formatted once.
+    A column is formatted once where its cells are, row by row, the very
+    objects (``is``) of the column before it, as a cover-factor sweep's
+    ``delta`` is its ``x``: both take the ``str()`` of the converted cells,
+    as ``%s`` writes them. So is one whose cells are one object, as a
+    distance sweep's ``delta`` is: every row takes the rule's text of that
+    object, or its ``str()`` where the rule leaves it to ``%s``.
     """
     previous: list = []
-    for index in range(varying):
+    for index in range(count if cells else 0):
         current = cells[index::width]
+        first = current[0]
         # row 0 first, then row by row up to the first cell that differs
-        if previous and current[0] is previous[0] and all(map(operator.is_, current, previous)):
+        if previous and first is previous[0] and all(map(operator.is_, current, previous)):
             text = cells[index - 1::width] = list(map(str, cells[index - 1::width]))
+        elif all(map(operator.is_, current, repeat(first))):
+            text = column(current[:1])
+            text = [str(first) if text is None else text[0]] * len(current)
         else:
             text = column(current)
         if text is not None:
@@ -116,16 +93,16 @@ def _converted(cells: list, width: int, varying: int, column) -> tuple:
     return tuple(cells)
 
 
-def _line_blocks(batch: Batch, sep: str, slot: str, cell, column):
+def _line_blocks(batch: Batch, sep: str, slot: str, column):
     """A header line of the column names in ``slot``s, then each block's text: a line of
-    ``sep``-joined slots per row; a row's cells past its varying columns (its ``error``) go
-    to ``%.0s``, which writes no text."""
-    columns, width, fixed = batch.columns, batch.width, batch.fixed
-    varying = len(columns) - len(fixed)
-    line = sep.join(_fixed_slots(columns, fixed, slot, cell)) + "%.0s" * (width - varying) + "\n"
-    yield sep.join([slot] * len(columns)) % columns + "\n"
+    ``sep``-joined slots per row; a row's cell past its columns (its ``error``) goes to
+    ``%.0s``, which writes no text."""
+    columns, width = batch.columns, batch.width
+    row = sep.join([slot] * len(columns))
+    line = row + "%.0s" * (width - len(columns)) + "\n"
+    yield row % columns + "\n"
     for cells in batch.blocks:
-        yield (line * (len(cells) // width)) % _converted(cells, width, varying, column)
+        yield (line * (len(cells) // width)) % _converted(cells, width, len(columns), column)
 
 
 def _table_cell(value: object) -> str:
@@ -291,27 +268,22 @@ def _json_blocks(batch: Batch, end: str = ""):
     row by row, before its block's text. The array's ``[`` goes out with
     the first row's block, and a block of no rows gives no text.
     """
-    columns, width, fixed = batch.columns, batch.width, batch.fixed
-    varying = len(columns) - len(fixed)
-    with_error = width > varying
-    item = None
+    columns, width = batch.columns, batch.width
+    with_error = width > len(columns)
+    item = _json_template(columns, 1, with_error)
+    lead = "[\n  "
     for cells in batch.blocks:
         if not cells:
             continue
-        if item is None:
-            item = _json_template(columns, 1, with_error)
-            if fixed:
-                item %= (*_fixed_slots(columns, fixed, "%s", _json_cell), *["%s"] * with_error)
-            lead = "[\n  "
         if not all(map(math.isfinite, filter(_is_float, cells))):
             list(map(_json_cell, cells))  # raises at the first, row by row
         if with_error:
-            cells[varying::width] = list(map(_json_error, cells[varying::width]))
+            cells[len(columns)::width] = list(map(_json_error, cells[len(columns)::width]))
         # the block's objects, the comma or bracket before them in the first, are one template
         template = ",\n  ".join([lead + item, *[item] * (len(cells) // width - 1)])
-        yield template % _converted(cells, width, varying, _json_column)
+        yield template % _converted(cells, width, len(columns), _json_column)
         lead = ",\n  "
-    yield ("[]" if item is None else "\n]") + end
+    yield ("[]" if lead.startswith("[") else "\n]") + end
 
 
 def render_blocks(batch: Batch, fmt: str):
@@ -327,8 +299,8 @@ def render_blocks(batch: Batch, fmt: str):
     if fmt == "json":
         return _json_blocks(batch, "\n")
     if fmt == "csv":
-        return _line_blocks(batch, ",", "%s", _csv_cell, _csv_column)
-    return _line_blocks(batch, "  ", "%-13s", _table_cell, _table_column)
+        return _line_blocks(batch, ",", "%s", _csv_column)
+    return _line_blocks(batch, "  ", "%-13s", _table_column)
 
 
 def render(row, columns: tuple[str, ...], fmt: str) -> str:

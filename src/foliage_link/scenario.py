@@ -390,30 +390,60 @@ def _scenario_batch(doc: object) -> render.Batch:
     size = render._BLOCK_ROWS
     blocks = (_report_cells(values[start:start + size], frequency_mhz, base_height_m, radio)
               for start in range(0, len(values), size))
-    return render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, blocks)
+    return render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, blocks)
+
+
+def _record_cells(rows, width: int, name: str) -> list:
+    """The cells of ``rows``, any iterable of tuples or lists of ``width`` cells, in one flat
+    list; a ``SchemaError`` names ``rows`` that are not iterable, or the first other row."""
+    try:
+        iter(rows)
+    except TypeError:
+        raise SchemaError(f"{name} must be iterable, got {type(rows).__name__}") from None
+    rows = list(rows)
+    for index, row in enumerate(rows):
+        if not isinstance(row, (tuple, list)) or len(row) != width:
+            got = type(row).__name__ + (f" of {len(row)}" if isinstance(row, (tuple, list)) else "")
+            raise SchemaError(f"{name}[{index}] must be a tuple or list of {width} cells, "
+                              f"got {got}")
+    return list(chain.from_iterable(rows))
 
 
 def emit_csv(data) -> str:
-    """Render a ``SweepTable`` or a sequence of ``NodeReport`` as CSV (LF line endings).
+    """Render a ``SweepTable`` or an iterable of ``NodeReport`` as CSV (LF line endings).
 
     Numeric fields use the shortest decimal form that parses back to the
     identical float. A table of no rows, or no node reports, gives the
-    header line alone, as an empty table or JSON array renders.
+    header line alone, as an empty table or JSON array renders. A row that
+    is no tuple or list of its record's cells, 9 for a sweep row and 13 for
+    a report, raises a ``SchemaError`` that names the row by its index.
     """
     if hasattr(data, "rows"):  # a SweepTable
         from .sweep import SWEEP_COLUMNS  # here: no other scenario code needs the sweep module
 
-        cells = list(chain.from_iterable(data.rows))
-        batch = render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS), {}, [cells])
+        cells = _record_cells(data.rows, len(SWEEP_COLUMNS), "rows")
+        batch = render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS), [cells])
     else:  # each report's last cell, its error, goes to ``%.0s``, as on the CLI path
-        batch = render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [list(chain.from_iterable(data))])
+        batch = render.Batch(REPORT_COLUMNS, _REPORT_WIDTH,
+                             [_record_cells(data, _REPORT_WIDTH, "reports")])
     return "".join(render.render_blocks(batch, "csv"))
 
 
-def emit_json(reports: Sequence[NodeReport]) -> str:
-    """Render node reports as a JSON array with stable field order."""
-    cells = list(chain.from_iterable(reports))
-    return "".join(render._json_blocks(render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [cells])))
+def emit_json(reports) -> str:
+    """Render node reports as a JSON array with stable field order.
+
+    A report's row is checked as ``emit_csv`` checks it, and a float that is
+    not finite, which is not JSON compliant, raises a ``DomainError`` that
+    names the report and the field.
+    """
+    cells = _record_cells(reports, _REPORT_WIDTH, "reports")
+    if not all(map(math.isfinite, filter(render._is_float, cells))):
+        index = next(i for i, cell in enumerate(cells)
+                     if isinstance(cell, float) and not math.isfinite(cell))
+        row, field = divmod(index, _REPORT_WIDTH)
+        raise DomainError(f"reports[{row}]: field '{NodeReport._fields[field]}' is "
+                          f"{cells[index]}, which is not JSON compliant")
+    return "".join(render._json_blocks(render.Batch(REPORT_COLUMNS, _REPORT_WIDTH, [cells])))
 
 
 def emit_scenario(scenario: Scenario) -> str:

@@ -9,12 +9,11 @@ cover, where the free-space term is singular, and nothing else bounds a
 sweep. Presets regenerate the bundled reference scenarios.
 
 One loop per swept variable, in ``_block``, evaluates grid points straight
-into one flat list of cells, with no per-point record, and leaves out the
-columns the swept variable cannot change. ``_sweep_batch`` returns a
-``render.Batch`` that holds those fixed, after checking the one point that
-fails if any does, and runs the loop ``render._BLOCK_ROWS`` points at a
-time. The CLI renders and writes each block as it comes, the fixed columns
-formatted once; ``run_sweep`` builds its ``SweepRow``s from the same batch.
+into one flat list of cells, with no per-point record. ``_sweep_batch``
+returns a ``render.Batch`` of such blocks, ``render._BLOCK_ROWS`` points
+each, after checking the one point that fails if any does. The CLI renders
+and writes each block as it comes; ``run_sweep`` builds its ``SweepRow``s
+from the same batch.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .propagation import (
     _check_partial_cover,
     _checked_make,
     _LossCore,
+    _split,
     total_loss,  # noqa: F401  not called here; perfbench/spans.py wraps it by this name
 )
 
@@ -186,12 +186,13 @@ def _grid(start: float, stop: float, steps: int):
 
 
 def _block(spec: SweepSpec, xs) -> list:
-    """The cells of the sweep's points ``xs``, one flat list of rows, each ``SweepRow``'s fields
-    less those ``_sweep_batch`` holds fixed: one ``_LossCore.at`` call per point.
+    """The cells of the sweep's points ``xs``, each ``SweepRow``'s fields, in one flat list: one
+    ``_LossCore.at`` call per point.
 
-    A cover-factor sweep's ``delta`` cell is its ``x`` cell, one float
-    object, which the writers format once for both. An error is re-raised
-    annotated with the offending x.
+    A cover-factor sweep's ``delta`` cell is its ``x``, and a column that a
+    distance or frequency sweep does not change is one float object, so the
+    writers format each once. An error is re-raised annotated with the
+    offending x.
     """
     variable, _, _, base, f_mhz = spec
     cells: list = []
@@ -199,9 +200,10 @@ def _block(spec: SweepSpec, xs) -> list:
     try:
         if variable is SweepVariable.FREQUENCY_MHZ:
             d_km, delta = base.d_km, base.effective_delta
+            d_f_m, d_fsp_m = _split(d_km, delta)  # as every point's ``at`` splits the path
             for x in xs:
-                _, _, l_foliage, l_fsp, l_total, _, _ = _LossCore(x).at(d_km, delta)
-                cells += (x, l_foliage, l_fsp, l_total)
+                _, _, l_foliage, l_fsp, l_total, regime, validity = _LossCore(x).at(d_km, delta)
+                cells += (x, delta, d_f_m, d_fsp_m, l_foliage, l_fsp, l_total, regime, validity)
         else:
             at = _LossCore(f_mhz).at
             if variable is SweepVariable.DELTA:
@@ -221,6 +223,7 @@ def _block(spec: SweepSpec, xs) -> list:
                 delta = base.effective_delta
                 for x in xs:
                     append(x)
+                    append(delta)
                     cells += at(x, delta)
     except FoliageLinkError as exc:
         raise type(exc)(f"{variable.value} sweep failed at x = {x}: {exc}") from exc
@@ -229,18 +232,16 @@ def _block(spec: SweepSpec, xs) -> list:
 
 def _sweep_batch(spec: SweepSpec) -> render.Batch:
     """The sweep's rows, ``SWEEP_COLUMNS``, one block of cells per ``render._BLOCK_ROWS``
-    points (``_block``), and the columns the sweep holds fixed.
+    points (``_block``).
 
-    A frequency sweep holds its cover factor, segment lengths, regime and
-    validity fixed, and a distance sweep its cover factor. A point fails
-    only where its free-space segment rounds to 0, and the segment shrinks
-    along a cover-factor or foliage-height grid, grows along a distance
-    grid and is one length in a frequency sweep. So the point of the
-    shortest is evaluated first, and only if it fails are the points run in
-    order, to raise the first failure: the blocks raise nothing, and no
+    A point fails only where its free-space segment rounds to 0, and the
+    segment shrinks along a cover-factor or foliage-height grid, grows along
+    a distance grid and is one length in a frequency sweep. So the point of
+    the shortest is evaluated first, and only if it fails are the points run
+    in order, to raise the first failure: the blocks raise nothing, and no
     model error can follow the first output byte.
     """
-    variable, stop, steps, base, f_mhz = spec
+    variable, stop, steps, _, _ = spec
     size = render._BLOCK_ROWS
     grid = _grid(spec.start, stop, steps)
     blocks = (_block(spec, islice(grid, size)) for _ in range(0, steps, size))
@@ -251,13 +252,7 @@ def _sweep_batch(spec: SweepSpec) -> render.Batch:
         for _ in blocks:  # raises at the first point that fails
             pass
         raise
-    delta = base.effective_delta
-    fixed = {"delta": delta} if variable is SweepVariable.DISTANCE else {}
-    if variable is SweepVariable.FREQUENCY_MHZ:
-        # the split, and so the foliage branch, does not depend on the frequency
-        d_f_m, d_fsp_m, _, _, _, regime, validity = _LossCore(f_mhz).at(base.d_km, delta)
-        fixed = dict(delta=delta, d_f_m=d_f_m, d_fsp_m=d_fsp_m, regime=regime, validity=validity)
-    return render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS) - len(fixed), fixed, blocks)
+    return render.Batch(SWEEP_COLUMNS, len(SWEEP_COLUMNS), blocks)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

@@ -8,7 +8,7 @@ Each case runs ``foliage_link.cli.run`` with ``--out`` and hashes the file it
 writes, in ``table``, ``csv`` and ``json``:
 
 * one seeded sweep of each variable, POINTS points each (default 20,000),
-  and three sweeps whose fixed columns take edge values: frequency sweeps
+  and three sweeps whose constant columns take edge values: frequency sweeps
   at a cover factor of 0 and 2,500 m deep in foliage, and a distance sweep
   at a cover factor of 0;
 * a seeded scenario of POINTS nodes that holds full-cover error rows and ids
@@ -52,7 +52,7 @@ def _cases(rng: random.Random, points: int):
     yield "sweep-frequency-mhz", ["sweep", "--var", "frequency-mhz", "--start", "400",
                                   "--stop", "6000", "--steps", steps,
                                   "--d-km", d_km(), "--delta", delta()]
-    # sweeps whose fixed columns take edge values: a zero regime, a foliage
+    # sweeps whose constant columns take edge values: a zero regime, a foliage
     # depth of 2,500 m (extrapolated) and a cover factor of 0
     yield "sweep-frequency-delta-0", ["sweep", "--var", "frequency-mhz", "--start", "400",
                                       "--stop", "6000", "--steps", steps,

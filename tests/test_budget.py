@@ -496,6 +496,12 @@ RECORD_ENTRIES = {
     "max_foliage_height": (lambda radio: max_foliage_height(radio, 2.0, 30.0, 868.0),
                            RadioConfig, (14.0, 0.0, 0.0, -120.0, 3.0), InvalidRadioConfig,
                            "radio", "4 to 5"),
+    "link_margin": (lambda radio: link_margin(radio, 100.0), RadioConfig,
+                    (14.0, 0.0, 0.0, -137.0), InvalidRadioConfig, "radio", "4 to 5"),
+    "required_tx_power": (lambda radio: required_tx_power(radio, 100.0), RadioConfig,
+                          (14.0, 0.0, 0.0, -137.0, 3.0), InvalidRadioConfig, "radio", "4 to 5"),
+    "max_loss_budget": (max_loss_budget, RadioConfig, (14.0, 0.0, 0.0, -137.0, 3.0),
+                        InvalidRadioConfig, "radio", "4 to 5"),
 }
 
 

@@ -805,7 +805,7 @@ class TestOutputFile:
         write = os.write
         monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:3]))
         cells = [f"é✓€𝄞 {i}" for i in range(50)]
-        pieces = list(render_blocks(Batch(("id",), 1, {}, [cells[:20], cells[20:]]), "csv"))
+        pieces = list(render_blocks(Batch(("id",), 1, [cells[:20], cells[20:]]), "csv"))
         assert len(pieces) == 3
         target = tmp_path / "out.csv"
         cli._write_out(pieces, str(target))
@@ -1262,7 +1262,7 @@ class TestScenarioBlocks:
         one_block = {}
         for fmt in FORMATS:  # a block is converted in place as it is written: one per format
             cells = self.one_block(scenario_module._load(text))
-            one_block[fmt] = "".join(render_blocks(Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [cells]), fmt))
+            one_block[fmt] = "".join(render_blocks(Batch(REPORT_COLUMNS, _REPORT_WIDTH, [cells]), fmt))
         monkeypatch.setattr(render_module, "_BLOCK_ROWS", rows)
         for fmt in FORMATS:
             code = run(["scenario", "--file", str(path), "--format", fmt, "--out", str(target)])
@@ -1391,13 +1391,12 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("variable", sorted(SPECS))
     def test_blocks_hold_block_rows_points(self, monkeypatch, variable):
         spec = self.SPECS[variable]
-        batch = sweep_module._sweep_batch(spec)
-        fixed, (one_block,) = batch.fixed, batch.blocks
+        (one_block,) = sweep_module._sweep_batch(spec).blocks
         monkeypatch.setattr(render_module, "_BLOCK_ROWS", 7)
         in_blocks = sweep_module._sweep_batch(spec)
         blocks = list(in_blocks.blocks)
-        width = len(SWEEP_COLUMNS) - len(fixed)
-        assert (in_blocks.columns, in_blocks.width, in_blocks.fixed) == (SWEEP_COLUMNS, width, fixed)
+        width = len(SWEEP_COLUMNS)
+        assert (in_blocks.columns, in_blocks.width) == (SWEEP_COLUMNS, width)
         assert [len(block) for block in blocks] == [7 * width] * 4 + [2 * width]
         assert sum(blocks, []) == one_block
 

@@ -77,9 +77,9 @@ CHECKED = settings(derandomize=True, database=None, deadline=None, max_examples=
 RADIO = RadioConfig(14, 0, 0, -137)
 
 
-def _render_block(cells, columns, width, fmt, fixed=None) -> str:
+def _render_block(cells, columns, width, fmt) -> str:
     """The text of one block of ``width`` cells per row, as ``render_blocks`` writes it."""
-    return "".join(render.render_blocks(render.Batch(columns, width, fixed or {}, [cells]), fmt))
+    return "".join(render.render_blocks(render.Batch(columns, width, [cells]), fmt))
 
 
 def _reject(token):
@@ -875,49 +875,52 @@ def test_cli_sweep_renders_what_its_records_render(sweep):
         assert _run([*argv, "--format", fmt]) == (0, text, "")
 
 
-#: values a fixed column can hold, each written its own way by some format
-FIXED_VALUES = [
+#: values a column can hold in every row, each written its own way by some format
+CONSTANT_VALUES = [
     None, True, False, Regime.ZERO, Validity.EXTRAPOLATED, SweepVariable.DISTANCE, 7, 0.1, -0.0,
     1e-320, 1e300, nan, inf, "50% off", 'row,"12"', "two\nlines", "cr\rlf", "é✓𝄞", "back\\slash",
     "",
 ]
 
 
-def _text_or_error(call):
-    try:
-        return call()
-    except ValueError as exc:  # JSON refuses a non-finite float
-        return repr(exc)
+@pytest.mark.parametrize("value", CONSTANT_VALUES, ids=repr)
+def test_a_column_holding_one_object_renders_as_its_cells(value):
+    """A column that holds one object in every row, which the writers format once, renders as
+    its cells render one by one.
 
-
-@pytest.mark.parametrize("value", FIXED_VALUES, ids=repr)
-def test_a_fixed_column_renders_as_a_varying_one(value):
-    """A fixed column's text, written once into the row template, is the text of its cells.
-
-    The column is fixed at the third and at the last place, in 3 rows and
-    in none. With ``repeat``, column ``delta`` holds column ``x``'s cells,
-    which the writers find repeated. With ``error``, each row ends with an
-    error cell, which only JSON writes.
+    The column is the third and the last, in 3 rows and in none. With
+    ``repeat``, column ``delta`` holds column ``x``'s cells, which the
+    writers find repeated. With ``error``, each row ends with an error
+    cell, which only JSON writes, as a last key where it is not None.
     """
     columns = SWEEP_COLUMNS
     cases = [(3, False, False), (3, True, True), (0, False, True)]
-    for fmt, column, (count, repeat, error) in product(["table", "csv", "json"], [2, 8], cases):
-        rows = []
+    for fmt, column, (count, repeat, error) in product(FORMATS, [2, 8], cases):
+        rows, errors = [], [("boom", None, "a\nb")[i] for i in range(count)]
         for i in range(count):
             row = [i / 7, i / 3, None, "x,y", True, 1e300, Regime.LINEAR, Validity.IN_DOMAIN, "%d"]
             row[column] = value
             if repeat:
                 row[1] = row[0]
-            rows.append(row + [("boom", None, "a\nb")[i]] * error)
-        varying = [cell for row in rows for index, cell in enumerate(row) if index != column]
-        width = len(columns) + error
-        expected = _text_or_error(
-            lambda: _render_block(list(chain.from_iterable(rows)), columns, width, fmt)
-        )
-        fixed = {columns[column]: value}
-        assert _text_or_error(
-            lambda: _render_block(varying, columns, width - 1, fmt, fixed)
-        ) == expected, (fmt, column, count, repeat, error)
+            rows.append(row)
+        flat = [cell for row, cause in zip(rows, errors) for cell in row + [cause] * error]
+        case = (fmt, column, count, repeat, error)
+
+        def text():
+            return _render_block(flat, columns, len(columns) + error, fmt)
+
+        if fmt != "json":
+            assert text() == _cell_by_cell(columns, rows, fmt), case
+            continue
+        objects = [_reference_object(columns, row, cause if error else None)
+                   for row, cause in zip(rows, errors)]
+        try:
+            expected = json.dumps(objects, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                text()
+            continue
+        assert text() == expected, case
 
 
 def _cell_by_cell(columns, rows, fmt):
@@ -971,11 +974,10 @@ REPEATED = [
 @pytest.mark.parametrize("cells", REPEATED, ids=repr)
 def test_a_repeated_column_renders_cell_by_cell(fmt, cells):
     """Columns that repeat the one before them, object for object, two in a row and one after
-    a fixed column, render as their cells render one by one."""
+    a column of one object, render as their cells render one by one."""
     columns = ("x", "delta", "again", "fixed", "last", "other")
     rows = [[cell, cell, cell, "f", cell, i] for i, cell in enumerate(cells)]
-    flat = [cell for cells in rows for cell in cells[:3] + cells[4:]]
-    text = _render_block(flat, columns, len(columns) - 1, fmt, {"fixed": "f"})
+    text = _render_block(list(chain.from_iterable(rows)), columns, len(columns), fmt)
     assert text == _cell_by_cell(columns, rows, fmt)
 
 

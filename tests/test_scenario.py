@@ -509,7 +509,7 @@ class TestEmitCsv:
         """As in a table and in JSON: here a report's id, which no scenario can hold."""
         reports = [evaluate_scenario(parse_scenario(scenario_doc()))[0]._replace(id=True)]
         assert emit_csv(reports).splitlines()[1].split(",")[0] == "true"
-        batch = Batch(REPORT_COLUMNS, _REPORT_WIDTH, {}, [list(chain.from_iterable(reports))])
+        batch = Batch(REPORT_COLUMNS, _REPORT_WIDTH, [list(chain.from_iterable(reports))])
         table = "".join(render_blocks(batch, "table"))
         assert table.splitlines()[1].split()[0] == "true"
         assert emit_json(reports).splitlines()[2] == '    "id": true,'
@@ -537,6 +537,60 @@ class TestEmitJson:
         reports = evaluate_scenario(parse_scenario(scenario_doc()))
         objects = json.loads(emit_json(reports))
         assert objects[0]["margin_db"] == reports[0].margin_db
+
+
+def _two_reports():
+    nodes = [{"id": "a", "d_km": 2, "delta": 0.25}, {"id": "b", "d_km": 2, "delta": 0.25}]
+    return evaluate_scenario(parse_scenario(scenario_doc(nodes)))
+
+
+#: each emitter call on rows that are not records of the right width, and what it raises
+_BAD_ROWS = {
+    "short-then-long-csv": (lambda r0, r1: emit_csv([r0[:-1], r1 + ("x",)]), SchemaError,
+                            "reports[0] must be a tuple or list of 13 cells, got tuple of 12"),
+    "short-then-long-json": (lambda r0, r1: emit_json([r0[:-1], r1 + ("x",)]), SchemaError,
+                             "reports[0] must be a tuple or list of 13 cells, got tuple of 12"),
+    "long-json": (lambda r0, r1: emit_json([r0, list(r1) + ["x"]]), SchemaError,
+                  "reports[1] must be a tuple or list of 13 cells, got list of 14"),
+    "ragged-sweep-table": (
+        lambda r0, r1: emit_csv(SweepTable("delta", [(0.5,) * 9, [0.5] * 8])), SchemaError,
+        "rows[1] must be a tuple or list of 9 cells, got list of 8"),
+    "one-cell-json": (lambda r0, r1: emit_json([("a",)]), SchemaError,
+                      "reports[0] must be a tuple or list of 13 cells, got tuple of 1"),
+    "two-cells-csv": (lambda r0, r1: emit_csv([("a", 0.5)]), SchemaError,
+                      "reports[0] must be a tuple or list of 13 cells, got tuple of 2"),
+    "none-csv": (lambda r0, r1: emit_csv(None), SchemaError,
+                 "reports must be iterable, got NoneType"),
+    "none-json": (lambda r0, r1: emit_json(None), SchemaError,
+                  "reports must be iterable, got NoneType"),
+    "int-row-csv": (lambda r0, r1: emit_csv([1]), SchemaError,
+                    "reports[0] must be a tuple or list of 13 cells, got int"),
+    "str-row-json": (lambda r0, r1: emit_json(["a" * 13]), SchemaError,
+                     "reports[0] must be a tuple or list of 13 cells, got str"),
+    "nan-json": (lambda r0, r1: emit_json([r0, r1._replace(margin_db=math.nan)]), DomainError,
+                 "reports[1]: field 'margin_db' is nan, which is not JSON compliant"),
+    "inf-error-json": (lambda r0, r1: emit_json([r0._replace(error=-math.inf)]), DomainError,
+                       "reports[0]: field 'error' is -inf, which is not JSON compliant"),
+}
+
+
+class TestEmitRowChecks:
+    """``emit_csv`` and ``emit_json`` refuse a row that is not a record of the right width, and
+    JSON a non-finite float, by a named error that says which row."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_ROWS))
+    def test_refused(self, case):
+        call, error, message = _BAD_ROWS[case]
+        with pytest.raises(error) as raised:
+            call(*_two_reports())
+        assert str(raised.value) == message
+
+    def test_any_iterable_of_rows(self):
+        reports = _two_reports()
+        for emit in (emit_csv, emit_json):
+            text = emit(reports)
+            assert emit(iter(reports)) == emit(report for report in reports) == text
+            assert emit(list(map(list, reports))) == emit(tuple(reports)) == text
 
 
 def _with_dict_radio(scenario):
